@@ -70,6 +70,7 @@ _CONFIG_TYPES = {
     "model": str,
     "plan": str,
     "coefficients": str,
+    "allow_override": bool,
     "seed": int,
     "train_fraction": float,
     "threshold": float,
@@ -219,15 +220,29 @@ def _cv_report_lines(selection, cv_k: int) -> list:
         skipped = f" skipped_folds {cv.n_skipped}" if cv.n_skipped else ""
         lines.append(
             f"c {c:g} mean_accuracy {cv.mean_accuracy:.6f} "
-            f"std {cv.std_accuracy:.6f}{skipped}"
+            f"std {cv.std_accuracy:.6f}{skipped} "
+            f"converged_folds {cv.n_converged}/{cv.n_trained}"
         )
     lines.append(f"selected_c {selection.best_c:g}")
     return lines
 
 
+def _parse_c_grid(text: str) -> tuple:
+    try:
+        grid = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise UsageError(f"the C grid must be comma-separated numbers, got {text!r}") from None
+    if not grid:
+        raise UsageError("the C grid is empty")
+    if not all(np.isfinite(c) and c > 0 for c in grid):
+        raise UsageError(f"every C value must be finite and > 0, got {text!r}")
+    return grid
+
+
 def cmd_train(args) -> int:
     keys = ("input", "out_dir", "seed", "train_fraction", "threshold",
-            "kernel", "c_grid", "cv_k", "balance_classes", "coefficients")
+            "kernel", "c_grid", "cv_k", "balance_classes", "coefficients",
+            "allow_override")
     config = _effective_config(args, keys)
     if not config.get("input"):
         raise UsageError("a normalized cohort file is required (--input)")
@@ -246,9 +261,7 @@ def cmd_train(args) -> int:
 
     kernel = KernelSpec.from_text(config["kernel"])
     base = TrainConfig(balance_classes=config["balance_classes"], seed=config["seed"])
-    grid = tuple(float(v) for v in str(config["c_grid"]).split(",") if v.strip())
-    if not grid:
-        raise UsageError("the C grid is empty")
+    grid = _parse_c_grid(str(config["c_grid"]))
 
     report_lines = [
         f"train_rows {len(train_recs)}",
@@ -338,7 +351,8 @@ def _require_run_dir(config: dict) -> Path:
 
 
 def cmd_evaluate(args) -> int:
-    config = _effective_config(args, ("run_dir", "gate_mode", "threshold", "coefficients"))
+    config = _effective_config(args, ("run_dir", "gate_mode", "threshold", "coefficients",
+                                      "allow_override"))
     run_dir = _require_run_dir(config)
     gate_mode = config["gate_mode"]
     coeffs = _coefficients(config)
@@ -398,7 +412,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    config = _effective_config(args, ("run_dir", "input", "threshold", "coefficients"))
+    config = _effective_config(args, ("run_dir", "input", "threshold", "coefficients",
+                                      "allow_override"))
     run_dir = _require_run_dir(config)
     coeffs = _coefficients(config)
     model = load_model(run_dir / "model.txt")
@@ -483,7 +498,8 @@ _PATIENT_FIELDS = {
 
 
 def cmd_dose(args) -> int:
-    config = _effective_config(args, ("run_dir", "model", "plan", "threshold", "coefficients"))
+    config = _effective_config(args, ("run_dir", "model", "plan", "threshold", "coefficients",
+                                      "allow_override"))
     coeffs = _coefficients(config)
     if config.get("model"):
         model = load_model(config["model"])
@@ -587,7 +603,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-balance", dest="balance_classes", action="store_const", const=False)
     p.add_argument("--coefficients", default=None, help="override coefficient file")
     p.add_argument("--allow-coefficient-override", dest="allow_override",
-                   action="store_true")
+                   action="store_const", const=True, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score the trained gate on the held-out test set")
@@ -598,7 +614,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--coefficients", default=None)
     p.add_argument("--allow-coefficient-override", dest="allow_override",
-                   action="store_true")
+                   action="store_const", const=True, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gate", help="per-patient gate decisions")
@@ -609,7 +625,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--coefficients", default=None)
     p.add_argument("--allow-coefficient-override", dest="allow_override",
-                   action="store_true")
+                   action="store_const", const=True, default=None)
     p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("dose", help="dose one patient given as key=value pairs")
@@ -619,7 +635,7 @@ def build_parser() -> _Parser:
     p.add_argument("--plan", default=None, help="imputation plan file")
     p.add_argument("--coefficients", default=None)
     p.add_argument("--allow-coefficient-override", dest="allow_override",
-                   action="store_true")
+                   action="store_const", const=True, default=None)
     p.add_argument("patient", nargs="*", help="key=value patient fields")
     p.set_defaults(func=cmd_dose)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, DomainError, DosegateError
+from .errors import DegenerateLabelsError, DomainError, DosegateError, NumericalError
 from .features import FeatureMatrix
 from .kernels import KernelSpec
 from .metrics import confusion, fmt_metric, metrics
@@ -30,6 +30,7 @@ class FoldOutcome:
     specificity: float | None = None
     skipped: bool = False
     reason: str = ""
+    converged: bool | None = None  # None for a skipped fold
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,14 @@ class CvResult:
     @property
     def n_skipped(self) -> int:
         return sum(1 for f in self.folds if f.skipped)
+
+    @property
+    def n_trained(self) -> int:
+        return len(self.folds) - self.n_skipped
+
+    @property
+    def n_converged(self) -> int:
+        return sum(1 for f in self.folds if f.converged)
 
 
 def _fold_assignment(labels: np.ndarray, k: int, seed: int, stratified: bool) -> list:
@@ -94,6 +103,7 @@ def kfold_cv(features: FeatureMatrix, k: int = 10, trainer=None, seed: int = 0,
         outcomes.append(FoldOutcome(
             fold=f, n_validation=val_idx.size, accuracy=summary.accuracy,
             sensitivity=summary.sensitivity, specificity=summary.specificity,
+            converged=bool(model.converged),
         ))
     scored = [o.accuracy for o in outcomes if not o.skipped]
     if not scored:
@@ -115,7 +125,12 @@ def select_c(features: FeatureMatrix, kernel: KernelSpec,
              c_grid=DEFAULT_C_GRID, k: int = 10, seed: int = 0,
              base_config: TrainConfig = TrainConfig(),
              stratified: bool = True) -> CSelection:
-    """Pick C by mean CV accuracy; ties go to the smaller (safer) C."""
+    """Pick C by mean CV accuracy; ties go to the smaller (safer) C.
+
+    A C with a fold whose fit did not converge is not a candidate: its
+    accuracy describes a model short of the optimum. When no C is left
+    the selection fails with a NumericalError.
+    """
     if not c_grid:
         raise DomainError("the C grid must be non-empty")
     results = {}
@@ -127,7 +142,10 @@ def select_c(features: FeatureMatrix, kernel: KernelSpec,
 
         results[float(c)] = kfold_cv(features, k=k, trainer=trainer,
                                      seed=seed, stratified=stratified)
-    best_c = min(results, key=lambda c: (-results[c].mean_accuracy, c))
+    candidates = [c for c, cv in results.items() if cv.n_converged == cv.n_trained]
+    if not candidates:
+        raise NumericalError("no C value converged on every cross-validation fold")
+    best_c = min(candidates, key=lambda c: (-results[c].mean_accuracy, c))
     return CSelection(best_c=best_c, results=results)
 
 

@@ -82,7 +82,7 @@ def _ascend(a: np.ndarray, q: np.ndarray, z: np.ndarray, upper: np.ndarray,
 
 
 def _pair_polish(a: np.ndarray, q: np.ndarray, k: np.ndarray, z: np.ndarray,
-                 upper: np.ndarray, max_sweeps: int = 200) -> np.ndarray:
+                 upper: np.ndarray, max_sweeps: int = 5000) -> np.ndarray:
     """Exact coordinate ascent over every index pair until no pair improves.
 
     The direction d = z_i e_i - z_j e_j preserves z @ a; along it the

@@ -97,14 +97,34 @@ def _random_instance(trial):
             return x, z, spec, c, rng
 
 
+def _low_rank_instance(trial):
+    """Rows well above the kernel's rank: 6-10 rows under a linear kernel
+    on 2 or 3 features (rank 2 or 3) or 9-12 rows under a degree-2
+    polynomial kernel on 2 features (rank 6), so the trainer solves on a
+    rank-deficient factor."""
+    rng = np.random.default_rng(9000 + trial)
+    c = (0.1, 1.0, 100.0)[trial % 3]
+    if trial % 2:
+        spec, dims, n = KernelSpec("polynomial", degree=2, offset=1.0), 2, int(rng.integers(9, 13))
+    else:
+        spec, dims, n = KernelSpec("linear"), int(rng.integers(2, 4)), int(rng.integers(6, 11))
+    while True:
+        x = rng.normal(size=(n, dims))
+        z = rng.choice([-1.0, 1.0], size=n)
+        if np.any(z > 0) and np.any(z < 0):
+            return x, z, spec, c, rng
+
+
 def test_trainer_dual_objective_and_predictions_match_reference_solver():
-    """200 random instances, every kernel, C in {0.1, 1, 100}: the
-    trainer's dual objective lands within 1e-5 of the independent QP
-    solver and predictions agree everywhere the decision value is not
-    within 1e-6 of the boundary. Budget: one minute."""
+    """300 random instances, every kernel, C in {0.1, 1, 100}, a third of
+    them with rows well above the kernel's rank: the trainer's dual
+    objective lands within 1e-5 of the independent QP solver and
+    predictions agree everywhere the decision value is not within 1e-6
+    of the boundary. Budget: one minute."""
     start = time.monotonic()
-    for trial in range(200):
-        x, z, spec, c, rng = _random_instance(trial)
+    instances = [_random_instance(trial) for trial in range(200)]
+    instances += [_low_rank_instance(trial) for trial in range(100)]
+    for trial, (x, z, spec, c, rng) in enumerate(instances):
         config = TrainConfig(c_regularization=c, kkt_tolerance=1e-6,
                              balance_classes=False, max_passes=500, seed=trial)
         model = train(x, z, kernel=spec, config=config)
@@ -118,6 +138,21 @@ def test_trainer_dual_objective_and_predictions_match_reference_solver():
         sure = (np.abs(dv_model) >= 1e-6) & (np.abs(dv_ref) >= 1e-6)
         assert np.array_equal(np.sign(dv_model[sure]), np.sign(dv_ref[sure]))
     assert time.monotonic() - start < 60.0
+
+
+def test_default_kernel_converges_at_every_default_c(tmp_path):
+    """The CLI's default kernel on a 1000-patient synthetic cohort: the
+    fit at every C of the default grid reaches the KKT tolerance."""
+    src = tmp_path / "src"
+    assert main(["synth", "--n", "1000", "--seed", "3", "--out-dir", str(src)]) == 0
+    for c in ("0.1", "1", "10", "100"):
+        run = tmp_path / f"c{c}"
+        assert main(["train", "--input", str(src / "cohort.tsv"), "--out-dir", str(run),
+                     "--seed", "3", "--c-grid", c]) == 0
+        report = dict(line.split(" ", 1) for line in
+                      (run / "train_report.txt").read_text().splitlines())
+        assert report["converged"] == "1", f"C={c}"
+        assert float(report["max_kkt_violation"]) <= 1e-3, f"C={c}"
 
 
 def test_analytic_two_point_and_xor_cases():

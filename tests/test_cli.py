@@ -215,6 +215,39 @@ def test_train_cv_accuracy_beats_majority_class(tmp_path):
     assert max(accuracies) > majority
 
 
+@pytest.mark.parametrize("grid", ["abc", "0.1,x", "0,1", "-1", "nan", "inf"])
+def test_bad_c_grid_is_usage_error(pipeline, tmp_path, capsys, grid):
+    assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
+                 "--out-dir", str(tmp_path), "--c-grid", grid]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_coefficient_override_flag_takes_effect(pipeline, run_dir, tmp_path, capsys):
+    coefficients = tmp_path / "coefficients.txt"
+    coefficients.write_text("intercept=4.5\n", encoding="ascii")
+    custom = ["--coefficients", str(coefficients)]
+    assert main(["evaluate", "--run-dir", str(run_dir), *custom]) == 2
+    assert "override" in capsys.readouterr().err
+
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
+    published = json.loads((run_dir / "evaluation.json").read_text())
+    assert main(["evaluate", "--run-dir", str(run_dir), *custom,
+                 "--allow-coefficient-override"]) == 0
+    overridden = json.loads((run_dir / "evaluation.json").read_text())
+    assert overridden["rmse_original"] != published["rmse_original"]
+
+    assert main(["gate", "--run-dir", str(run_dir), "--jsonl", *custom,
+                 "--allow-coefficient-override"]) == 0
+    assert main(["dose", "--run-dir", str(run_dir), *custom,
+                 "--allow-coefficient-override", "age_decade=5", "height_cm=170",
+                 "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0"]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
+                 "--out-dir", str(out), "--c-grid", "1", *custom,
+                 "--allow-coefficient-override"]) == 0
+    assert "allow_override=true" in (out / "config.txt").read_text()
+
+
 def test_evaluate_requires_model(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

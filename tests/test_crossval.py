@@ -11,7 +11,7 @@ from dosegate.crossval import (
     render_comparison,
     select_c,
 )
-from dosegate.errors import DegenerateLabelsError, DomainError
+from dosegate.errors import DegenerateLabelsError, DomainError, NumericalError
 from dosegate.features import FeatureMatrix
 from dosegate.kernels import KernelSpec
 from dosegate.svm import TrainConfig, train
@@ -124,6 +124,25 @@ def test_select_c_prefers_smaller_on_tie():
         assert selection.best_c == 0.5
     best = max(accs.values())
     assert accs[selection.best_c] == best
+
+
+def test_select_c_skips_c_whose_folds_did_not_converge():
+    # the sigmoid kernel is indefinite on these rows, so SMO trains it,
+    # and one pass leaves some of the large-C fits short of the optimum
+    rng = np.random.default_rng(1)
+    x, labels = separable_blobs(rng, n_per_class=20, gap=1.0)
+    fm = FeatureMatrix(feature_names=("f0", "f1"), x=0.5 * x,
+                       means=np.zeros(2), scales=np.ones(2), labels=labels)
+    sigmoid = KernelSpec(variant="sigmoid", theta=0.0)
+    config = TrainConfig(balance_classes=False, max_passes=1)
+    selection = select_c(fm, sigmoid, (0.01, 100.0), k=4, seed=0, base_config=config)
+    early, settled = selection.results[100.0], selection.results[0.01]
+    assert early.n_converged < early.n_trained
+    assert settled.n_converged == settled.n_trained == 4
+    assert early.mean_accuracy > settled.mean_accuracy
+    assert selection.best_c == 0.01
+    with pytest.raises(NumericalError):
+        select_c(fm, sigmoid, (100.0,), k=4, seed=0, base_config=config)
 
 
 def test_compare_models_perfect_candidate():
