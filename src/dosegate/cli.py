@@ -227,6 +227,13 @@ def _cv_report_lines(selection, cv_k: int) -> list:
     return lines
 
 
+def _gate_config(config: dict) -> GateConfig:
+    threshold = config["threshold"]
+    if not 0.0 < threshold < 1.0:
+        raise UsageError(f"the gate threshold must lie in (0, 1), got {threshold!r}")
+    return GateConfig(threshold=threshold)
+
+
 def _parse_c_grid(text: str) -> tuple:
     try:
         grid = tuple(float(v) for v in text.split(",") if v.strip())
@@ -246,6 +253,7 @@ def cmd_train(args) -> int:
     config = _effective_config(args, keys)
     if not config.get("input"):
         raise UsageError("a normalized cohort file is required (--input)")
+    gate_config = _gate_config(config)
     out = _out_dir(config)
     coeffs = _coefficients(config)
 
@@ -254,7 +262,6 @@ def cmd_train(args) -> int:
 
     plan = fit_imputation(train_recs)
     imputed_train = [apply_imputation(plan, r) for r in train_recs]
-    gate_config = GateConfig(threshold=config["threshold"])
     labels = label_cohort(imputed_train, coeffs, gate_config)
     feature_names = default_feature_names(train_recs)
     fm = encode_features(imputed_train, feature_names, labels=labels.signs())
@@ -353,10 +360,10 @@ def _require_run_dir(config: dict) -> Path:
 def cmd_evaluate(args) -> int:
     config = _effective_config(args, ("run_dir", "gate_mode", "threshold", "coefficients",
                                       "allow_override"))
+    gate_config = _gate_config(config)
     run_dir = _require_run_dir(config)
     gate_mode = config["gate_mode"]
     coeffs = _coefficients(config)
-    gate_config = GateConfig(threshold=config["threshold"])
 
     model = load_model(run_dir / "model.txt")
     plan = plan_from_text((run_dir / "plan.txt").read_text(encoding="utf-8"))
@@ -375,10 +382,8 @@ def cmd_evaluate(args) -> int:
     else:
         raise UsageError(f"unknown gate mode {gate_mode!r}")
 
-    from .iwpc import predict_weekly_dose
-
     actual = np.array([r.therapeutic_dose_mg_week for r in test_recs])
-    model_dose = np.array([predict_weekly_dose(r, coeffs) for r in imputed])
+    model_dose = np.array(truth_labels.doses)
     kept = np.flatnonzero(predicted == -1)
     if kept.size == 0:
         raise DegenerateGateError(
@@ -412,8 +417,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    config = _effective_config(args, ("run_dir", "input", "threshold", "coefficients",
-                                      "allow_override"))
+    config = _effective_config(args, ("run_dir", "input", "coefficients", "allow_override"))
     run_dir = _require_run_dir(config)
     coeffs = _coefficients(config)
     model = load_model(run_dir / "model.txt")
@@ -498,7 +502,7 @@ _PATIENT_FIELDS = {
 
 
 def cmd_dose(args) -> int:
-    config = _effective_config(args, ("run_dir", "model", "plan", "threshold", "coefficients",
+    config = _effective_config(args, ("run_dir", "model", "plan", "coefficients",
                                       "allow_override"))
     coeffs = _coefficients(config)
     if config.get("model"):
@@ -622,7 +626,6 @@ def build_parser() -> _Parser:
     p.add_argument("--run-dir", dest="run_dir", default=None)
     p.add_argument("--input", default=None, help="cohort to gate (default: run's test set)")
     p.add_argument("--jsonl", action="store_true", help="one JSON object per patient")
-    p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--coefficients", default=None)
     p.add_argument("--allow-coefficient-override", dest="allow_override",
                    action="store_const", const=True, default=None)

@@ -146,6 +146,17 @@ def _parse_target_inr(cell: str) -> float | None:
     return None
 
 
+# the coded columns take few distinct cell texts, so parse_cohort parses
+# each distinct cell once per file through a table keyed by the text
+_CODED_PARSERS = {
+    "age_decade": _parse_age,
+    "race": _parse_race,
+    "gender": _parse_gender,
+    "target_inr": _parse_target_inr,
+    **{name: _parse_binary for name in BINARY_COVARIATES},
+}
+
+
 def _in_bounds(value, bounds) -> bool:
     return value is not None and bounds[0] <= value <= bounds[1]
 
@@ -188,9 +199,17 @@ def parse_cohort(source, schema: dict | None = None) -> ParseResult:
 
     Rows without a positive therapeutic dose, or whose INR is missing
     or outside [2,3], are excluded and counted. Every other bad cell
-    becomes a missing value.
+    becomes a missing value. Text the csv module cannot split into rows
+    is a SchemaError.
     """
     text = _as_text(source)
+    try:
+        return _parse_rows(text, schema)
+    except csv.Error as exc:  # e.g. a bare carriage return inside a field
+        raise SchemaError(f"unreadable cohort text: {exc}") from None
+
+
+def _parse_rows(text: str, schema: dict | None) -> ParseResult:
     schema = dict(schema) if schema is not None else dict(CANONICAL_SCHEMA)
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -211,6 +230,11 @@ def parse_cohort(source, schema: dict | None = None) -> ParseResult:
         if required not in mapped:
             raise SchemaError(f"no input column maps to required field {required!r}")
     derive_enzyme = "enzyme" not in mapped
+    float_columns = {idx: target for idx, target in col_to_field.items()
+                     if target not in _CODED_PARSERS}
+    coded_columns = [(idx, target, _CODED_PARSERS[target], {})
+                     for idx, target in col_to_field.items() if target in _CODED_PARSERS]
+    binary_mapped = [name for name in BINARY_COVARIATES if name in mapped]
 
     records = []
     n_rows = 0
@@ -221,7 +245,7 @@ def parse_cohort(source, schema: dict | None = None) -> ParseResult:
             continue
         n_rows += 1
         cells = {}
-        for idx, target in col_to_field.items():
+        for idx, target in float_columns.items():
             cells[target] = row[idx] if idx < len(row) else ""
 
         dose = _parse_float(cells.get("therapeutic_dose_mg_week", ""))
@@ -240,10 +264,14 @@ def parse_cohort(source, schema: dict | None = None) -> ParseResult:
         if not _in_bounds(weight, WEIGHT_BOUNDS_KG):
             weight = None
 
-        covariates = {}
-        for name in BINARY_COVARIATES:
-            if name in cells:
-                covariates[name] = _parse_binary(cells[name])
+        coded = {}
+        for idx, target, parse, table in coded_columns:
+            cell = row[idx] if idx < len(row) else ""
+            try:
+                coded[target] = table[cell]
+            except KeyError:
+                coded[target] = table[cell] = parse(cell)
+        covariates = {name: coded[name] for name in binary_mapped}
         if derive_enzyme:
             known = [covariates.get(c) for c in ENZYME_COMPONENTS]
             covariates["enzyme"] = 1 if any(v == 1 for v in known) else 0
@@ -252,12 +280,12 @@ def parse_cohort(source, schema: dict | None = None) -> ParseResult:
             RawPatientRecord(
                 inr=inr,
                 therapeutic_dose_mg_week=dose,
-                age_decade=_parse_age(cells.get("age_decade", "")),
+                age_decade=coded.get("age_decade"),
                 height_cm=height,
                 weight_kg=weight,
-                race=_parse_race(cells.get("race", "")),
-                gender=_parse_gender(cells.get("gender", "")),
-                target_inr=_parse_target_inr(cells.get("target_inr", "")),
+                race=coded.get("race"),
+                gender=coded.get("gender"),
+                target_inr=coded.get("target_inr"),
                 covariates=covariates,
             )
         )

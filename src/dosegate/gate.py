@@ -58,9 +58,12 @@ def label_record(predicted_mg_week: float, therapeutic_mg_week: float,
 
 @dataclass(frozen=True)
 class CohortLabels:
+    """Gate labels plus the predicted doses (mg/week) they were set from."""
+
     labels: tuple
     n_high_risk: int
     n_safe: int
+    doses: tuple
 
     def signs(self) -> np.ndarray:
         return np.array([int(v) for v in self.labels], dtype=float)
@@ -68,16 +71,20 @@ class CohortLabels:
 
 def label_cohort(records, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS,
                  config: GateConfig = GateConfig()) -> CohortLabels:
-    """Gate label for every (imputed) record, plus class counts."""
+    """Gate label and predicted dose for every (imputed) record, plus
+    class counts."""
     labels = []
+    doses = []
     for i, record in enumerate(records):
         try:
             predicted = predict_weekly_dose(record, coeffs)
             labels.append(label_record(predicted, record.therapeutic_dose_mg_week, config))
         except DomainError as exc:
             raise type(exc)(f"record {i}: {exc}") from exc
+        doses.append(predicted)
     n_high = sum(1 for v in labels if v == GateLabel.HIGH_RISK)
-    return CohortLabels(labels=tuple(labels), n_high_risk=n_high, n_safe=len(labels) - n_high)
+    return CohortLabels(labels=tuple(labels), n_high_risk=n_high,
+                        n_safe=len(labels) - n_high, doses=tuple(doses))
 
 
 def shrink_test_set(test_features: FeatureMatrix, classifier: SvmModel) -> np.ndarray:
@@ -159,7 +166,7 @@ def gated_evaluation(
     summary = metrics(cm)
 
     actual_dose = np.array([r.therapeutic_dose_mg_week for r in test_records])
-    model_dose = np.array([predict_weekly_dose(r, coeffs) for r in imputed_test])
+    model_dose = np.array(test_labels.doses)
     rmse_original = rmse(actual_dose, model_dose)
     mae_original = mae(actual_dose, model_dose)
 

@@ -57,6 +57,15 @@ def _header_value(lines: list[str], index: int, key: str) -> str:
 
 
 def model_from_text(text: str) -> SvmModel:
+    """Parse a model written by model_to_text; any malformed input is a
+    SchemaError (or a DomainError from the kernel line)."""
+    try:
+        return _parse_model(text)
+    except ValueError as exc:  # an unreadable number, from Python or numpy
+        raise SchemaError(f"unreadable model text: {exc}") from None
+
+
+def _parse_model(text: str) -> SvmModel:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SchemaError("empty model text")
@@ -81,18 +90,20 @@ def model_from_text(text: str) -> SvmModel:
     body = lines[10:]
     if len(body) != n_sv:
         raise SchemaError(f"expected {n_sv} support vector lines, found {len(body)}")
-    labels = np.empty(n_sv)
-    alphas = np.empty(n_sv)
-    vectors = np.empty((n_sv, len(names)))
     for i, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != 2 + len(names):
-            raise SchemaError(f"support vector line {i + 1} has {len(parts)} fields")
-        if parts[0] not in ("+1", "-1", "1"):
-            raise SchemaError(f"bad label {parts[0]!r} on support vector line {i + 1}")
-        labels[i] = float(parts[0])
-        alphas[i] = float(parts[1])
-        vectors[i] = [float(v) for v in parts[2:]]
+        label = line.split(None, 1)[0]
+        if label not in ("+1", "-1", "1"):
+            raise SchemaError(f"bad label {label!r} on support vector line {i + 1}")
+    width = 2 + len(names)
+    if n_sv:
+        # one numpy pass; it rejects a line whose field count differs from
+        # the first line's, and the shape check holds the first line to width
+        block = np.loadtxt(body, dtype=np.float64, ndmin=2, comments=None)
+    else:
+        block = np.empty((0, width))
+    if block.shape[1] != width:
+        raise SchemaError(f"support vector lines have {block.shape[1]} fields, expected {width}")
+    labels, alphas, vectors = block[:, 0].copy(), block[:, 1].copy(), block[:, 2:].copy()
     return SvmModel(
         kernel=kernel,
         support_vectors=vectors,

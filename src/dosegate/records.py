@@ -37,6 +37,8 @@ BINARY_COVARIATES = (
     "valve_replacement",
 )
 
+_COVARIATE_NAMES = frozenset(BINARY_COVARIATES)
+
 # enzyme inducer status is the OR of these three drugs
 ENZYME_COMPONENTS = ("carbamazepine", "phenytoin", "rifampin")
 
@@ -58,16 +60,19 @@ def _check_optional_binary(name: str, value):
 
 def _normalize_covariates(covariates, allow_missing: bool) -> dict:
     cov = dict(covariates or {})
-    unknown = set(cov) - set(BINARY_COVARIATES)
-    if unknown:
-        raise SchemaError(f"unknown covariates: {sorted(unknown)}")
+    if not cov.keys() <= _COVARIATE_NAMES:
+        raise SchemaError(f"unknown covariates: {sorted(set(cov) - _COVARIATE_NAMES)}")
     full = {}
     for name in BINARY_COVARIATES:
         value = cov.get(name)
-        _check_optional_binary(name, value)
-        if value is None and not allow_missing:
-            raise DomainError(f"covariate {name} is missing in an imputed record")
-        full[name] = value if value is None else int(value)
+        if value is None:
+            if not allow_missing:
+                raise DomainError(f"covariate {name} is missing in an imputed record")
+            full[name] = None
+        elif value in (0, 1):
+            full[name] = int(value)
+        else:
+            raise DomainError(f"{name} must be 0, 1, or missing; got {value!r}")
     return full
 
 

@@ -248,6 +248,41 @@ def test_coefficient_override_flag_takes_effect(pipeline, run_dir, tmp_path, cap
     assert "allow_override=true" in (out / "config.txt").read_text()
 
 
+@pytest.mark.parametrize("threshold", ["1.5", "0", "-0.2", "nan"])
+def test_threshold_outside_unit_interval_is_usage_error(pipeline, run_dir, tmp_path,
+                                                         capsys, threshold):
+    assert main(["evaluate", "--run-dir", str(run_dir), "--threshold", threshold]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
+                 "--out-dir", str(tmp_path / "run"), "--c-grid", "1",
+                 "--threshold", threshold]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_gate_has_no_threshold_flag(run_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["gate", "--run-dir", str(run_dir), "--threshold", "0.2"])
+    assert exc.value.code == 1
+
+
+def test_evaluate_predicts_each_dose_once(run_dir, monkeypatch):
+    import dosegate.gate
+    import dosegate.iwpc
+
+    calls = []
+
+    def counting(record, coeffs=dosegate.iwpc.DEFAULT_COEFFICIENTS):
+        calls.append(record)
+        return predict_weekly_dose(record, coeffs)
+
+    monkeypatch.setattr(dosegate.iwpc, "predict_weekly_dose", counting)
+    monkeypatch.setattr(dosegate.gate, "predict_weekly_dose", counting)
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
+    n_test = len((run_dir / "test.tsv").read_text().splitlines()) - 1
+    assert len(calls) == n_test
+
+
 def test_evaluate_requires_model(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

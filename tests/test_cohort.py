@@ -309,3 +309,24 @@ def test_cohort_text_round_trip(tmp_path):
     write_cohort(records, path)
     restored = read_cohort(path).records
     assert list(restored) == records
+
+
+def test_unsplittable_row_is_schema_error():
+    # a bare carriage return inside an unquoted field stops the csv module
+    text = _text(_row(age_decade="5\r6", inr="2.5", therapeutic_dose_mg_week="30"))
+    with pytest.raises(SchemaError):
+        parse_cohort(text)
+
+
+def test_repeated_coded_cells_parse_alike():
+    rows = [_row(age_decade=age, race=race, gender=gender, target_inr=target, aspirin=flag,
+                 inr="2.5", therapeutic_dose_mg_week="30")
+            for age, race, gender, target, flag in (
+                ("55", "asian", "m", "2-3", "yes"), ("5", "3", "1", "2.5", "1"),
+                ("55", "asian", "m", "2-3", "yes"), ("bad", "x", "?", "-1", "maybe"),
+                ("bad", "x", "?", "-1", "maybe"))]
+    records = parse_cohort(_text(*rows)).records
+    assert records[0] == records[1] == records[2]
+    assert records[3] == records[4]
+    assert (records[3].age_decade, records[3].race, records[3].gender,
+            records[3].target_inr, records[3].covariates["aspirin"]) == (None,) * 5

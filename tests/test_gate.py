@@ -74,11 +74,13 @@ def test_cohort_with_exact_predictions_all_safe():
     labels = label_cohort(records, DEFAULT_COEFFICIENTS, CFG)
     assert labels.n_safe == 5 and labels.n_high_risk == 0
     assert all(v == GateLabel.SAFE_FOR_MODEL for v in labels.labels)
+    assert labels.doses == tuple(r.therapeutic_dose_mg_week for r in records)
 
 
 def test_empty_cohort_empty_labels():
     labels = label_cohort([], DEFAULT_COEFFICIENTS, CFG)
     assert labels.labels == () and labels.n_safe == 0 and labels.n_high_risk == 0
+    assert labels.doses == ()
 
 
 def test_label_cohort_names_failing_record():

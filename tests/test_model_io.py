@@ -105,3 +105,45 @@ def test_seventeen_digit_serialization():
     text = model_to_text(model)
     token = f"{model.bias:.17g}"
     assert f"bias {token}" in text
+
+
+def _sv_lines(text):
+    lines = text.splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith(("+1 ", "-1 ")))
+    return lines, first
+
+
+@pytest.mark.parametrize("damage", [
+    "one_line_short", "every_line_short", "every_line_long", "unreadable_number",
+    "comment_marker", "label_with_decimals", "bad_version_token", "scaler_too_short",
+])
+def test_malformed_model_text_is_schema_error(damage):
+    model, _ = _fitted_model()
+    lines, first = _sv_lines(model_to_text(model))
+    if damage == "one_line_short":
+        lines[first + 1] = lines[first + 1].rsplit(" ", 1)[0]
+    elif damage in ("every_line_short", "every_line_long"):
+        for i in range(first, len(lines)):
+            lines[i] = lines[i].rsplit(" ", 1)[0] if damage == "every_line_short" else lines[i] + " 0"
+    elif damage == "unreadable_number":
+        lines[first + 2] = lines[first + 2].rsplit(" ", 1)[0] + " 0.5x"
+    elif damage == "comment_marker":
+        lines[first] = lines[first].rsplit(" ", 1)[0] + " #"
+    elif damage == "label_with_decimals":
+        lines[first] = "1.0 " + lines[first].split(" ", 1)[1]
+    elif damage == "bad_version_token":
+        lines[0] = "dosegate-svm one"
+    else:
+        lines[4] = lines[4].rsplit(" ", 1)[0]
+    with pytest.raises(SchemaError):
+        model_from_text("\n".join(lines) + "\n")
+
+
+def test_unsigned_label_and_blank_lines_accepted():
+    model, _ = _fitted_model()
+    lines, first = _sv_lines(model_to_text(model))
+    lines = [ln[1:] if ln.startswith("+1 ") else ln for ln in lines]
+    lines.insert(first, "   ")
+    restored = model_from_text("\n".join(lines) + "\n")
+    assert np.array_equal(restored.sv_labels, model.sv_labels)
+    assert np.array_equal(restored.support_vectors, model.support_vectors)

@@ -1,0 +1,174 @@
+"""Property tests for the model and cohort readers.
+
+Arbitrary or damaged text fails only with the package's own errors
+(which the CLI maps to exit codes), and write -> read round-trips
+exactly: bit for bit for models, field for field for cohorts.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dosegate.cohort import CANONICAL_COLUMNS, cohort_to_text, parse_cohort
+from dosegate.errors import DosegateError
+from dosegate.kernels import KernelSpec
+from dosegate.model_io import model_from_text, model_to_text
+from dosegate.records import BINARY_COVARIATES, RawPatientRecord, Race
+from dosegate.svm import SvmModel
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+KERNELS = (
+    KernelSpec(),
+    KernelSpec(variant="linear"),
+    KernelSpec(variant="rbf", delta=0.75),
+    KernelSpec(variant="sigmoid", theta=-0.5),
+    KernelSpec(variant="anova", sigma=2.0, d=2, n_dims=1),
+)
+
+floats = st.floats(allow_nan=False)  # infinities are written and read back too
+
+
+@st.composite
+def models(draw):
+    d = draw(st.integers(1, 4))
+    n_sv = draw(st.integers(0, 6))
+    vec = st.lists(floats, min_size=d, max_size=d)
+    return SvmModel(
+        kernel=draw(st.sampled_from(KERNELS)),
+        support_vectors=np.array(draw(st.lists(vec, min_size=n_sv, max_size=n_sv)),
+                                 dtype=float).reshape(n_sv, d),
+        alphas=np.array(draw(st.lists(floats, min_size=n_sv, max_size=n_sv)), dtype=float),
+        sv_labels=np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                         min_size=n_sv, max_size=n_sv)), dtype=float),
+        bias=draw(floats),
+        feature_names=tuple(draw(st.lists(
+            st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8),
+            min_size=d, max_size=d))),
+        scaler_means=np.array(draw(st.lists(floats, min_size=d, max_size=d))),
+        scaler_scales=np.array(draw(st.lists(floats, min_size=d, max_size=d))),
+        converged=draw(st.booleans()),
+        max_kkt_violation=draw(floats),
+        dual_objective=draw(floats),
+    )
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(models())
+def test_model_text_round_trips_bit_exactly(model):
+    restored = model_from_text(model_to_text(model))
+    for name in ("support_vectors", "alphas", "sv_labels", "scaler_means", "scaler_scales"):
+        assert _same_bits(getattr(restored, name), getattr(model, name)), name
+    for name in ("bias", "max_kkt_violation", "dual_objective"):
+        assert _same_bits(np.float64(getattr(restored, name)), np.float64(getattr(model, name)))
+    assert restored.kernel == model.kernel
+    assert restored.feature_names == model.feature_names
+    assert restored.converged == model.converged
+
+
+# pieces that tend to break number and field parsing
+TOKENS = st.sampled_from([
+    "", " ", "\t", "1", "+1", "-1", "0", "1.5", "nan", "inf", "-inf", "1e999", "x",
+    "#", "1_0", "\x00", "\xa0", "١", "0x1", "-", "=", "degree=2", "kernel",
+    "features", "dosegate-svm", "\r",
+])
+
+
+@PROPERTY
+@given(models(), st.data())
+def test_damaged_model_text_raises_only_package_errors(model, data):
+    lines = model_to_text(model).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(["replace", "delete", "field", "insert"]))
+        if action == "replace":
+            lines[i] = "".join(data.draw(st.lists(TOKENS, max_size=8)))
+        elif action == "delete" and len(lines) > 1:
+            del lines[i]
+        elif action == "field":
+            fields = lines[i].split(" ")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(TOKENS)
+            lines[i] = " ".join(fields)
+        else:
+            lines.insert(i, data.draw(st.text(max_size=20)))
+    try:
+        model_from_text("\n".join(lines))
+    except DosegateError:
+        pass
+
+
+@PROPERTY
+@given(st.text())
+def test_arbitrary_model_text_raises_only_package_errors(text):
+    try:
+        model_from_text(text)
+    except DosegateError:
+        pass
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+raw_records = st.builds(
+    RawPatientRecord,
+    inr=st.floats(2.0, 3.0),
+    therapeutic_dose_mg_week=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    age_decade=_optional(st.integers(1, 9)),
+    height_cm=_optional(st.floats(100.0, 250.0)),
+    weight_kg=_optional(st.floats(20.0, 300.0)),
+    race=_optional(st.sampled_from(list(Race))),
+    gender=_optional(st.sampled_from([0, 1])),
+    target_inr=_optional(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    covariates=st.fixed_dictionaries(
+        {name: _optional(st.sampled_from([0, 1])) for name in BINARY_COVARIATES}),
+)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.lists(raw_records, min_size=1, max_size=8))
+def test_cohort_text_round_trips_records(records):
+    result = parse_cohort(cohort_to_text(records))
+    assert result.records == tuple(records)
+    assert result.n_data_rows == len(records)
+    assert result.n_excluded == 0
+
+
+CELLS = st.sampled_from([
+    "", "NA", "n/a", "0", "1", "1.0", "2", "3", "9", "10", "95", "-1", "2.5", "30", "170",
+    "80", "1e20", "1e400", "nan", "yes", "no", "male", "f", "white", "asian", "black",
+    "2-3", "0-0", "-", "50 - 59", "90+", '"', '"x', "a,b", "x\ty", "\r", "\n", "\x00",
+])
+
+
+@PROPERTY
+@given(st.data())
+def test_damaged_cohort_text_raises_only_package_errors(data):
+    columns = list(CANONICAL_COLUMNS)
+    if data.draw(st.booleans()):
+        columns = data.draw(st.permutations(columns))[:data.draw(st.integers(0, len(columns)))]
+    delimiter = data.draw(st.sampled_from(["\t", ","]))
+    rows = [delimiter.join(columns)]
+    for _ in range(data.draw(st.integers(0, 5))):
+        rows.append(delimiter.join(data.draw(st.lists(CELLS, max_size=len(columns) + 2))))
+    try:
+        parse_cohort("\n".join(rows))
+    except DosegateError:
+        pass
+
+
+@PROPERTY
+@given(st.text())
+def test_arbitrary_cohort_text_raises_only_package_errors(text):
+    try:
+        parse_cohort(text)
+    except DosegateError:
+        pass

@@ -9,6 +9,8 @@ from dosegate.errors import DegenerateLabelsError, SchemaError
 from dosegate.features import FeatureMatrix
 from dosegate.kernels import KernelSpec, kernel_matrix
 from dosegate.svm import (
+    SCORE_BLOCK_ROWS,
+    SvmModel,
     TrainConfig,
     decision_value,
     decision_values,
@@ -199,3 +201,24 @@ def test_matrix_schema_mismatch_rejected():
                              means=np.zeros(2), scales=np.full(2, 2.0))
     with pytest.raises(SchemaError):
         decision_values_from_matrix(model, rescaled)
+
+
+@pytest.mark.parametrize("kernel", [POLY21, KernelSpec(variant="rbf", delta=1.5)])
+def test_block_scoring_equals_one_product(kernel):
+    """Inputs past one block (including a one-row tail) score bit for bit
+    as the single rows x support-vectors product."""
+    rng = np.random.default_rng(12)
+    n_sv, d = 8, 3
+    model = SvmModel(
+        kernel=kernel, support_vectors=rng.normal(size=(n_sv, d)),
+        alphas=rng.uniform(0.1, 1.0, n_sv), sv_labels=np.where(rng.random(n_sv) < 0.5, -1.0, 1.0),
+        bias=0.3, feature_names=("a", "b", "c"), scaler_means=np.zeros(d),
+        scaler_scales=np.ones(d), converged=True, max_kkt_violation=0.0, dual_objective=0.0)
+    for n in (SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 3):
+        rows = rng.normal(size=(n, d))
+        whole = (kernel_matrix(kernel, rows, model.support_vectors)
+                 @ (model.alphas * model.sv_labels) + model.bias)
+        assert np.array_equal(decision_values(model, rows), whole)
+        fm = FeatureMatrix(feature_names=("a", "b", "c"), x=rows,
+                           means=np.zeros(d), scales=np.ones(d))
+        assert np.array_equal(decision_values_from_matrix(model, fm), whole)
