@@ -22,31 +22,33 @@ import numpy as np
 from . import __version__
 from .cohort import (
     CANONICAL_SCHEMA,
+    _parse_race,
     apply_imputation,
     cohort_to_text,
     filter_unbalanced,
     fit_imputation,
+    load_plan,
     load_schema,
     parse_cohort,
-    plan_from_text,
     plan_to_text,
+    read_cohort,
     split_cohort,
 )
 from .crossval import select_c
 from .errors import (
     DataError,
-    DegenerateGateError,
     DosegateError,
     NumericalError,
     UsageError,
+    read_text,
 )
 from .features import default_feature_names, encode_features
-from .gate import GateConfig, GateLabel, classify_records, label_cohort
-from .iwpc import DEFAULT_COEFFICIENTS, load_coefficients, predict_sqrt_weekly_dose
+from .gate import GateConfig, GateLabel, classify_records, evaluation_report, label_cohort
+from .iwpc import DEFAULT_COEFFICIENTS, load_coefficients, sqrt_weekly_doses, weekly_doses
 from .kernels import KernelSpec
-from .metrics import confusion, fmt_metric, mae, metrics, rmse
+from .metrics import fmt_metric
 from .model_io import load_model, save_model
-from .records import BINARY_COVARIATES
+from .records import BINARY_COVARIATES, RawPatientRecord, as_cohort
 from .svm import TrainConfig, train
 
 _DEFAULTS = {
@@ -104,9 +106,10 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"not a boolean: {text!r}")
 
 
-def _read_config_file(path) -> dict:
+def config_from_text(text: str) -> dict:
+    """Read the key=value lines of a config file."""
     values = {}
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -115,7 +118,10 @@ def _read_config_file(path) -> dict:
         if not sep or key not in _CONFIG_TYPES:
             raise UsageError(f"bad config line: {raw_line!r}")
         caster = _CONFIG_TYPES[key]
-        values[key] = _parse_bool(value) if caster is bool else caster(value)
+        try:
+            values[key] = _parse_bool(value) if caster is bool else caster(value)
+        except ValueError:
+            raise UsageError(f"bad config value: {raw_line!r}") from None
     return values
 
 
@@ -123,7 +129,7 @@ def _effective_config(args: argparse.Namespace, keys) -> dict:
     """defaults < config file < explicit flags, restricted to ``keys``."""
     merged = {k: _DEFAULTS[k] for k in keys if k in _DEFAULTS}
     if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
+        file_values = config_from_text(read_text(args.config, "config file"))
         merged.update({k: v for k, v in file_values.items() if k in keys})
     for key in keys:
         value = getattr(args, key, None)
@@ -154,14 +160,6 @@ def _out_dir(config: dict) -> Path:
     return path
 
 
-def _load_cohort_file(path) -> tuple:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"cohort file not found: {path}") from None
-    return parse_cohort(text, CANONICAL_SCHEMA)
-
-
 def _coefficients(config: dict):
     if config.get("coefficients"):
         return load_coefficients(config["coefficients"],
@@ -188,26 +186,22 @@ def cmd_ingest(args) -> int:
         raise UsageError("an input file is required (--input)")
     out = _out_dir(config)
     schema = load_schema(config["schema"]) if config.get("schema") else dict(CANONICAL_SCHEMA)
-    try:
-        text = Path(config["input"]).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {config['input']}") from None
-    result = parse_cohort(text, schema)
-    removed = filter_unbalanced(result.records)
+    result = parse_cohort(read_text(config["input"], "input file"), schema)
+    removed = filter_unbalanced(result.cohort)
 
-    (out / "cohort.tsv").write_text(cohort_to_text(result.records), encoding="ascii")
+    (out / "cohort.tsv").write_text(cohort_to_text(result.cohort), encoding="ascii")
     (out / "removed_variables.txt").write_text(
         "".join(f"{name}\n" for name in removed), encoding="ascii")
     exclusions = (
         f"data_rows {result.n_data_rows}\n"
         f"excluded_missing_dose {result.excluded_missing_dose}\n"
         f"excluded_inr {result.excluded_inr}\n"
-        f"usable_rows {len(result.records)}\n"
+        f"usable_rows {len(result.cohort)}\n"
     )
     (out / "exclusions.txt").write_text(exclusions, encoding="ascii")
     (out / "config.txt").write_text(_config_text({"command": "ingest", **config}),
                                     encoding="ascii")
-    print(f"ingested {len(result.records)} of {result.n_data_rows} rows "
+    print(f"ingested {len(result.cohort)} of {result.n_data_rows} rows "
           f"({result.n_excluded} excluded); removed variables: "
           f"{', '.join(removed) if removed else 'none'}")
     return 0
@@ -257,13 +251,13 @@ def cmd_train(args) -> int:
     out = _out_dir(config)
     coeffs = _coefficients(config)
 
-    records = _load_cohort_file(config["input"]).records
-    train_recs, test_recs = split_cohort(records, config["train_fraction"], config["seed"])
+    cohort = read_cohort(config["input"]).cohort
+    train_rows, test_rows = split_cohort(cohort, config["train_fraction"], config["seed"])
 
-    plan = fit_imputation(train_recs)
-    imputed_train = [apply_imputation(plan, r) for r in train_recs]
+    plan = fit_imputation(train_rows)
+    imputed_train = apply_imputation(plan, train_rows)
     labels = label_cohort(imputed_train, coeffs, gate_config)
-    feature_names = default_feature_names(train_recs)
+    feature_names = default_feature_names(train_rows)
     fm = encode_features(imputed_train, feature_names, labels=labels.signs())
 
     kernel = KernelSpec.from_text(config["kernel"])
@@ -271,8 +265,8 @@ def cmd_train(args) -> int:
     grid = _parse_c_grid(str(config["c_grid"]))
 
     report_lines = [
-        f"train_rows {len(train_recs)}",
-        f"test_rows {len(test_recs)}",
+        f"train_rows {len(train_rows)}",
+        f"test_rows {len(test_rows)}",
         f"train_high_risk {labels.n_high_risk}",
         f"train_safe {labels.n_safe}",
         "features " + " ".join(feature_names),
@@ -296,14 +290,14 @@ def cmd_train(args) -> int:
 
     save_model(model, out / "model.txt")
     (out / "plan.txt").write_text(plan_to_text(plan), encoding="ascii")
-    (out / "test.tsv").write_text(cohort_to_text(test_recs), encoding="ascii")
+    (out / "test.tsv").write_text(cohort_to_text(test_rows), encoding="ascii")
     (out / "train_report.txt").write_text("".join(f"{ln}\n" for ln in report_lines),
                                           encoding="ascii")
     (out / "config.txt").write_text(_config_text({"command": "train", **config}),
                                     encoding="ascii")
     status = "converged" if model.converged else (
         f"NOT CONVERGED (max KKT violation {model.max_kkt_violation:.3g})")
-    print(f"trained on {len(train_recs)} rows, C={best_c:g}, "
+    print(f"trained on {len(train_rows)} rows, C={best_c:g}, "
           f"{model.alphas.size} support vectors, {status}")
     print(f"artifacts in {out}")
     return 0
@@ -366,10 +360,10 @@ def cmd_evaluate(args) -> int:
     coeffs = _coefficients(config)
 
     model = load_model(run_dir / "model.txt")
-    plan = plan_from_text((run_dir / "plan.txt").read_text(encoding="utf-8"))
-    test_recs = _load_cohort_file(run_dir / "test.tsv").records
+    plan = load_plan(run_dir / "plan.txt")
+    test_rows = read_cohort(run_dir / "test.tsv").cohort
 
-    imputed = [apply_imputation(plan, r) for r in test_recs]
+    imputed = apply_imputation(plan, test_rows)
     truth_labels = label_cohort(imputed, coeffs, gate_config)
     truth = truth_labels.signs().astype(int)
 
@@ -382,31 +376,8 @@ def cmd_evaluate(args) -> int:
     else:
         raise UsageError(f"unknown gate mode {gate_mode!r}")
 
-    actual = np.array([r.therapeutic_dose_mg_week for r in test_recs])
-    model_dose = np.array(truth_labels.doses)
-    kept = np.flatnonzero(predicted == -1)
-    if kept.size == 0:
-        raise DegenerateGateError(
-            "gate kept no test patients; nothing to evaluate on "
-            f"(original rmse {rmse(actual, model_dose):.3f})",
-            report={"rmse_original": rmse(actual, model_dose),
-                    "mae_original": mae(actual, model_dose)},
-        )
-    summary = metrics(confusion(truth, predicted))
-
-    from .metrics import EvalReport
-
-    report = EvalReport(
-        accuracy=summary.accuracy,
-        sensitivity=summary.sensitivity,
-        specificity=summary.specificity,
-        rmse_original=rmse(actual, model_dose),
-        rmse_shrunken=rmse(actual[kept], model_dose[kept]),
-        mae_original=mae(actual, model_dose),
-        mae_shrunken=mae(actual[kept], model_dose[kept]),
-        shrink_ratio=kept.size / truth.size,
-        confusion=confusion(truth, predicted),
-    )
+    report = evaluation_report(truth, predicted, test_rows["therapeutic_dose_mg_week"],
+                               truth_labels.doses)
     (run_dir / "evaluation.txt").write_text(_evaluation_text(report, gate_mode),
                                             encoding="utf-8")
     (run_dir / "evaluation.json").write_text(
@@ -421,38 +392,45 @@ def cmd_gate(args) -> int:
     run_dir = _require_run_dir(config)
     coeffs = _coefficients(config)
     model = load_model(run_dir / "model.txt")
-    plan = plan_from_text((run_dir / "plan.txt").read_text(encoding="utf-8"))
+    plan = load_plan(run_dir / "plan.txt")
     source = config.get("input") or run_dir / "test.tsv"
-    records = _load_cohort_file(source).records
-
-    from .iwpc import predict_weekly_dose
-
-    imputed = [apply_imputation(plan, r) for r in records]
+    imputed = apply_imputation(plan, read_cohort(source).cohort)
     scores, signs = classify_records(model, imputed)
+    doses = weekly_doses(imputed, coeffs).tolist()
+    labels = ["HighRisk" if sign > 0 else "SafeForModel" for sign in signs.tolist()]
+    n_rows = len(imputed)
     n_safe = int(np.sum(signs < 0))
 
     if args.jsonl:
-        for i, (rec, score, sign) in enumerate(zip(imputed, scores, signs), start=1):
-            payload = {
-                "id": i,
-                "predicted_dose_mg_week": round(predict_weekly_dose(rec, coeffs), 6),
-                "decision_value": round(float(score), 9),
-                "label": "HighRisk" if sign > 0 else "SafeForModel",
-                "model_version": 1,
-            }
-            print(json.dumps(payload, sort_keys=True))
-        print(f"safe {n_safe} of {len(records)}", file=sys.stderr)
+        # one object per patient, keys sorted as json.dumps(sort_keys=True)
+        # writes them; the numbers are encoded in one json.dumps call
+        rows = zip(range(1, n_rows + 1), _json_numbers([round(d, 6) for d in doses]), labels,
+                   _json_numbers([round(v, 9) for v in scores.tolist()]))
+        sys.stdout.write("".join(
+            f'{{"decision_value": {score}, "id": {i}, "label": "{label}", '
+            f'"model_version": 1, "predicted_dose_mg_week": {dose}}}\n'
+            for i, dose, label, score in rows))
+        print(f"safe {n_safe} of {n_rows}", file=sys.stderr)
     else:
-        print("id\tpredicted_dose_mg_week\tlabel\tdecision_value")
-        for i, (rec, score, sign) in enumerate(zip(imputed, scores, signs), start=1):
-            label = "HighRisk" if sign > 0 else "SafeForModel"
-            print(f"{i}\t{predict_weekly_dose(rec, coeffs):.3f}\t{label}\t{score:.6f}")
-        print(f"# safe {n_safe} of {len(records)} "
-              f"({100.0 * n_safe / len(records):.1f}% retained)")
+        rows = zip(range(1, n_rows + 1), doses, labels, scores.tolist())
+        lines = ["id\tpredicted_dose_mg_week\tlabel\tdecision_value",
+                 *(f"{i}\t{dose:.3f}\t{label}\t{score:.6f}" for i, dose, label, score in rows),
+                 f"# safe {n_safe} of {n_rows} ({100.0 * n_safe / n_rows:.1f}% retained)"]
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
 
 
-def _patient_from_pairs(pairs, plan) -> dict:
+def _json_numbers(values: list) -> list:
+    """Each number's JSON text, as json.dumps writes it (NaN included)."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def patient_record(pairs, plan) -> RawPatientRecord:
+    """The patient of the key=value pairs; a field left out is missing.
+
+    The dose model's inputs must be given; without a plan to fill the
+    rest, every other field must be given too.
+    """
     values = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
@@ -461,29 +439,29 @@ def _patient_from_pairs(pairs, plan) -> dict:
         key = key.strip()
         if key not in _PATIENT_FIELDS:
             raise UsageError(f"unknown patient field {key!r}")
-        values[key] = _PATIENT_FIELDS[key](value.strip())
+        try:
+            values[key] = _PATIENT_FIELDS[key](value.strip())
+        except ValueError:
+            raise UsageError(f"cannot read patient field {pair!r}") from None
     missing = [k for k in DOSE_REQUIRED_FIELDS if k not in values]
     if missing:
         raise UsageError("missing required patient fields: " + ", ".join(missing))
-    if plan is not None:
-        for name in ("age_decade", "height_cm", "weight_kg", "gender", "target_inr"):
-            values.setdefault(name, plan.means.get(name, plan.modes.get(name)))
-        values.setdefault("race", plan.modes["race"])
-        for name in BINARY_COVARIATES:
-            values.setdefault(name, plan.modes[name])
-    else:
+    if plan is None:
         needed = ("gender", "target_inr", *BINARY_COVARIATES)
         still_missing = [k for k in needed if k not in values]
         if still_missing:
             raise UsageError(
                 "no imputation plan available; also provide: " + ", ".join(still_missing)
             )
-    return values
+    covariates = {name: values.pop(name) for name in BINARY_COVARIATES if name in values}
+    # inr and therapeutic dose are unknown at prescribing time and feed
+    # neither the dose model nor the gate features; placeholders satisfy
+    # the record type only
+    return RawPatientRecord(inr=2.5, therapeutic_dose_mg_week=1.0,
+                            covariates=covariates, **values)
 
 
 def _parse_race_arg(text: str):
-    from .cohort import _parse_race
-
     race = _parse_race(text)
     if race is None:
         raise UsageError(f"cannot read race {text!r} (use 1/2/3 or white/black/asian)")
@@ -507,32 +485,17 @@ def cmd_dose(args) -> int:
     coeffs = _coefficients(config)
     if config.get("model"):
         model = load_model(config["model"])
-        plan = (plan_from_text(Path(config["plan"]).read_text(encoding="utf-8"))
-                if config.get("plan") else None)
+        plan = load_plan(config["plan"]) if config.get("plan") else None
     else:
         run_dir = _require_run_dir(config)
         model = load_model(run_dir / "model.txt")
-        plan = plan_from_text((run_dir / "plan.txt").read_text(encoding="utf-8"))
+        plan = load_plan(run_dir / "plan.txt")
 
-    values = _patient_from_pairs(args.patient, plan)
-    from .records import ImputedPatientRecord, Race
-
-    # inr and therapeutic dose are unknown at prescribing time and feed
-    # neither the dose model nor the gate features; placeholders satisfy
-    # the record type only
-    record = ImputedPatientRecord(
-        inr=2.5,
-        therapeutic_dose_mg_week=1.0,
-        age_decade=values["age_decade"],
-        height_cm=values["height_cm"],
-        weight_kg=values["weight_kg"],
-        race=Race(values["race"]),
-        gender=int(values["gender"]),
-        target_inr=float(values["target_inr"]),
-        covariates={name: int(values[name]) for name in BINARY_COVARIATES},
-    )
-    sqrt_dose = predict_sqrt_weekly_dose(record, coeffs)
-    scores, signs = classify_records(model, [record])
+    patient = as_cohort([patient_record(args.patient, plan)])
+    if plan is not None:
+        patient = apply_imputation(plan, patient)
+    sqrt_dose = float(sqrt_weekly_doses(patient, coeffs)[0])
+    scores, signs = classify_records(model, patient)
     label = GateLabel(int(signs[0]))
     print(f"sqrt_dose {sqrt_dose:.4f}")
     print(f"dose_mg_week {sqrt_dose * sqrt_dose:.3f}")
@@ -550,7 +513,10 @@ def cmd_report(args) -> int:
     eval_path = run_dir / "evaluation.json"
     if not eval_path.exists():
         raise DataError(f"{eval_path} not found; run `evaluate` first")
-    payload = json.loads(eval_path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(read_text(eval_path, "evaluation"))
+    except ValueError as exc:
+        raise DataError(f"{eval_path} is not readable JSON: {exc}") from None
     model = load_model(run_dir / "model.txt")
     print(f"run {run_dir}")
     print(f"model: kernel {model.kernel.to_text()}, {model.alphas.size} support vectors, "
@@ -570,7 +536,6 @@ def cmd_report(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> _Parser:
@@ -582,6 +547,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic cohort", parents=[])
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.set_defaults(func=cmd_synth)
@@ -595,6 +561,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="split, impute, label, and fit the gate")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--input", default=None, help="normalized cohort (.tsv)")
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,30 +26,20 @@ from .errors import (
     PlanIncompleteError,
     SchemaError,
     UnimputableVariableError,
+    read_text,
 )
 from .records import (
     AGE_DECADE_RANGE,
     BINARY_COVARIATES,
+    CANONICAL_COLUMNS,
+    COLUMN_INDEX,
     ENZYME_COMPONENTS,
     HEIGHT_BOUNDS_CM,
     WEIGHT_BOUNDS_KG,
+    Cohort,
     ImputedPatientRecord,
     Race,
-    RawPatientRecord,
-)
-
-MISSING_TOKENS = {"", "na", "n/a"}
-
-CANONICAL_COLUMNS = (
-    "age_decade",
-    "height_cm",
-    "weight_kg",
-    "race",
-    "gender",
-    *BINARY_COVARIATES,
-    "inr",
-    "target_inr",
-    "therapeutic_dose_mg_week",
+    as_cohort,
 )
 
 CANONICAL_SCHEMA = {name: name for name in CANONICAL_COLUMNS}
@@ -56,15 +48,24 @@ CANONICAL_SCHEMA = {name: name for name in CANONICAL_COLUMNS}
 MEAN_IMPUTED = ("height_cm", "weight_kg", "target_inr")
 MODE_IMPUTED = ("age_decade", "race", "gender", *BINARY_COVARIATES)
 
+_IMPUTED_ROWS = [COLUMN_INDEX[name] for name in (*MEAN_IMPUTED, *MODE_IMPUTED)]
+
+# the codes a plan may fill a coded variable with
+_MODE_CODES = {
+    "age_decade": range(AGE_DECADE_RANGE[0], AGE_DECADE_RANGE[1] + 1),
+    "race": tuple(int(r) for r in Race),
+    **{name: (0, 1) for name in ("gender", *BINARY_COVARIATES)},
+}
+
 # binary variables subject to the minority-fraction filter
 FILTERABLE_BINARY = (*BINARY_COVARIATES, "gender")
 
 
 @dataclass(frozen=True)
 class ParseResult:
-    """Parsed records plus the row-exclusion tally."""
+    """The parsed cohort plus the row-exclusion tally."""
 
-    records: tuple
+    cohort: Cohort
     n_data_rows: int
     excluded_missing_dose: int
     excluded_inr: int
@@ -72,10 +73,6 @@ class ParseResult:
     @property
     def n_excluded(self) -> int:
         return self.excluded_missing_dose + self.excluded_inr
-
-
-def _is_missing(cell: str) -> bool:
-    return cell.strip().lower() in MISSING_TOKENS
 
 
 def _parse_float(cell: str) -> float | None:
@@ -152,20 +149,70 @@ _CODED_PARSERS = {
     "age_decade": _parse_age,
     "race": _parse_race,
     "gender": _parse_gender,
-    "target_inr": _parse_target_inr,
     **{name: _parse_binary for name in BINARY_COVARIATES},
 }
+
+
+# the first line of a text, as str.splitlines() ends it
+_FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+# rows parsed per block
+_BLOCK_ROWS = 1024
 
 
 def _in_bounds(value, bounds) -> bool:
     return value is not None and bounds[0] <= value <= bounds[1]
 
 
-def load_schema(path) -> dict:
-    """Read a key=value schema file mapping input columns to fields."""
+def _float_column(cells) -> np.ndarray:
+    """A column of cells as floats; NaN where a cell is not a finite number."""
+    values = []
+    append = values.append
+    for cell in cells:
+        try:
+            append(float(cell.strip()))
+        except ValueError:
+            append(math.nan)
+    column = np.array(values, dtype=np.float64)
+    column[~np.isfinite(column)] = np.nan
+    return column
+
+
+def _coded_column(cells, parse, table: dict) -> np.ndarray:
+    """A coded column; ``table`` keeps each distinct cell text's value,
+    so a text is parsed once however often it occurs."""
+    for text in set(cells).difference(table):
+        value = parse(text)
+        table[text] = math.nan if value is None else float(value)
+    return np.fromiter(map(table.__getitem__, cells), dtype=np.float64, count=len(cells))
+
+
+def _target_inr_column(cells, table: dict) -> np.ndarray:
+    """Target INRs: most cells are plain numbers; the rest (ranges, bad
+    cells) go through the full target-INR rule."""
+    column = _float_column(cells)
+    rest = np.flatnonzero(~(column > 0))
+    column[rest] = _coded_column([cells[i] for i in rest], _parse_target_inr, table)
+    return column
+
+
+def _read_column(target: str, cells, table: dict) -> np.ndarray:
+    if target in _CODED_PARSERS:
+        return _coded_column(cells, _CODED_PARSERS[target], table)
+    if target == "target_inr":
+        return _target_inr_column(cells, table)
+    return _float_column(cells)
+
+
+def _bounded(column: np.ndarray, bounds) -> np.ndarray:
+    return np.where((column >= bounds[0]) & (column <= bounds[1]), column, np.nan)
+
+
+def schema_from_text(text: str) -> dict:
+    """Read key=value schema lines mapping input columns to fields."""
     mapping = {}
     seen_fields = set()
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -180,13 +227,22 @@ def load_schema(path) -> dict:
         seen_fields.add(target)
         mapping[column] = target
     if not mapping:
-        raise SchemaError(f"schema file {path} maps no columns")
+        raise SchemaError("schema maps no columns")
     return mapping
+
+
+def load_schema(path) -> dict:
+    """Read a key=value schema file mapping input columns to fields."""
+    return schema_from_text(read_text(path, "schema file"))
 
 
 def _as_text(source) -> str:
     if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
+        try:
+            return source.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"cohort bytes are not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
     if isinstance(source, str):
         return source
     if hasattr(source, "read"):
@@ -195,7 +251,7 @@ def _as_text(source) -> str:
 
 
 def parse_cohort(source, schema: dict | None = None) -> ParseResult:
-    """Parse delimited text into patient records.
+    """Parse delimited text into a cohort of columns.
 
     Rows without a positive therapeutic dose, or whose INR is missing
     or outside [2,3], are excluded and counted. Every other bad cell
@@ -211,10 +267,10 @@ def parse_cohort(source, schema: dict | None = None) -> ParseResult:
 
 def _parse_rows(text: str, schema: dict | None) -> ParseResult:
     schema = dict(schema) if schema is not None else dict(CANONICAL_SCHEMA)
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    first_line = _FIRST_LINE.match(text).group()
+    if not first_line.strip():
         raise SchemaError("cohort input has no header row")
-    delimiter = "\t" if "\t" in lines[0] else ("," if "," in lines[0] else "\t")
+    delimiter = "\t" if "\t" in first_line else ("," if "," in first_line else "\t")
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     header = [cell.strip() for cell in next(reader)]
 
@@ -229,105 +285,66 @@ def _parse_rows(text: str, schema: dict | None) -> ParseResult:
     for required in ("therapeutic_dose_mg_week", "inr"):
         if required not in mapped:
             raise SchemaError(f"no input column maps to required field {required!r}")
-    derive_enzyme = "enzyme" not in mapped
-    float_columns = {idx: target for idx, target in col_to_field.items()
-                     if target not in _CODED_PARSERS}
-    coded_columns = [(idx, target, _CODED_PARSERS[target], {})
-                     for idx, target in col_to_field.items() if target in _CODED_PARSERS]
-    binary_mapped = [name for name in BINARY_COVARIATES if name in mapped]
 
-    records = []
-    n_rows = 0
-    excluded_dose = 0
-    excluded_inr = 0
-    for row in reader:
-        if not any(cell.strip() for cell in row):
-            continue
-        n_rows += 1
-        cells = {}
-        for idx, target in float_columns.items():
-            cells[target] = row[idx] if idx < len(row) else ""
+    # the rows are transposed a block at a time, so only one block's cell
+    # texts are held at once
+    parts = {target: [np.empty(0)] for target in mapped}
+    tables = {target: {} for target in mapped}
+    n = 0
+    for chunk in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+        rows = [row for row in chunk if "".join(row).strip()]
+        n += len(rows)
+        # a short row's absent cells read as empty
+        cells = list(itertools.zip_longest(*rows, fillvalue=""))
+        for idx, target in col_to_field.items():
+            block = cells[idx] if idx < len(cells) else ("",) * len(rows)
+            parts[target].append(_read_column(target, block, tables[target]))
+    columns = {name: np.full(n, np.nan) for name in CANONICAL_COLUMNS}
+    columns.update({target: np.concatenate(part) for target, part in parts.items()})
+    if "enzyme" not in mapped:
+        columns["enzyme"] = np.zeros(n)
+        for name in ENZYME_COMPONENTS:
+            columns["enzyme"][columns[name] == 1] = 1.0
+    columns["height_cm"] = _bounded(columns["height_cm"], HEIGHT_BOUNDS_CM)
+    columns["weight_kg"] = _bounded(columns["weight_kg"], WEIGHT_BOUNDS_KG)
 
-        dose = _parse_float(cells.get("therapeutic_dose_mg_week", ""))
-        if dose is None or not dose > 0:
-            excluded_dose += 1
-            continue
-        inr = _parse_float(cells.get("inr", ""))
-        if inr is None or not 2.0 <= inr <= 3.0:
-            excluded_inr += 1
-            continue
-
-        height = _parse_float(cells.get("height_cm", ""))
-        if not _in_bounds(height, HEIGHT_BOUNDS_CM):
-            height = None
-        weight = _parse_float(cells.get("weight_kg", ""))
-        if not _in_bounds(weight, WEIGHT_BOUNDS_KG):
-            weight = None
-
-        coded = {}
-        for idx, target, parse, table in coded_columns:
-            cell = row[idx] if idx < len(row) else ""
-            try:
-                coded[target] = table[cell]
-            except KeyError:
-                coded[target] = table[cell] = parse(cell)
-        covariates = {name: coded[name] for name in binary_mapped}
-        if derive_enzyme:
-            known = [covariates.get(c) for c in ENZYME_COMPONENTS]
-            covariates["enzyme"] = 1 if any(v == 1 for v in known) else 0
-
-        records.append(
-            RawPatientRecord(
-                inr=inr,
-                therapeutic_dose_mg_week=dose,
-                age_decade=coded.get("age_decade"),
-                height_cm=height,
-                weight_kg=weight,
-                race=coded.get("race"),
-                gender=coded.get("gender"),
-                target_inr=coded.get("target_inr"),
-                covariates=covariates,
-            )
-        )
-    if not records:
+    has_dose = columns["therapeutic_dose_mg_week"] > 0
+    inr = columns["inr"]
+    keep = has_dose & (inr >= 2.0) & (inr <= 3.0)
+    excluded_dose = n - int(np.count_nonzero(has_dose))
+    excluded_inr = n - excluded_dose - int(np.count_nonzero(keep))
+    if not keep.any():
         raise EmptyCohortError(
-            f"no usable rows: {n_rows} parsed, {excluded_dose} lacked a dose, "
+            f"no usable rows: {n} parsed, {excluded_dose} lacked a dose, "
             f"{excluded_inr} failed the INR window"
         )
     return ParseResult(
-        records=tuple(records),
-        n_data_rows=n_rows,
+        cohort=Cohort(columns).take(keep),
+        n_data_rows=n,
         excluded_missing_dose=excluded_dose,
         excluded_inr=excluded_inr,
     )
 
 
-def _binary_values(records, name: str):
-    if name == "gender":
-        return [r.gender for r in records if r.gender is not None]
-    return [r.covariates[name] for r in records if r.covariates[name] is not None]
-
-
-def filter_unbalanced(records, min_minority_fraction: float = 0.10) -> list[str]:
+def filter_unbalanced(data, min_minority_fraction: float = 0.10) -> list[str]:
     """Binary variables whose minority category is too rare to learn from.
 
     The minority share is computed over non-missing observations; a
     variable is removed when that share is strictly below the cutoff.
-    Variables with no observations at all are removed too.
+    Variables with no observations at all are removed too. ``data`` is a
+    Cohort or a sequence of records.
     """
-    if not records:
+    cohort = as_cohort(data)
+    if not len(cohort):
         raise EmptyCohortError("cannot filter an empty cohort")
     if not 0.0 < min_minority_fraction < 0.5:
         raise DomainError("min_minority_fraction must lie in (0, 0.5)")
     removed = []
     for name in FILTERABLE_BINARY:
-        values = _binary_values(records, name)
-        if not values:
-            removed.append(name)
-            continue
-        ones = sum(values)
-        minority = min(ones, len(values) - ones)
-        if minority < min_minority_fraction * len(values):
+        column = cohort[name]
+        observed = int(np.count_nonzero(~np.isnan(column)))
+        ones = int(np.count_nonzero(column == 1))
+        if not observed or min(ones, observed - ones) < min_minority_fraction * observed:
             removed.append(name)
     return removed
 
@@ -348,113 +365,103 @@ class ImputationPlan:
         if w is not None and not _in_bounds(w, WEIGHT_BOUNDS_KG):
             raise DomainError(f"plan weight mean {w} outside sanity bounds")
         t = self.means.get("target_inr")
-        if t is not None and not t > 0:
-            raise DomainError("plan target_inr mean must be positive")
+        if t is not None and not 0 < t < math.inf:
+            raise DomainError("plan target_inr mean must be positive and finite")
+        for name, code in self.modes.items():
+            if name in _MODE_CODES and code not in _MODE_CODES[name]:
+                raise DomainError(f"plan mode {code!r} is not a code of {name}")
 
 
-def _field_value(record, name: str):
-    if name in BINARY_COVARIATES:
-        return record.covariates[name]
-    return getattr(record, name)
+def _observed(column: np.ndarray) -> np.ndarray:
+    return column[~np.isnan(column)]
 
 
-def fit_imputation(records, provenance: str = "train") -> ImputationPlan:
+def fit_imputation(data, provenance: str = "train") -> ImputationPlan:
     """Means for continuous variables, modes for coded ones.
 
     Complete cases only; mode ties break toward the smaller code so the
     plan is a pure, deterministic function of the training rows.
     """
-    if not records:
+    cohort = as_cohort(data)
+    if not len(cohort):
         raise EmptyCohortError("cannot fit an imputation plan on an empty cohort")
     means = {}
     for name in MEAN_IMPUTED:
-        values = [_field_value(r, name) for r in records]
-        values = [v for v in values if v is not None]
-        if not values:
+        values = _observed(cohort[name])
+        if not values.size:
             raise UnimputableVariableError(name)
         means[name] = float(np.mean(values))
     modes = {}
     for name in MODE_IMPUTED:
-        values = [_field_value(r, name) for r in records]
-        values = [int(v) for v in values if v is not None]
-        if not values:
+        values = _observed(cohort[name])
+        if not values.size:
             raise UnimputableVariableError(name)
-        counts = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        modes[name] = min(counts, key=lambda code: (-counts[code], code))
+        codes, counts = np.unique(values, return_counts=True)  # codes ascending
+        modes[name] = int(codes[np.argmax(counts)])
     return ImputationPlan(means=means, modes=modes, provenance=provenance)
 
 
-def apply_imputation(plan: ImputationPlan, record) -> ImputedPatientRecord:
-    """Fill every missing field from the plan; present fields pass through."""
+def apply_imputation(plan: ImputationPlan, data):
+    """Fill every missing value from the plan; present values pass through.
 
-    def fill(name: str, current):
-        if current is not None:
-            return current
+    A Cohort gives a Cohort; a single record gives an ImputedPatientRecord.
+    """
+    if not isinstance(data, Cohort):
+        filled = apply_imputation(plan, Cohort.from_records([data]))
+        return filled.records(ImputedPatientRecord)[0]
+    block = data.columns[_IMPUTED_ROWS]
+    missing = np.isnan(block)
+    fill = np.full(len(_IMPUTED_ROWS), np.nan)
+    for k, name in enumerate((*MEAN_IMPUTED, *MODE_IMPUTED)):
         table = plan.means if name in MEAN_IMPUTED else plan.modes
-        if name not in table:
+        if name in table:
+            fill[k] = table[name]
+        elif missing[k].any():
             raise PlanIncompleteError(f"imputation plan lacks a statistic for {name!r}")
-        return table[name]
-
-    covariates = {
-        name: fill(name, record.covariates[name]) for name in BINARY_COVARIATES
-    }
-    return ImputedPatientRecord(
-        inr=record.inr,
-        therapeutic_dose_mg_week=record.therapeutic_dose_mg_week,
-        age_decade=fill("age_decade", record.age_decade),
-        height_cm=fill("height_cm", record.height_cm),
-        weight_kg=fill("weight_kg", record.weight_kg),
-        race=Race(fill("race", record.race)),
-        gender=fill("gender", record.gender),
-        target_inr=fill("target_inr", record.target_inr),
-        covariates=covariates,
-    )
+    columns = data.columns.copy()
+    columns[_IMPUTED_ROWS] = np.where(missing, fill[:, None], block)
+    return Cohort(columns)
 
 
-def split_cohort(records, train_fraction: float = 0.5, seed: int = 0):
-    """Seeded permutation split; the first floor(n*fraction) rows train."""
-    if not records:
+def split_cohort(data, train_fraction: float = 0.5, seed: int = 0):
+    """Seeded permutation split; the first floor(n*fraction) rows train.
+
+    A Cohort splits into two Cohorts, any other sequence into two lists.
+    """
+    n = len(data)
+    if not n:
         raise EmptyCohortError("cannot split an empty cohort")
     if not 0.0 < train_fraction < 1.0:
         raise DomainError("train_fraction must lie in (0, 1)")
-    n = len(records)
     n_train = int(math.floor(n * train_fraction))
     if n_train == 0 or n_train == n:
         raise DegenerateSplitError(
             f"split of {n} rows at fraction {train_fraction} leaves one side empty"
         )
     order = np.random.default_rng(seed).permutation(n)
-    train = [records[i] for i in order[:n_train]]
-    test = [records[i] for i in order[n_train:]]
-    return train, test
+    if isinstance(data, Cohort):
+        return data.take(order[:n_train]), data.take(order[n_train:])
+    return [data[i] for i in order[:n_train]], [data[i] for i in order[n_train:]]
 
 
-def _format_cell(value) -> str:
-    if value is None:
+def _format_cell(value: float) -> str:
+    if value != value:
         return "NA"
-    if isinstance(value, (int, np.integer)) or (isinstance(value, float) and value == int(value)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    return str(int(value)) if value.is_integer() else f"{value:.17g}"
 
 
-def cohort_to_text(records) -> str:
+def _format_column(column: np.ndarray) -> list:
+    # each distinct value is formatted once: a coded column holds a handful
+    values, rows = np.unique(column, return_inverse=True)
+    texts = np.array([_format_cell(value) for value in values.tolist()], dtype=object)
+    return texts[rows].tolist()
+
+
+def cohort_to_text(data) -> str:
     """Canonical tab-delimited form; byte-stable for identical cohorts."""
-    lines = ["\t".join(CANONICAL_COLUMNS)]
-    for r in records:
-        row = [
-            _format_cell(r.age_decade),
-            _format_cell(r.height_cm),
-            _format_cell(r.weight_kg),
-            _format_cell(None if r.race is None else int(r.race)),
-            _format_cell(r.gender),
-            *(_format_cell(r.covariates[name]) for name in BINARY_COVARIATES),
-            _format_cell(r.inr),
-            _format_cell(r.target_inr),
-            _format_cell(r.therapeutic_dose_mg_week),
-        ]
-        lines.append("\t".join(row))
+    cohort = as_cohort(data)
+    columns = [_format_column(cohort[name]) for name in CANONICAL_COLUMNS]
+    lines = ["\t".join(CANONICAL_COLUMNS), *map("\t".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -475,20 +482,27 @@ def plan_from_text(text: str) -> ImputationPlan:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "provenance" and len(parts) == 2:
-            provenance = parts[1]
-        elif parts[0] == "mean" and len(parts) == 3:
-            means[parts[1]] = float(parts[2])
-        elif parts[0] == "mode" and len(parts) == 3:
-            modes[parts[1]] = int(parts[2])
-        else:
-            raise SchemaError(f"bad imputation plan line: {line!r}")
+        try:
+            if parts[0] == "provenance" and len(parts) == 2:
+                provenance = parts[1]
+            elif parts[0] == "mean" and len(parts) == 3:
+                means[parts[1]] = float(parts[2])
+            elif parts[0] == "mode" and len(parts) == 3:
+                modes[parts[1]] = int(parts[2])
+            else:
+                raise ValueError
+        except ValueError:
+            raise SchemaError(f"bad imputation plan line: {line!r}") from None
     return ImputationPlan(means=means, modes=modes, provenance=provenance)
 
 
-def write_cohort(records, path) -> None:
-    Path(path).write_text(cohort_to_text(records), encoding="ascii")
+def load_plan(path) -> ImputationPlan:
+    return plan_from_text(read_text(path, "imputation plan"))
+
+
+def write_cohort(data, path) -> None:
+    Path(path).write_text(cohort_to_text(data), encoding="ascii")
 
 
 def read_cohort(path) -> ParseResult:
-    return parse_cohort(Path(path).read_text(encoding="utf-8"), CANONICAL_SCHEMA)
+    return parse_cohort(read_text(path, "cohort file"), CANONICAL_SCHEMA)

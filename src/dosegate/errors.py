@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the file reader that
+turns an unreadable file into one of them.
 
 The CLI maps these onto exit codes: usage errors exit with 1, data and
 schema errors with 2, numerical and degeneracy errors with 3.
 """
+
+from pathlib import Path
 
 
 class DosegateError(Exception):
@@ -67,3 +70,17 @@ class DegenerateGateError(NumericalError):
     def __init__(self, message: str, report=None):
         self.report = report
         super().__init__(message)
+
+
+def read_text(path, what: str, encoding: str = "utf-8") -> str:
+    """The text of a file; a file that cannot be opened or whose bytes
+    are not ``encoding`` text is a DataError naming ``what`` it is."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not {encoding} text: {exc.reason} "
+                        f"at byte {exc.start}") from None

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cohort import filter_unbalanced
 from .errors import DataError, DomainError, SchemaError
-from .records import BINARY_COVARIATES, Race
+from .records import BINARY_COVARIATES, COLUMN_INDEX, Race, as_cohort
 
 RACE_INDICATORS = ("race_african_american", "race_asian")
 SCALED_FEATURES = ("age_decade", "height_cm", "weight_kg", "target_inr")
@@ -78,43 +78,48 @@ def with_labels(fm: FeatureMatrix, labels) -> FeatureMatrix:
     return replace(fm, labels=np.asarray(labels, dtype=float))
 
 
-def default_feature_names(records, min_minority_fraction: float = 0.10) -> tuple:
+def default_feature_names(data, min_minority_fraction: float = 0.10) -> tuple:
     """The classifier feature list for a training cohort.
 
     Applies the minority-fraction filter to the binary variables and
     always drops enzyme: it stays an input to the dose model but is far
     too rare in this population to carry classifier signal.
     """
-    removed = set(filter_unbalanced(records, min_minority_fraction))
+    removed = set(filter_unbalanced(data, min_minority_fraction))
     removed.add("enzyme")
     return tuple(name for name in FEATURE_CANDIDATES if name not in removed)
 
 
-def _raw_value(record, name: str) -> float:
-    if name == "race_african_american":
-        value = None if record.race is None else float(record.race == Race.AFRICAN_AMERICAN)
-    elif name == "race_asian":
-        value = None if record.race is None else float(record.race == Race.ASIAN)
-    elif name in BINARY_COVARIATES:
-        value = record.covariates[name]
-    elif name in ("age_decade", "height_cm", "weight_kg", "gender", "target_inr"):
-        value = getattr(record, name)
-    else:
-        raise SchemaError(f"unknown feature name {name!r}")
-    if value is None:
-        raise DataError(f"record has a missing value for feature {name!r}; impute first")
-    return float(value)
+# feature -> (the cohort column it reads, the code it indicates, or None
+# for the column's own value)
+_FEATURE_SOURCES = {
+    "race_african_american": ("race", Race.AFRICAN_AMERICAN),
+    "race_asian": ("race", Race.ASIAN),
+    **{name: (name, None) for name in FEATURE_CANDIDATES if name not in RACE_INDICATORS},
+}
 
 
-def feature_rows(records, feature_names) -> np.ndarray:
-    """Raw (unscaled) feature rows; what decision_value expects."""
+def feature_rows(data, feature_names) -> np.ndarray:
+    """Raw (unscaled) feature rows of a Cohort (or of a sequence of
+    records); what decision_value expects."""
+    cohort = as_cohort(data)
     names = tuple(feature_names)
-    return np.array(
-        [[_raw_value(r, name) for name in names] for r in records], dtype=float
-    ).reshape(len(records), len(names))
+    for name in names:
+        if name not in _FEATURE_SOURCES:
+            raise SchemaError(f"unknown feature name {name!r}")
+    raw = cohort.columns[[COLUMN_INDEX[_FEATURE_SOURCES[name][0]] for name in names]]
+    for k, name in enumerate(names):
+        code = _FEATURE_SOURCES[name][1]
+        if code is not None:
+            raw[k] = np.where(np.isnan(raw[k]), np.nan, raw[k] == code)
+    gaps = np.isnan(raw).any(axis=1)
+    if gaps.any():
+        name = names[int(np.argmax(gaps))]
+        raise DataError(f"a row has a missing value for feature {name!r}; impute first")
+    return np.ascontiguousarray(raw.T)
 
 
-def encode_features(records, feature_names, scaler=None, labels=None) -> FeatureMatrix:
+def encode_features(data, feature_names, scaler=None, labels=None) -> FeatureMatrix:
     """Build the standardized matrix.
 
     With no scaler, one is fit on these rows (population sigma; constant
@@ -122,7 +127,7 @@ def encode_features(records, feature_names, scaler=None, labels=None) -> Feature
     (means, scales) pair reuses its transform, e.g. for a test split.
     """
     names = tuple(feature_names)
-    raw = feature_rows(records, names)
+    raw = feature_rows(data, names)
     if scaler is None:
         means = np.zeros(len(names))
         scales = np.ones(len(names))

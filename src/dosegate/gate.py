@@ -16,15 +16,16 @@ from enum import IntEnum
 import numpy as np
 
 from .cohort import ImputationPlan, apply_imputation, fit_imputation
-from .errors import DegenerateGateError, DegenerateLabelsError, DomainError
+from .errors import DegenerateGateError, DegenerateLabelsError, DomainError, NonPhysicalDoseError
 from .features import (
     FeatureMatrix,
     default_feature_names,
     encode_features,
     feature_rows,
 )
-from .iwpc import DEFAULT_COEFFICIENTS, IwpcCoefficients, predict_weekly_dose
-from .metrics import ConfusionMatrix, EvalReport, confusion, mae, metrics, rmse
+from .iwpc import DEFAULT_COEFFICIENTS, IwpcCoefficients, weekly_doses
+from .metrics import EvalReport, confusion, mae, metrics, rmse
+from .records import as_cohort
 from .svm import SvmModel, TrainConfig, decision_values, decision_values_from_matrix, train
 
 GATE_MODES = ("trained", "identity", "oracle")
@@ -52,39 +53,50 @@ def label_record(predicted_mg_week: float, therapeutic_mg_week: float,
     boundary stays Safe."""
     if not therapeutic_mg_week > 0:
         raise DomainError("therapeutic dose must be positive")
-    relative = abs(predicted_mg_week - therapeutic_mg_week) / therapeutic_mg_week
-    return GateLabel.HIGH_RISK if relative > config.threshold else GateLabel.SAFE_FOR_MODEL
+    high = _high_risk(predicted_mg_week, therapeutic_mg_week, config)
+    return GateLabel.HIGH_RISK if high else GateLabel.SAFE_FOR_MODEL
+
+
+def _high_risk(predicted, therapeutic, config: GateConfig):
+    """The labelling rule on scalars or arrays alike."""
+    return np.abs(predicted - therapeutic) / therapeutic > config.threshold
 
 
 @dataclass(frozen=True)
 class CohortLabels:
-    """Gate labels plus the predicted doses (mg/week) they were set from."""
+    """Gate labels (+1 HighRisk, -1 SafeForModel) plus the predicted
+    doses (mg/week) they were set from, one per row."""
 
-    labels: tuple
+    labels: np.ndarray
     n_high_risk: int
     n_safe: int
-    doses: tuple
+    doses: np.ndarray
 
     def signs(self) -> np.ndarray:
-        return np.array([int(v) for v in self.labels], dtype=float)
+        return self.labels.astype(float)
 
 
-def label_cohort(records, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS,
+def label_cohort(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS,
                  config: GateConfig = GateConfig()) -> CohortLabels:
-    """Gate label and predicted dose for every (imputed) record, plus
-    class counts."""
-    labels = []
-    doses = []
-    for i, record in enumerate(records):
-        try:
-            predicted = predict_weekly_dose(record, coeffs)
-            labels.append(label_record(predicted, record.therapeutic_dose_mg_week, config))
-        except DomainError as exc:
-            raise type(exc)(f"record {i}: {exc}") from exc
-        doses.append(predicted)
-    n_high = sum(1 for v in labels if v == GateLabel.HIGH_RISK)
-    return CohortLabels(labels=tuple(labels), n_high_risk=n_high,
-                        n_safe=len(labels) - n_high, doses=tuple(doses))
+    """Gate label and predicted dose for every row of an imputed Cohort
+    (or sequence of records), plus class counts. The first row that
+    cannot be labelled raises, named in the message."""
+    cohort = as_cohort(data)
+    therapeutic = cohort["therapeutic_dose_mg_week"]
+    bad_therapeutic = np.flatnonzero(~(therapeutic > 0))
+    first_bad = bad_therapeutic[0] if bad_therapeutic.size else len(cohort)
+    try:
+        doses = weekly_doses(cohort, coeffs)
+    except (DomainError, NonPhysicalDoseError) as exc:
+        if exc.row < first_bad:
+            raise type(exc)(f"record {exc.row}: {exc}") from exc
+    if first_bad < len(cohort):
+        raise DomainError(f"record {first_bad}: therapeutic dose must be positive")
+    high = _high_risk(doses, therapeutic, config)
+    labels = np.where(high, int(GateLabel.HIGH_RISK), int(GateLabel.SAFE_FOR_MODEL))
+    n_high = int(np.count_nonzero(high))
+    return CohortLabels(labels=labels, n_high_risk=n_high,
+                        n_safe=len(cohort) - n_high, doses=doses)
 
 
 def shrink_test_set(test_features: FeatureMatrix, classifier: SvmModel) -> np.ndarray:
@@ -93,11 +105,42 @@ def shrink_test_set(test_features: FeatureMatrix, classifier: SvmModel) -> np.nd
     return np.flatnonzero(scores < 0.0)
 
 
-def classify_records(model: SvmModel, records) -> tuple[np.ndarray, np.ndarray]:
-    """Decision values and gate signs for imputed records, raw-space path."""
-    rows = feature_rows(records, model.feature_names)
+def classify_records(model: SvmModel, data) -> tuple[np.ndarray, np.ndarray]:
+    """Decision values and gate signs for an imputed Cohort (or sequence
+    of records), raw-space path."""
+    rows = feature_rows(data, model.feature_names)
     scores = decision_values(model, rows)
     return scores, np.where(scores >= 0.0, 1, -1)
+
+
+def evaluation_report(truth, predicted, actual_dose, model_dose) -> EvalReport:
+    """The gate's classifier metrics (HighRisk positive) and the dose
+    model's error on the whole test set and on the rows the gate keeps.
+    A gate that keeps no row is a DegenerateGateError carrying the
+    whole-set figures."""
+    cm = confusion(truth, predicted)
+    rmse_original = rmse(actual_dose, model_dose)
+    mae_original = mae(actual_dose, model_dose)
+    kept = np.flatnonzero(predicted == -1)
+    if kept.size == 0:
+        raise DegenerateGateError(
+            "gate classified every test patient HighRisk; nothing to evaluate on "
+            f"(original rmse {rmse_original:.3f})",
+            report={"rmse_original": rmse_original, "mae_original": mae_original,
+                    "confusion": cm},
+        )
+    summary = metrics(cm)
+    return EvalReport(
+        accuracy=summary.accuracy,
+        sensitivity=summary.sensitivity,
+        specificity=summary.specificity,
+        rmse_original=rmse_original,
+        rmse_shrunken=rmse(actual_dose[kept], model_dose[kept]),
+        mae_original=mae_original,
+        mae_shrunken=mae(actual_dose[kept], model_dose[kept]),
+        shrink_ratio=kept.size / len(truth),
+        confusion=cm,
+    )
 
 
 @dataclass(frozen=True)
@@ -132,14 +175,15 @@ def gated_evaluation(
     """
     if gate_mode not in GATE_MODES:
         raise DomainError(f"gate_mode must be one of {GATE_MODES}")
-    if not train_records or not test_records:
+    train_cohort, test_cohort = as_cohort(train_records), as_cohort(test_records)
+    if not len(train_cohort) or not len(test_cohort):
         raise DomainError("gated evaluation needs non-empty train and test cohorts")
 
-    plan = fit_imputation(train_records)
-    imputed_train = [apply_imputation(plan, r) for r in train_records]
-    imputed_test = [apply_imputation(plan, r) for r in test_records]
+    plan = fit_imputation(train_cohort)
+    imputed_train = apply_imputation(plan, train_cohort)
+    imputed_test = apply_imputation(plan, test_cohort)
     if feature_names is None:
-        feature_names = default_feature_names(train_records, min_minority_fraction)
+        feature_names = default_feature_names(train_cohort, min_minority_fraction)
     feature_names = tuple(feature_names)
 
     train_labels = label_cohort(imputed_train, coeffs, gate_config)
@@ -162,35 +206,8 @@ def gated_evaluation(
     else:
         predicted = np.full(truth.shape, -1, dtype=int)
 
-    cm = confusion(truth, predicted)
-    summary = metrics(cm)
-
-    actual_dose = np.array([r.therapeutic_dose_mg_week for r in test_records])
-    model_dose = np.array(test_labels.doses)
-    rmse_original = rmse(actual_dose, model_dose)
-    mae_original = mae(actual_dose, model_dose)
-
-    kept = np.flatnonzero(predicted == -1)
-    if kept.size == 0:
-        raise DegenerateGateError(
-            "gate classified every test patient HighRisk; no shrunken set",
-            report={
-                "rmse_original": rmse_original,
-                "mae_original": mae_original,
-                "confusion": cm,
-            },
-        )
-    report = EvalReport(
-        accuracy=summary.accuracy,
-        sensitivity=summary.sensitivity,
-        specificity=summary.specificity,
-        rmse_original=rmse_original,
-        rmse_shrunken=rmse(actual_dose[kept], model_dose[kept]),
-        mae_original=mae_original,
-        mae_shrunken=mae(actual_dose[kept], model_dose[kept]),
-        shrink_ratio=kept.size / truth.size,
-        confusion=cm,
-    )
+    report = evaluation_report(truth, predicted, test_cohort["therapeutic_dose_mg_week"],
+                               test_labels.doses)
     return GatedEvaluation(
         report=report,
         model=model,

@@ -10,10 +10,11 @@ model this package claims to apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 
-from .errors import DomainError, NonPhysicalDoseError, SchemaError
-from .records import Race
+import numpy as np
+
+from .errors import DomainError, DosegateError, NonPhysicalDoseError, SchemaError, read_text
+from .records import Race, as_cohort
 
 
 @dataclass(frozen=True)
@@ -34,67 +35,89 @@ class IwpcCoefficients:
 DEFAULT_COEFFICIENTS = IwpcCoefficients()
 
 
-def _require(record, name: str):
-    value = getattr(record, name)
-    if value is None:
-        raise DomainError(f"dose model needs {name}, which is missing")
-    return value
+def sqrt_weekly_doses(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> np.ndarray:
+    """Linear predictor in sqrt(mg/week) space, one value per row of a
+    Cohort (or of a sequence of records).
 
-
-def predict_sqrt_weekly_dose(record, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> float:
-    """Linear predictor in sqrt(mg/week) space.
-
-    Exactly one race term contributes; a record with unknown race takes
+    Exactly one race term contributes; a row with unknown race takes
     the race-missing adjustment (absent from this dataset but kept for
-    schema fidelity).
+    schema fidelity). Each row's terms are added in the published order,
+    so a value does not depend on the rows around it. The first row the
+    model cannot take raises, and the error's ``row`` attribute names it.
     """
-    age = _require(record, "age_decade")
-    if not 1 <= age <= 9:
-        raise DomainError(f"age_decade {age} outside the 1..9 code range")
+    cohort = as_cohort(data)
+    age, height, weight = cohort["age_decade"], cohort["height_cm"], cohort["weight_kg"]
+    race, enzyme, amiodarone = cohort["race"], cohort["enzyme"], cohort["amiodarone"]
     value = (
         coeffs.intercept
         + coeffs.age_per_decade * age
-        + coeffs.height_per_cm * _require(record, "height_cm")
-        + coeffs.weight_per_kg * _require(record, "weight_kg")
+        + coeffs.height_per_cm * height
+        + coeffs.weight_per_kg * weight
     )
-    race = record.race
-    if race is None:
-        value += coeffs.race_missing
-    elif race == Race.ASIAN:
-        value += coeffs.asian
-    elif race == Race.AFRICAN_AMERICAN:
-        value += coeffs.black
-    enzyme = record.covariates.get("enzyme")
-    amiodarone = record.covariates.get("amiodarone")
-    if enzyme is None or amiodarone is None:
-        raise DomainError("dose model needs enzyme and amiodarone flags")
-    value += coeffs.enzyme * enzyme + coeffs.amiodarone * amiodarone
-    if value <= 0:
-        raise NonPhysicalDoseError(
-            f"sqrt-dose predictor {value:.4f} <= 0; record outside model range"
-        )
+    # white adds 0.0, which leaves every value's bits as they are
+    value = value + np.where(np.isnan(race), coeffs.race_missing,
+                             np.where(race == Race.ASIAN, coeffs.asian,
+                                      np.where(race == Race.AFRICAN_AMERICAN, coeffs.black, 0.0)))
+    value = value + (coeffs.enzyme * enzyme + coeffs.amiodarone * amiodarone)
+
+    # a missing input leaves NaN, which fails value > 0
+    bad = ~(value > 0) | ~((age >= 1) & (age <= 9))
+    if bad.any():
+        row = int(np.argmax(bad))
+        error = _row_error(age[row], height[row], weight[row], enzyme[row], amiodarone[row],
+                           value[row])
+        error.row = row
+        raise error
     return value
 
 
-def predict_weekly_dose(record, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> float:
-    """Dose in mg/week: the square of the sqrt-space predictor."""
-    root = predict_sqrt_weekly_dose(record, coeffs)
+def _row_error(age, height, weight, enzyme, amiodarone, value) -> DosegateError:
+    """Why the model cannot take a row, by the first check it fails."""
+    if np.isnan(age):
+        return DomainError("dose model needs age_decade, which is missing")
+    if not 1 <= age <= 9:
+        return DomainError(f"age_decade {age:g} outside the 1..9 code range")
+    for name, field_value in (("height_cm", height), ("weight_kg", weight)):
+        if np.isnan(field_value):
+            return DomainError(f"dose model needs {name}, which is missing")
+    if np.isnan(enzyme) or np.isnan(amiodarone):
+        return DomainError("dose model needs enzyme and amiodarone flags")
+    return NonPhysicalDoseError(
+        f"sqrt-dose predictor {value:.4f} <= 0; record outside model range")
+
+
+def weekly_doses(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> np.ndarray:
+    """Doses in mg/week: the squares of the sqrt-space predictor."""
+    root = sqrt_weekly_doses(data, coeffs)
     return root * root
+
+
+def predict_sqrt_weekly_dose(record, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> float:
+    """The sqrt-space predictor for one record."""
+    return float(sqrt_weekly_doses([record], coeffs)[0])
+
+
+def predict_weekly_dose(record, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> float:
+    """Dose in mg/week for one record."""
+    return float(weekly_doses([record], coeffs)[0])
 
 
 def load_coefficients(path, allow_override: bool = False) -> IwpcCoefficients:
     """Read key=value coefficients; deviations require allow_override."""
     values = {}
     names = {f.name for f in fields(IwpcCoefficients)}
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw_line in read_text(path, "coefficient file").splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in names:
-            raise SchemaError(f"bad coefficient line: {raw_line!r}")
-        values[key] = float(value.strip())
+        try:
+            if not sep or key not in names:
+                raise ValueError
+            values[key] = float(value.strip())
+        except ValueError:
+            raise SchemaError(f"bad coefficient line: {raw_line!r}") from None
     coeffs = IwpcCoefficients(**values)
     if coeffs != DEFAULT_COEFFICIENTS and not allow_override:
         raise DomainError(

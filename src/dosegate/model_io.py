@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, read_text
 from .kernels import KernelSpec
 from .svm import SvmModel
 
@@ -124,4 +124,4 @@ def save_model(model: SvmModel, path) -> None:
 
 
 def load_model(path) -> SvmModel:
-    return model_from_text(Path(path).read_text(encoding="ascii"))
+    return model_from_text(read_text(path, "model file", encoding="ascii"))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .iwpc import DEFAULT_COEFFICIENTS, predict_weekly_dose
-from .records import BINARY_COVARIATES, ImputedPatientRecord, Race, RawPatientRecord
+from .iwpc import DEFAULT_COEFFICIENTS, weekly_doses
+from .records import BINARY_COVARIATES, Cohort, Race
 
 COHORT_TOTAL = 4237
 
@@ -145,20 +145,12 @@ def generate_synthetic_cohort(n: int, seed: int,
     direction = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     rel[risky] = (direction * magnitude)[risky]
 
-    doses = np.empty(n)
-    for i in range(n):
-        complete = ImputedPatientRecord(
-            inr=float(inr[i]),
-            therapeutic_dose_mg_week=1.0,  # placeholder; dose is what we are computing
-            age_decade=int(age[i]),
-            height_cm=float(height[i]),
-            weight_kg=float(weight[i]),
-            race=Race(int(race[i])),
-            gender=int(gender[i]),
-            target_inr=float(target_inr[i]),
-            covariates={name: int(true_cov[name][i]) for name in BINARY_COVARIATES},
-        )
-        doses[i] = predict_weekly_dose(complete, DEFAULT_COEFFICIENTS) * (1.0 + rel[i])
+    truth = {
+        "age_decade": age, "height_cm": height, "weight_kg": weight, "race": race,
+        "gender": gender, **true_cov, "inr": inr, "target_inr": target_inr,
+        "therapeutic_dose_mg_week": np.ones(n),  # placeholder; the dose is what we compute
+    }
+    doses = weekly_doses(Cohort(truth), DEFAULT_COEFFICIENTS) * (1.0 + rel)
 
     # hide values at the table missingness rates, after the ground truth
     # is fixed, so missingness is independent of risk
@@ -170,21 +162,10 @@ def generate_synthetic_cohort(n: int, seed: int,
         for name in BINARY_COVARIATES
     }
 
-    records = []
-    for i in range(n):
-        covariates = {
-            name: None if cov_masks[name][i] else int(true_cov[name][i])
-            for name in BINARY_COVARIATES
-        }
-        records.append(RawPatientRecord(
-            inr=float(inr[i]),
-            therapeutic_dose_mg_week=float(doses[i]),
-            age_decade=None if age_mask[i] else int(age[i]),
-            height_cm=None if height_mask[i] else float(height[i]),
-            weight_kg=None if weight_mask[i] else float(weight[i]),
-            race=Race(int(race[i])),
-            gender=int(gender[i]),
-            target_inr=float(target_inr[i]),
-            covariates=covariates,
-        ))
-    return records
+    hidden = {"age_decade": age_mask, "height_cm": height_mask, "weight_kg": weight_mask,
+              **cov_masks}
+    observed = Cohort({
+        name: np.where(hidden[name], np.nan, column) if name in hidden else column
+        for name, column in truth.items()
+    } | {"therapeutic_dose_mg_week": doses})
+    return list(observed.records())

@@ -290,7 +290,7 @@ def test_best_effort_real_cohort_reproduction():
     schema = load_schema(schema_path)
     text = Path(os.environ["DOSEGATE_IWPC_FILE"]).read_text(encoding="utf-8")
     result = parse_cohort(text, schema)
-    records = result.records
+    records = result.cohort.records()
     filter_unbalanced(records)
     assert 4000 <= len(records) <= 4500
 

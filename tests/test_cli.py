@@ -13,7 +13,7 @@ import pytest
 
 from dosegate.cli import main
 from dosegate.cohort import cohort_to_text, fit_imputation, plan_to_text
-from dosegate.iwpc import predict_weekly_dose
+from dosegate.iwpc import predict_weekly_dose, weekly_doses
 from dosegate.kernels import KernelSpec
 from dosegate.model_io import save_model
 from dosegate.svm import SvmModel
@@ -272,12 +272,12 @@ def test_evaluate_predicts_each_dose_once(run_dir, monkeypatch):
 
     calls = []
 
-    def counting(record, coeffs=dosegate.iwpc.DEFAULT_COEFFICIENTS):
-        calls.append(record)
-        return predict_weekly_dose(record, coeffs)
+    def counting(cohort, coeffs=dosegate.iwpc.DEFAULT_COEFFICIENTS):
+        calls.extend(range(len(cohort)))  # one entry per dose predicted
+        return weekly_doses(cohort, coeffs)
 
-    monkeypatch.setattr(dosegate.iwpc, "predict_weekly_dose", counting)
-    monkeypatch.setattr(dosegate.gate, "predict_weekly_dose", counting)
+    monkeypatch.setattr(dosegate.iwpc, "weekly_doses", counting)
+    monkeypatch.setattr(dosegate.gate, "weekly_doses", counting)
     assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
     n_test = len((run_dir / "test.tsv").read_text().splitlines()) - 1
     assert len(calls) == n_test
@@ -414,3 +414,95 @@ def test_report_without_evaluation_is_data_error(run_dir, tmp_path, capsys):
     shutil.copy(run_dir / "model.txt", bare / "model.txt")
     assert main(["report", "--run-dir", str(bare)]) == 2
     assert "evaluate" in capsys.readouterr().err
+
+
+def _copy_run(run_dir, tmp_path):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    return copy
+
+
+def test_non_text_model_is_data_error(run_dir, tmp_path, capsys):
+    run = _copy_run(run_dir, tmp_path)
+    with open(run / "model.txt", "ab") as model:
+        model.write(b"\xe9")
+    assert main(["gate", "--run-dir", str(run), "--jsonl"]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_non_text_ingest_header_is_data_error(pipeline, tmp_path, capsys):
+    raw = (pipeline / "synth" / "cohort.tsv").read_bytes()
+    source = tmp_path / "raw.tsv"
+    source.write_bytes(b"\xff" + raw)
+    assert main(["ingest", "--input", str(source), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "gate"])
+def test_unreadable_plan_value_is_data_error(run_dir, tmp_path, capsys, command):
+    run = _copy_run(run_dir, tmp_path)
+    with open(run / "plan.txt", "a", encoding="ascii") as plan:
+        plan.write("mean height_cm abc\n")
+    assert main([command, "--run-dir", str(run)]) == 2
+    assert "bad imputation plan line" in capsys.readouterr().err
+
+
+def test_unreadable_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=abc\n")
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert "bad config value" in capsys.readouterr().err
+
+
+def test_dose_unreadable_field_is_usage_error(tmp_path, capsys):
+    model_path, plan_path = _stub_model_files(tmp_path, bias=-1.0)
+    assert main(["dose", "--model", model_path, "--plan", plan_path,
+                 "age_decade=abc", "height_cm=170", "weight_kg=80",
+                 "race=1", "enzyme=0", "amiodarone=0"]) == 1
+    assert "age_decade=abc" in capsys.readouterr().err
+
+
+def test_dose_plan_without_needed_mode_is_data_error(run_dir, tmp_path, capsys):
+    run = _copy_run(run_dir, tmp_path)
+    plan = run / "plan.txt"
+    plan.write_text("".join(line + "\n" for line in plan.read_text().splitlines()
+                            if not line.startswith("mode")), encoding="ascii")
+    assert main(["dose", "--run-dir", str(run), "age_decade=5", "height_cm=170",
+                 "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0"]) == 2
+    assert "plan lacks a statistic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "evaluate", "gate", "dose", "report"])
+def test_seed_only_where_it_is_used(run_dir, tmp_path, command):
+    argv = {
+        "ingest": ["--input", str(run_dir / "test.tsv"), "--out-dir", str(tmp_path)],
+        "dose": ["--run-dir", str(run_dir), "age_decade=5", "height_cm=170",
+                 "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0"],
+    }.get(command, ["--run-dir", str(run_dir)])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--seed", "1"])
+    assert exc.value.code == 1
+
+
+def test_batch_commands_build_no_records(pipeline, run_dir, tmp_path, monkeypatch, capsys):
+    from dosegate.records import ImputedPatientRecord, RawPatientRecord
+
+    built = []
+    for kind in (RawPatientRecord, ImputedPatientRecord):
+        def counting(self, original=kind.__post_init__):
+            built.append(type(self).__name__)
+            original(self)
+        monkeypatch.setattr(kind, "__post_init__", counting)
+
+    assert main(["gate", "--run-dir", str(run_dir), "--jsonl",
+                 "--input", str(pipeline / "synth" / "cohort.tsv")]) == 0
+    assert main(["gate", "--run-dir", str(run_dir)]) == 0
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
+    assert main(["ingest", "--input", str(pipeline / "synth" / "cohort.tsv"),
+                 "--out-dir", str(tmp_path / "ingest")]) == 0
+    assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
+                 "--out-dir", str(tmp_path / "train"), "--c-grid", "1"]) == 0
+    assert built == []
+    assert main(["dose", "--run-dir", str(run_dir), "age_decade=5", "height_cm=170",
+                 "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0"]) == 0
+    assert len(built) <= 1

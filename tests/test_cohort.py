@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_raw
+from helpers import make_imputed, make_raw
 
 from dosegate.cohort import (
     CANONICAL_COLUMNS,
@@ -22,12 +22,13 @@ from dosegate.cohort import (
 )
 from dosegate.errors import (
     DegenerateSplitError,
+    DomainError,
     EmptyCohortError,
     PlanIncompleteError,
     SchemaError,
     UnimputableVariableError,
 )
-from dosegate.records import BINARY_COVARIATES, Race
+from dosegate.records import BINARY_COVARIATES, Cohort, ImputedPatientRecord, Race
 
 HEADER = "\t".join(CANONICAL_COLUMNS)
 
@@ -46,12 +47,12 @@ def _text(*rows):
 def test_race_code_two_is_african_american():
     text = _text(_row(race="2", inr="2.5", therapeutic_dose_mg_week="30"))
     result = parse_cohort(text)
-    assert result.records[0].race == Race.AFRICAN_AMERICAN
+    assert result.cohort.records()[0].race == Race.AFRICAN_AMERICAN
 
 
 def test_empty_height_cell_is_missing():
     text = _text(_row(height_cm="", inr="2.5", therapeutic_dose_mg_week="30"))
-    assert parse_cohort(text).records[0].height_cm is None
+    assert parse_cohort(text).cohort.records()[0].height_cm is None
 
 
 def test_inr_outside_window_excluded():
@@ -60,7 +61,7 @@ def test_inr_outside_window_excluded():
         _row(inr="2.5", therapeutic_dose_mg_week="30"),
     )
     result = parse_cohort(text)
-    assert len(result.records) == 1
+    assert len(result.cohort.records()) == 1
     assert result.excluded_inr == 1
     assert result.n_data_rows == 2
 
@@ -74,7 +75,7 @@ def test_missing_dose_excluded_and_counted():
     result = parse_cohort(text)
     assert result.excluded_missing_dose == 2
     assert result.n_excluded == 2
-    assert len(result.records) == 1
+    assert len(result.cohort.records()) == 1
 
 
 def test_age_range_text_maps_to_decade_code():
@@ -83,7 +84,7 @@ def test_age_range_text_maps_to_decade_code():
         _row(age_decade="90+", inr="2.5", therapeutic_dose_mg_week="30"),
         _row(age_decade="3", inr="2.5", therapeutic_dose_mg_week="30"),
     )
-    records = parse_cohort(text).records
+    records = parse_cohort(text).cohort.records()
     assert [r.age_decade for r in records] == [5, 9, 3]
 
 
@@ -91,7 +92,7 @@ def test_comma_delimited_accepted():
     header = ",".join(CANONICAL_COLUMNS)
     row = _row(inr="2.5", therapeutic_dose_mg_week="30").replace("\t", ",")
     result = parse_cohort(header + "\n" + row + "\n")
-    assert len(result.records) == 1
+    assert len(result.cohort.records()) == 1
 
 
 def test_no_header_rejected():
@@ -120,7 +121,7 @@ def test_enzyme_derived_from_component_inducers():
         _row(inr="2.5", therapeutic_dose_mg_week="30", rifampin="0",
              carbamazepine="0", phenytoin="0"),
     )
-    records = parse_cohort(text, schema).records
+    records = parse_cohort(text, schema).cohort.records()
     assert records[0].covariate("enzyme") == 1
     assert records[1].covariate("enzyme") == 0
 
@@ -307,7 +308,7 @@ def test_cohort_text_round_trip(tmp_path):
     ]
     path = tmp_path / "cohort.tsv"
     write_cohort(records, path)
-    restored = read_cohort(path).records
+    restored = read_cohort(path).cohort.records()
     assert list(restored) == records
 
 
@@ -325,8 +326,38 @@ def test_repeated_coded_cells_parse_alike():
                 ("55", "asian", "m", "2-3", "yes"), ("5", "3", "1", "2.5", "1"),
                 ("55", "asian", "m", "2-3", "yes"), ("bad", "x", "?", "-1", "maybe"),
                 ("bad", "x", "?", "-1", "maybe"))]
-    records = parse_cohort(_text(*rows)).records
+    records = parse_cohort(_text(*rows)).cohort.records()
     assert records[0] == records[1] == records[2]
     assert records[3] == records[4]
     assert (records[3].age_decade, records[3].race, records[3].gender,
             records[3].target_inr, records[3].covariates["aspirin"]) == (None,) * 5
+
+
+# --- records and columns ---
+
+@pytest.mark.parametrize("field", ["inr", "target_inr", "therapeutic_dose_mg_week"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_records_reject_non_finite_values(field, value):
+    with pytest.raises(DomainError):
+        make_raw(**{field: value})
+    with pytest.raises(DomainError):
+        make_imputed(**{field: value})
+
+
+def test_cohort_columns_round_trip_records():
+    records = [make_raw(), make_raw(height_cm=None, race=Race.ASIAN, gender=None),
+               make_raw(age_decade=9, covariates={"aspirin": None, "chf": 1})]
+    cohort = Cohort.from_records(records)
+    assert len(cohort) == 3
+    assert np.isnan(cohort["height_cm"][1]) and cohort["race"][1] == 3.0
+    assert cohort.records() == tuple(records)
+    assert cohort.take([2, 0]).records() == (records[2], records[0])
+    assert len(Cohort.from_records([])) == 0
+
+
+def test_imputation_of_a_record_matches_its_cohort():
+    records = [make_raw(height_cm=None, covariates={"chf": None}), make_raw(age_decade=3)]
+    plan = fit_imputation(records)
+    filled = apply_imputation(plan, Cohort.from_records(records))
+    assert filled.records(ImputedPatientRecord) == tuple(
+        apply_imputation(plan, r) for r in records)

@@ -74,13 +74,13 @@ def test_cohort_with_exact_predictions_all_safe():
     labels = label_cohort(records, DEFAULT_COEFFICIENTS, CFG)
     assert labels.n_safe == 5 and labels.n_high_risk == 0
     assert all(v == GateLabel.SAFE_FOR_MODEL for v in labels.labels)
-    assert labels.doses == tuple(r.therapeutic_dose_mg_week for r in records)
+    assert tuple(labels.doses) == tuple(r.therapeutic_dose_mg_week for r in records)
 
 
 def test_empty_cohort_empty_labels():
     labels = label_cohort([], DEFAULT_COEFFICIENTS, CFG)
-    assert labels.labels == () and labels.n_safe == 0 and labels.n_high_risk == 0
-    assert labels.doses == ()
+    assert tuple(labels.labels) == () and labels.n_safe == 0 and labels.n_high_risk == 0
+    assert tuple(labels.doses) == ()
 
 
 def test_label_cohort_names_failing_record():
@@ -179,3 +179,24 @@ def test_classify_records_matches_decision_sign():
     scores, signs = classify_records(out.model, imputed)
     assert np.all((scores >= 0) == (signs == 1))
     assert set(np.unique(signs)) <= {-1, 1}
+
+
+def test_label_cohort_names_first_offending_row():
+    from dosegate.errors import NonPhysicalDoseError
+    from dosegate.iwpc import IwpcCoefficients
+
+    # under this intercept a 250 kg patient keeps a positive predictor and
+    # an 80 kg one does not
+    coeffs = IwpcCoefficients(intercept=-3.0)
+    heavy, light = make_imputed(weight_kg=250.0), make_imputed(weight_kg=80.0)
+    no_height = make_raw(height_cm=None)
+    with pytest.raises(NonPhysicalDoseError, match="record 1"):
+        label_cohort([heavy, light, no_height], coeffs, CFG)
+    with pytest.raises(DomainError, match="record 1: dose model needs height_cm"):
+        label_cohort([heavy, no_height, light], coeffs, CFG)
+    bad_dose = make_imputed(weight_kg=250.0)
+    object.__setattr__(bad_dose, "therapeutic_dose_mg_week", 0.0)
+    with pytest.raises(DomainError, match="record 0: therapeutic dose"):
+        label_cohort([bad_dose, light], coeffs, CFG)
+    with pytest.raises(NonPhysicalDoseError, match="record 0"):
+        label_cohort([light, bad_dose], coeffs, CFG)

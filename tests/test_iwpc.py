@@ -111,3 +111,38 @@ def test_coefficient_file_override_needs_flag(tmp_path):
     with pytest.raises(DomainError):
         load_coefficients(path)
     assert load_coefficients(path, allow_override=True).intercept == 9.9
+
+
+def _scalar_sqrt_dose(record, c):
+    """The published formula one record at a time, terms added in order."""
+    value = (c.intercept + c.age_per_decade * record.age_decade
+             + c.height_per_cm * record.height_cm + c.weight_per_kg * record.weight_kg)
+    if record.race is None:
+        value += c.race_missing
+    elif record.race == Race.ASIAN:
+        value += c.asian
+    elif record.race == Race.AFRICAN_AMERICAN:
+        value += c.black
+    flags = record.covariates
+    value += c.enzyme * flags["enzyme"] + c.amiodarone * flags["amiodarone"]
+    return value
+
+
+def test_array_doses_equal_the_scalar_formula_bit_for_bit():
+    import numpy as np
+
+    from dosegate.iwpc import sqrt_weekly_doses, weekly_doses
+    from helpers import make_raw
+
+    rng = np.random.default_rng(11)
+    races = (Race.WHITE, Race.AFRICAN_AMERICAN, Race.ASIAN, None)
+    records = [make_raw(age_decade=int(rng.integers(1, 10)),
+                        height_cm=float(rng.uniform(140, 200)),
+                        weight_kg=float(rng.uniform(40, 150)), race=races[i % 4],
+                        covariates={"enzyme": int(rng.integers(0, 2)),
+                                    "amiodarone": int(rng.integers(0, 2))})
+               for i in range(400)]
+    roots = [_scalar_sqrt_dose(r, DEFAULT_COEFFICIENTS) for r in records]
+    assert sqrt_weekly_doses(records).tolist() == roots
+    assert weekly_doses(records).tolist() == [v * v for v in roots]
+    assert [predict_weekly_dose(r) for r in records] == [v * v for v in roots]

@@ -1,8 +1,9 @@
-"""Property tests for the model and cohort readers.
+"""Property tests for the text readers: model, cohort, plan, schema,
+config, kernel spec and the `dose` command's patient pairs.
 
 Arbitrary or damaged text fails only with the package's own errors
 (which the CLI maps to exit codes), and write -> read round-trips
-exactly: bit for bit for models, field for field for cohorts.
+exactly: bit for bit for models and plans, field for field for cohorts.
 """
 
 import numpy as np
@@ -12,7 +13,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dosegate.cohort import CANONICAL_COLUMNS, cohort_to_text, parse_cohort
+from dosegate.cli import config_from_text, patient_record
+from dosegate.cohort import (
+    CANONICAL_COLUMNS,
+    ImputationPlan,
+    cohort_to_text,
+    parse_cohort,
+    plan_from_text,
+    plan_to_text,
+    schema_from_text,
+)
 from dosegate.errors import DosegateError
 from dosegate.kernels import KernelSpec
 from dosegate.model_io import model_from_text, model_to_text
@@ -137,7 +147,7 @@ raw_records = st.builds(
 @given(st.lists(raw_records, min_size=1, max_size=8))
 def test_cohort_text_round_trips_records(records):
     result = parse_cohort(cohort_to_text(records))
-    assert result.records == tuple(records)
+    assert result.cohort.records() == tuple(records)
     assert result.n_data_rows == len(records)
     assert result.n_excluded == 0
 
@@ -170,5 +180,112 @@ def test_damaged_cohort_text_raises_only_package_errors(data):
 def test_arbitrary_cohort_text_raises_only_package_errors(text):
     try:
         parse_cohort(text)
+    except DosegateError:
+        pass
+
+
+# --- plan, schema, config, kernel spec and patient pairs ---
+
+plans = st.builds(
+    ImputationPlan,
+    means=st.fixed_dictionaries({}, optional={
+        "height_cm": st.floats(100.0, 250.0),
+        "weight_kg": st.floats(20.0, 300.0),
+        "target_inr": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    }),
+    modes=st.fixed_dictionaries({}, optional={
+        "age_decade": st.integers(1, 9),
+        "race": st.sampled_from([1, 2, 3]),
+        **{name: st.sampled_from([0, 1]) for name in ("gender", *BINARY_COVARIATES)},
+    }),
+    provenance=st.text(alphabet="abcdefghijklmnopqrstuvwxyz_-0123456789", min_size=1,
+                       max_size=12),
+)
+
+
+@PROPERTY
+@given(plans)
+def test_plan_text_round_trips_bit_exactly(plan):
+    restored = plan_from_text(plan_to_text(plan))
+    assert {k: np.float64(v).tobytes() for k, v in restored.means.items()} == {
+        k: np.float64(v).tobytes() for k, v in plan.means.items()}
+    assert restored.modes == plan.modes
+    assert restored.provenance == plan.provenance
+
+
+PLAN_TOKENS = st.sampled_from([
+    "provenance", "mean", "mode", "height_cm", "weight_kg", "target_inr", "age_decade",
+    "race", "gender", "aspirin", "train", "0", "1", "3", "7", "-1", "170", "2.5", "1.5",
+    "abc", "nan", "inf", "1e999", "", "\x00", "١",
+])
+
+
+@PROPERTY
+@given(st.lists(st.lists(PLAN_TOKENS, max_size=4).map(" ".join), max_size=6) | st.text())
+def test_arbitrary_plan_text_raises_only_package_errors(lines):
+    text = lines if isinstance(lines, str) else "\n".join(lines)
+    try:
+        plan_from_text(text)
+    except DosegateError:
+        pass
+
+
+KEY_VALUE_TOKENS = st.sampled_from([
+    "", " ", "=", "#", "seed", "n", "kernel", "threshold", "balance_classes", "cv_k",
+    "age_decade", "height_cm", "race", "enzyme", "inr", "Age", "1", "abc", "0.5", "nan",
+    "true", "maybe", "1e999", "-3", "\x00", "١", "\r",
+])
+key_value_text = (st.lists(st.lists(KEY_VALUE_TOKENS, max_size=4).map("".join), max_size=6)
+                  .map("\n".join) | st.text())
+
+
+@PROPERTY
+@given(key_value_text)
+def test_arbitrary_schema_text_raises_only_package_errors(text):
+    try:
+        schema_from_text(text)
+    except DosegateError:
+        pass
+
+
+@PROPERTY
+@given(key_value_text)
+def test_arbitrary_config_text_raises_only_package_errors(text):
+    try:
+        config_from_text(text)
+    except DosegateError:
+        pass
+
+
+KERNEL_TOKENS = st.sampled_from([
+    "linear", "polynomial", "rbf", "sigmoid", "anova", "bogus", "degree=2", "degree=0",
+    "degree=1.5", "offset=1", "theta=-1", "delta=0", "delta=nan", "sigma=2", "d=0", "d=2",
+    "n_dims=1", "n_dims=-1", "n_dims=x", "variant=rbf", "=", "x", ",", "", "1e999",
+])
+
+
+@PROPERTY
+@given(st.lists(KERNEL_TOKENS, max_size=5).map(" ".join) | st.text())
+def test_arbitrary_kernel_spec_raises_only_package_errors(text):
+    try:
+        KernelSpec.from_text(text)
+    except DosegateError:
+        pass
+
+
+PATIENT_KEYS = st.sampled_from([*CANONICAL_COLUMNS, "wat", "", " age_decade"])
+PATIENT_VALUES = st.sampled_from([
+    "", "0", "1", "2", "3", "5", "9", "10", "-1", "170", "80.5", "2.5", "abc", "nan", "inf",
+    "1e999", "white", "asian", "black", "purple", "1.5", "\x00", "١",
+])
+
+
+@PROPERTY
+@given(st.lists(st.builds("{}={}".format, PATIENT_KEYS, PATIENT_VALUES) | st.text(),
+                max_size=30),
+       st.sampled_from([None, ImputationPlan(means={"height_cm": 170.0}, modes={"race": 1})]))
+def test_arbitrary_patient_pairs_raise_only_package_errors(pairs, plan):
+    try:
+        patient_record(pairs, plan)
     except DosegateError:
         pass
