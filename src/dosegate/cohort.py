@@ -485,9 +485,9 @@ def plan_from_text(text: str) -> ImputationPlan:
         try:
             if parts[0] == "provenance" and len(parts) == 2:
                 provenance = parts[1]
-            elif parts[0] == "mean" and len(parts) == 3:
+            elif parts[0] == "mean" and len(parts) == 3 and parts[1] in MEAN_IMPUTED:
                 means[parts[1]] = float(parts[2])
-            elif parts[0] == "mode" and len(parts) == 3:
+            elif parts[0] == "mode" and len(parts) == 3 and parts[1] in MODE_IMPUTED:
                 modes[parts[1]] = int(parts[2])
             else:
                 raise ValueError

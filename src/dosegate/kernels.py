@@ -22,6 +22,12 @@ import numpy as np
 from .errors import DomainError
 
 VARIANTS = ("linear", "polynomial", "sigmoid", "rbf", "anova")
+# The anova sum runs over row blocks of about this many cells, so that its
+# two scratch buffers and the block of the output (256 kB each) stay in a
+# 2 MB L2 cache across the dimensions. On 2118 x 1400 cells and 14
+# dimensions (one thread, median of 7) 2^14 cells took 0.20 s, 2^15
+# 0.19 s, 2^16 0.22 s, 2^18 0.27 s, and the unblocked sum 0.53 s.
+ANOVA_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -94,33 +100,59 @@ class KernelSpec:
 
 
 def _cross_apply(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel values for every row pair of ``a`` (m rows) and ``b`` (n rows)."""
+    """Kernel values for every row pair of ``a`` (m rows) and ``b`` (n rows).
+
+    Each kernel finishes its matrix in place, keeping the order of
+    operations of the formula in the module docstring, so every value is
+    the one the formula gives without a full-size temporary per step. The
+    kernels built on a matrix product take one product over all rows,
+    because a product of another shape may round differently.
+    """
     if spec.variant == "linear":
         return a @ b.T
     if spec.variant == "polynomial":
-        return (a @ b.T + spec.offset) ** spec.degree
+        out = a @ b.T
+        out += spec.offset
+        out **= spec.degree
+        return out
     if spec.variant == "sigmoid":
-        return np.tanh(a @ b.T + spec.theta)
+        out = a @ b.T
+        out += spec.theta
+        return np.tanh(out, out=out)
     if spec.variant == "rbf":
-        sq = (
-            np.sum(a * a, axis=1)[:, None]
-            + np.sum(b * b, axis=1)[None, :]
-            - 2.0 * (a @ b.T)
-        )
+        cross = a @ b.T
+        cross *= 2.0
+        sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+        sq -= cross
         np.maximum(sq, 0.0, out=sq)
         if a is b:
             np.fill_diagonal(sq, 0.0)
-        return np.exp(-sq / (2.0 * spec.delta**2))
+        np.negative(sq, out=sq)
+        sq /= 2.0 * spec.delta**2
+        return np.exp(sq, out=sq)
     if spec.variant == "anova":
         if spec.n_dims is not None and spec.n_dims > a.shape[1]:
             raise DomainError(
                 f"anova n_dims={spec.n_dims} exceeds the {a.shape[1]} input dimensions"
             )
         dims = a.shape[1] if spec.n_dims is None else spec.n_dims
-        out = np.zeros((a.shape[0], b.shape[0]))
-        for k in range(dims):
-            diff = a[:, k][:, None] - b[None, :, k]
-            out += np.exp(-spec.sigma * diff * diff) ** spec.d
+        m, n = a.shape[0], b.shape[0]
+        out = np.zeros((m, n))
+        step = max(1, ANOVA_BLOCK_CELLS // max(n, 1))
+        diff_buffer = np.empty((min(step, m), n))
+        term_buffer = np.empty_like(diff_buffer)
+        for start in range(0, m, step):
+            rows = slice(start, min(start + step, m))
+            diff = diff_buffer[:rows.stop - start]
+            term = term_buffer[:rows.stop - start]
+            for k in range(dims):
+                np.subtract(a[rows, k, None], b[None, :, k], out=diff)
+                np.multiply(diff, -spec.sigma, out=term)
+                term *= diff
+                np.exp(term, out=term)
+                if spec.d != 1:  # x ** 1 is x
+                    term **= spec.d
+                out[rows] += term
         return out
     raise DomainError(f"unknown kernel variant {spec.variant!r}")
 

@@ -38,10 +38,11 @@ def _project(v: np.ndarray, z: np.ndarray, upper: np.ndarray) -> np.ndarray:
     root lies between adjacent breakpoints and is solved exactly there.
     """
     # each coordinate clips at v_i + t z_i = 0 and = upper_i; z_i = +-1
-    bps = np.sort(np.concatenate([-v * z, (upper - v) * z]))
-    h = np.clip(v[None, :] + bps[:, None] * z[None, :], 0.0, upper[None, :]) @ z
+    bps = np.concatenate([-v * z, (upper - v) * z])
+    bps.sort()
+    h = (v[None, :] + bps[:, None] * z[None, :]).clip(0.0, upper[None, :]) @ z
     # h(-inf) <= 0 <= h(+inf) and h is flat outside the breakpoints
-    idx = int(np.searchsorted(h, 0.0, side="left"))
+    idx = int(h.searchsorted(0.0, side="left"))
     if idx == 0:
         t = bps[0]
     elif idx >= bps.size:
@@ -51,13 +52,13 @@ def _project(v: np.ndarray, z: np.ndarray, upper: np.ndarray) -> np.ndarray:
     else:
         frac = (0.0 - h[idx - 1]) / (h[idx] - h[idx - 1])
         t = bps[idx - 1] + frac * (bps[idx] - bps[idx - 1])
-    a = np.clip(v + t * z, 0.0, upper)
+    a = (v + t * z).clip(0.0, upper)
     free = (a > 0.0) & (a < upper)
     if free.any():
         # with the clipped set fixed, z @ a(t) is linear in t
         fixed = z[~free] @ a[~free]
         t_exact = -(fixed + z[free] @ v[free]) / np.count_nonzero(free)
-        a_exact = np.clip(v + t_exact * z, 0.0, upper)
+        a_exact = (v + t_exact * z).clip(0.0, upper)
         if abs(z @ a_exact) <= abs(z @ a):
             a = a_exact
     return a
@@ -73,9 +74,10 @@ def _ascend(a: np.ndarray, q: np.ndarray, z: np.ndarray, upper: np.ndarray,
     cur = a
     for _ in range(iters):
         nxt = _project(cur + step * (1.0 - q @ cur), z, upper)
-        if _objective(nxt, q) > best_obj:
-            best, best_obj = nxt, _objective(nxt, q)
-        if np.max(np.abs(nxt - cur)) < 1e-14:
+        obj = _objective(nxt, q)
+        if obj > best_obj:
+            best, best_obj = nxt, obj
+        if np.abs(nxt - cur).max() < 1e-14:
             break
         cur = nxt
     return best
@@ -90,15 +92,17 @@ def _pair_polish(a: np.ndarray, q: np.ndarray, k: np.ndarray, z: np.ndarray,
     one-dimensional maximum is closed-form (endpoint for flat or
     indefinite curvature).
     """
-    a = a.copy()
+    # Python floats rather than numpy scalars in the pair loop: the same
+    # IEEE arithmetic in the same order, without numpy's per-scalar cost
     n = a.size
-    grad = 1.0 - q @ a
+    grad = (1.0 - q @ a).tolist()
+    a, k, z, upper = a.tolist(), k.tolist(), z.tolist(), upper.tolist()
     for _ in range(max_sweeps):
         improved = False
         for i in range(n):
             for j in range(i + 1, n):
                 slope = grad[i] * z[i] - grad[j] * z[j]
-                curv = k[i, i] + k[j, j] - 2.0 * k[i, j]
+                curv = k[i][i] + k[j][j] - 2.0 * k[i][j]
                 if z[i] > 0:
                     t_lo, t_hi = -a[i], upper[i] - a[i]
                 else:
@@ -124,11 +128,11 @@ def _pair_polish(a: np.ndarray, q: np.ndarray, k: np.ndarray, z: np.ndarray,
                 a[j] -= t * z[j]
                 a[i] = min(max(a[i], 0.0), upper[i])
                 a[j] = min(max(a[j], 0.0), upper[j])
-                grad -= t * z * (k[:, i] - k[:, j])
+                grad = [g - t * zm * (row[i] - row[j]) for g, zm, row in zip(grad, z, k)]
                 improved = True
         if not improved:
             break
-    return a
+    return np.array(a)
 
 
 def _active_set_refine(a: np.ndarray, q: np.ndarray, z: np.ndarray,

@@ -444,7 +444,11 @@ def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
         else:
             b_new = 0.5 * (b1 + b2)
         alpha[i1], alpha[i2] = a1_new, a2_new
-        score[:] += z1 * d1 * gram[:, i1] + z2 * d2 * gram[:, i2]
+        # rows rather than columns: contiguous reads of the same values,
+        # because kernel_matrix(x, x) is exactly symmetric (numpy computes
+        # x @ x.T by syrk, which mirrors one triangle, and every later
+        # step is elementwise and symmetric in the pair)
+        score[:] += z1 * d1 * gram[i1] + z2 * d2 * gram[i2]
         b = b_new
         updates += 1
         return True
@@ -626,11 +630,6 @@ def decision_value(model: SvmModel, x) -> float:
 def predict(model: SvmModel, x) -> int:
     """Class of one raw-space vector; a score of exactly 0 maps to +1."""
     return 1 if decision_value(model, x) >= 0.0 else -1
-
-
-def predict_many(model: SvmModel, rows) -> np.ndarray:
-    dv = decision_values(model, rows)
-    return np.where(dv >= 0.0, 1, -1)
 
 
 def decision_values_from_matrix(model: SvmModel, fm) -> np.ndarray:

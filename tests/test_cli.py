@@ -447,6 +447,15 @@ def test_unreadable_plan_value_is_data_error(run_dir, tmp_path, capsys, command)
     assert "bad imputation plan line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["mean heigth_cm 170", "mode raec 2", "mode height_cm 170"])
+def test_plan_statistic_for_no_such_variable_is_data_error(run_dir, tmp_path, capsys, line):
+    run = _copy_run(run_dir, tmp_path)
+    with open(run / "plan.txt", "a", encoding="ascii") as plan:
+        plan.write(line + "\n")
+    assert main(["gate", "--run-dir", str(run)]) == 2
+    assert "bad imputation plan line" in capsys.readouterr().err
+
+
 def test_unreadable_config_value_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seed=abc\n")

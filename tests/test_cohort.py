@@ -263,6 +263,13 @@ def test_plan_text_round_trip():
     assert restored.modes == plan.modes
 
 
+@pytest.mark.parametrize("line", ["mean heigth_cm 170", "mode raec 2", "mode height_cm 170",
+                                  "mean race 1"])
+def test_plan_statistic_for_no_such_variable_rejected(line):
+    with pytest.raises(SchemaError):
+        plan_from_text(f"provenance train\n{line}\n")
+
+
 # --- split ---
 
 def test_split_floor_rule_at_paper_size():

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from dosegate.cli import main
+from dosegate.cohort import apply_imputation, fit_imputation, read_cohort, split_cohort
 from dosegate.errors import DomainError
+from dosegate.features import default_feature_names, encode_features
 from dosegate.kernels import (
+    ANOVA_BLOCK_CELLS,
     VARIANTS,
     KernelSpec,
     gram_matrix,
@@ -164,3 +168,97 @@ def test_spec_text_rejects_garbage():
     for text in ("", "rbf delta=nope", "polynomial degree=-2", "warp factor=9"):
         with pytest.raises(DomainError):
             KernelSpec.from_text(text)
+
+
+# --- in-place evaluation against the out-of-place formulas ---
+
+def _formula(spec, a, b):
+    # each kernel's formula as one out-of-place expression, temporaries and all
+    if spec.variant == "linear":
+        return a @ b.T
+    if spec.variant == "polynomial":
+        return (a @ b.T + spec.offset) ** spec.degree
+    if spec.variant == "sigmoid":
+        return np.tanh(a @ b.T + spec.theta)
+    if spec.variant == "rbf":
+        sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+              - 2.0 * (a @ b.T))
+        np.maximum(sq, 0.0, out=sq)
+        if a is b:
+            np.fill_diagonal(sq, 0.0)
+        return np.exp(-sq / (2.0 * spec.delta**2))
+    dims = a.shape[1] if spec.n_dims is None else spec.n_dims
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(dims):
+        diff = a[:, k][:, None] - b[None, :, k]
+        out += np.exp(-spec.sigma * diff * diff) ** spec.d
+    return out
+
+
+BIT_SPECS = [
+    KernelSpec(variant="linear"),
+    KernelSpec(variant="polynomial", degree=2, offset=1.0),
+    KernelSpec(variant="polynomial", degree=3, offset=0.3),
+    KernelSpec(variant="sigmoid", theta=-0.4),
+    KernelSpec(variant="rbf", delta=0.7),
+    KernelSpec(variant="anova", sigma=1.0, d=1),
+    KernelSpec(variant="anova", sigma=0.6, d=2),
+    KernelSpec(variant="anova", sigma=1.3, d=3),
+    KernelSpec(variant="anova", sigma=0.8, d=2, n_dims=2),
+]
+WIDE = 300  # rows of b; an anova block then holds ANOVA_BLOCK_CELLS // WIDE rows
+STEP = ANOVA_BLOCK_CELLS // WIDE
+
+
+def _pair(shape_a, shape_b, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape_a), rng.normal(size=shape_b)
+
+
+@pytest.mark.parametrize("spec", BIT_SPECS, ids=KernelSpec.to_text)
+@pytest.mark.parametrize("shapes", [
+    ((1, 4), (WIDE, 4)),  # one row
+    ((WIDE, 4), (1, 4)),
+    ((50, 3), (40, 3)),
+    ((STEP - 1, 3), (WIDE, 3)),  # around the anova block size
+    ((STEP, 3), (WIDE, 3)),
+    ((STEP + 1, 3), (WIDE, 3)),
+    ((3, 2), (ANOVA_BLOCK_CELLS + 5, 2)),  # a block holds one row
+    ((0, 3), (7, 3)),  # empty
+    ((7, 3), (0, 3)),
+], ids=lambda s: f"{s[0][0]}x{s[1][0]}x{s[0][1]}")
+def test_kernel_matrix_is_bit_identical_to_formula(spec, shapes):
+    a, b = _pair(*shapes)
+    got = kernel_matrix(spec, a, b)
+    want = _formula(spec, a, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("spec, shape", [
+    (spec, shape) for spec in BIT_SPECS for shape in ((STEP + 1, 3), (60, 1), (1, 3))
+    if (spec.n_dims or 0) <= shape[1]
+], ids=lambda v: v.to_text() if isinstance(v, KernelSpec) else f"{v[0]}x{v[1]}")
+def test_kernel_matrix_of_sample_with_itself_is_bit_identical(spec, shape):
+    x = np.random.default_rng(1).normal(size=shape)
+    got = kernel_matrix(spec, x, x)
+    want = _formula(spec, x, x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def paper_training_rows(tmp_path_factory):
+    # the encoded training matrix `train` builds from `synth --n 4237`
+    root = tmp_path_factory.mktemp("paper_rows")
+    assert main(["synth", "--n", "4237", "--out-dir", str(root)]) == 0
+    train_rows, _ = split_cohort(read_cohort(root / "cohort.tsv").cohort, 0.5, 0)
+    imputed = apply_imputation(fit_imputation(train_rows), train_rows)
+    return encode_features(imputed, default_feature_names(train_rows)).x
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_kernel_matrix_of_training_rows_is_exactly_symmetric(paper_training_rows, variant):
+    # SMO reads rows of the Gram matrix in place of its columns
+    x = paper_training_rows
+    assert x.shape[0] == 2118
+    g = kernel_matrix(KernelSpec(variant=variant), x, x)
+    assert np.array_equal(g, g.T)
