@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,6 @@ from .cohort import (
     apply_imputation,
     cohort_to_text,
     filter_unbalanced,
-    fit_imputation,
     load_plan,
     load_schema,
     parse_cohort,
@@ -34,22 +32,28 @@ from .cohort import (
     read_cohort,
     split_cohort,
 )
-from .crossval import select_c
 from .errors import (
     DataError,
+    DomainError,
     DosegateError,
     NumericalError,
     UsageError,
     read_text,
 )
-from .features import default_feature_names, encode_features
-from .gate import GateConfig, GateLabel, classify_records, evaluation_report, label_cohort
+from .gate import (
+    GATE_MODES,
+    GateConfig,
+    GateLabel,
+    classify_records,
+    evaluate_gate,
+    fit_gate,
+)
 from .iwpc import DEFAULT_COEFFICIENTS, load_coefficients, sqrt_weekly_doses, weekly_doses
 from .kernels import KernelSpec
 from .metrics import fmt_metric
 from .model_io import load_model, save_model
 from .records import BINARY_COVARIATES, RawPatientRecord, as_cohort
-from .svm import TrainConfig, train
+from .svm import TrainConfig
 
 _DEFAULTS = {
     "seed": 0,
@@ -153,11 +157,10 @@ def _config_text(config: dict) -> str:
 
 
 def _out_dir(config: dict) -> Path:
+    """The output directory, which a command makes only when it writes."""
     if not config.get("out_dir"):
         raise UsageError("an output directory is required (--out-dir)")
-    path = Path(config["out_dir"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(config["out_dir"])
 
 
 def _coefficients(config: dict):
@@ -169,10 +172,13 @@ def _coefficients(config: dict):
 
 def cmd_synth(args) -> int:
     config = _effective_config(args, ("n", "seed", "out_dir"))
+    if config["n"] < 1:
+        raise UsageError(f"the cohort size must be at least 1, got {config['n']}")
     out = _out_dir(config)
     from .synth import generate_synthetic_cohort
 
     records = generate_synthetic_cohort(config["n"], config["seed"])
+    out.mkdir(parents=True, exist_ok=True)
     (out / "cohort.tsv").write_text(cohort_to_text(records), encoding="ascii")
     (out / "config.txt").write_text(_config_text({"command": "synth", **config}),
                                     encoding="ascii")
@@ -189,6 +195,7 @@ def cmd_ingest(args) -> int:
     result = parse_cohort(read_text(config["input"], "input file"), schema)
     removed = filter_unbalanced(result.cohort)
 
+    out.mkdir(parents=True, exist_ok=True)
     (out / "cohort.tsv").write_text(cohort_to_text(result.cohort), encoding="ascii")
     (out / "removed_variables.txt").write_text(
         "".join(f"{name}\n" for name in removed), encoding="ascii")
@@ -240,6 +247,13 @@ def _parse_c_grid(text: str) -> tuple:
     return grid
 
 
+def _kernel(text: str) -> KernelSpec:
+    try:
+        return KernelSpec.from_text(text)
+    except DomainError as exc:
+        raise UsageError(f"bad kernel {text!r}: {exc}") from None
+
+
 def cmd_train(args) -> int:
     keys = ("input", "out_dir", "seed", "train_fraction", "threshold",
             "kernel", "c_grid", "cv_k", "balance_classes", "coefficients",
@@ -248,39 +262,35 @@ def cmd_train(args) -> int:
     if not config.get("input"):
         raise UsageError("a normalized cohort file is required (--input)")
     gate_config = _gate_config(config)
+    kernel = _kernel(config["kernel"])
+    grid = _parse_c_grid(str(config["c_grid"]))
+    if config["cv_k"] < 2:
+        raise UsageError(f"the fold count must be at least 2, got {config['cv_k']}")
+    if not 0.0 < config["train_fraction"] < 1.0:
+        raise UsageError(
+            f"the train fraction must lie in (0, 1), got {config['train_fraction']!r}")
     out = _out_dir(config)
     coeffs = _coefficients(config)
+    base = TrainConfig(balance_classes=config["balance_classes"], seed=config["seed"])
 
     cohort = read_cohort(config["input"]).cohort
     train_rows, test_rows = split_cohort(cohort, config["train_fraction"], config["seed"])
-
-    plan = fit_imputation(train_rows)
-    imputed_train = apply_imputation(plan, train_rows)
-    labels = label_cohort(imputed_train, coeffs, gate_config)
-    feature_names = default_feature_names(train_rows)
-    fm = encode_features(imputed_train, feature_names, labels=labels.signs())
-
-    kernel = KernelSpec.from_text(config["kernel"])
-    base = TrainConfig(balance_classes=config["balance_classes"], seed=config["seed"])
-    grid = _parse_c_grid(str(config["c_grid"]))
+    fitted = fit_gate(train_rows, kernel, grid, config["cv_k"], base, gate_config, coeffs)
+    model = fitted.model
 
     report_lines = [
         f"train_rows {len(train_rows)}",
         f"test_rows {len(test_rows)}",
-        f"train_high_risk {labels.n_high_risk}",
-        f"train_safe {labels.n_safe}",
-        "features " + " ".join(feature_names),
+        f"train_high_risk {fitted.labels.n_high_risk}",
+        f"train_safe {fitted.labels.n_safe}",
+        "features " + " ".join(fitted.feature_names),
     ]
-    if len(grid) == 1:
+    if fitted.selection is None:
         best_c = grid[0]
         report_lines.append(f"selected_c {best_c:g} (single-value grid, no CV)")
     else:
-        selection = select_c(fm, kernel, grid, k=config["cv_k"],
-                             seed=config["seed"], base_config=base)
-        best_c = selection.best_c
-        report_lines.extend(_cv_report_lines(selection, config["cv_k"]))
-
-    model = train(fm, kernel=kernel, config=replace(base, c_regularization=best_c))
+        best_c = fitted.selection.best_c
+        report_lines.extend(_cv_report_lines(fitted.selection, config["cv_k"]))
     report_lines.extend([
         f"support_vectors {model.alphas.size}",
         f"converged {1 if model.converged else 0}",
@@ -288,8 +298,9 @@ def cmd_train(args) -> int:
         f"dual_objective {model.dual_objective:.17g}",
     ])
 
+    out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.txt")
-    (out / "plan.txt").write_text(plan_to_text(plan), encoding="ascii")
+    (out / "plan.txt").write_text(plan_to_text(fitted.plan), encoding="ascii")
     (out / "test.tsv").write_text(cohort_to_text(test_rows), encoding="ascii")
     (out / "train_report.txt").write_text("".join(f"{ln}\n" for ln in report_lines),
                                           encoding="ascii")
@@ -355,29 +366,17 @@ def cmd_evaluate(args) -> int:
     config = _effective_config(args, ("run_dir", "gate_mode", "threshold", "coefficients",
                                       "allow_override"))
     gate_config = _gate_config(config)
-    run_dir = _require_run_dir(config)
     gate_mode = config["gate_mode"]
+    if gate_mode not in GATE_MODES:
+        raise UsageError(f"unknown gate mode {gate_mode!r}")
+    run_dir = _require_run_dir(config)
     coeffs = _coefficients(config)
 
     model = load_model(run_dir / "model.txt")
     plan = load_plan(run_dir / "plan.txt")
     test_rows = read_cohort(run_dir / "test.tsv").cohort
+    report, _ = evaluate_gate(model, plan, test_rows, gate_mode, gate_config, coeffs)
 
-    imputed = apply_imputation(plan, test_rows)
-    truth_labels = label_cohort(imputed, coeffs, gate_config)
-    truth = truth_labels.signs().astype(int)
-
-    if gate_mode == "trained":
-        _, predicted = classify_records(model, imputed)
-    elif gate_mode == "oracle":
-        predicted = truth.copy()
-    elif gate_mode == "identity":
-        predicted = np.full(truth.shape, -1, dtype=int)
-    else:
-        raise UsageError(f"unknown gate mode {gate_mode!r}")
-
-    report = evaluation_report(truth, predicted, test_rows["therapeutic_dose_mg_week"],
-                               truth_labels.doses)
     (run_dir / "evaluation.txt").write_text(_evaluation_text(report, gate_mode),
                                             encoding="utf-8")
     (run_dir / "evaluation.json").write_text(
@@ -581,7 +580,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--run-dir", dest="run_dir", default=None)
     p.add_argument("--gate-mode", dest="gate_mode", default=None,
-                   choices=("trained", "identity", "oracle"))
+                   choices=GATE_MODES)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--coefficients", default=None)
     p.add_argument("--allow-coefficient-override", dest="allow_override",

@@ -15,7 +15,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -404,8 +403,11 @@ def fit_imputation(data, provenance: str = "train") -> ImputationPlan:
 def apply_imputation(plan: ImputationPlan, data):
     """Fill every missing value from the plan; present values pass through.
 
-    A Cohort gives a Cohort; a single record gives an ImputedPatientRecord.
+    A Cohort or a list or tuple of records gives a Cohort; a single record
+    gives an ImputedPatientRecord.
     """
+    if isinstance(data, (list, tuple)):
+        data = as_cohort(data)
     if not isinstance(data, Cohort):
         filled = apply_imputation(plan, Cohort.from_records([data]))
         return filled.records(ImputedPatientRecord)[0]
@@ -498,10 +500,6 @@ def plan_from_text(text: str) -> ImputationPlan:
 
 def load_plan(path) -> ImputationPlan:
     return plan_from_text(read_text(path, "imputation plan"))
-
-
-def write_cohort(data, path) -> None:
-    Path(path).write_text(cohort_to_text(data), encoding="ascii")
 
 
 def read_cohort(path) -> ParseResult:

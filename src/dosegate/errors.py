@@ -44,10 +44,6 @@ class DomainError(DataError):
     """An argument is outside the operation's domain (bad value or shape)."""
 
 
-class SizeError(DataError):
-    """Input too large (or too small) for the operation's size contract."""
-
-
 class NumericalError(DosegateError):
     """Degenerate or non-physical numerical situation."""
 

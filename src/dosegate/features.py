@@ -13,7 +13,7 @@ unknown at prescribing time and the second is the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,18 +74,14 @@ class FeatureMatrix:
         return self.x.shape[0]
 
 
-def with_labels(fm: FeatureMatrix, labels) -> FeatureMatrix:
-    return replace(fm, labels=np.asarray(labels, dtype=float))
-
-
-def default_feature_names(data, min_minority_fraction: float = 0.10) -> tuple:
+def default_feature_names(data) -> tuple:
     """The classifier feature list for a training cohort.
 
-    Applies the minority-fraction filter to the binary variables and
-    always drops enzyme: it stays an input to the dose model but is far
-    too rare in this population to carry classifier signal.
+    Applies the default minority-fraction filter to the binary variables
+    and always drops enzyme: it stays an input to the dose model but is
+    far too rare in this population to carry classifier signal.
     """
-    removed = set(filter_unbalanced(data, min_minority_fraction))
+    removed = set(filter_unbalanced(data))
     removed.add("enzyme")
     return tuple(name for name in FEATURE_CANDIDATES if name not in removed)
 
@@ -101,7 +97,7 @@ _FEATURE_SOURCES = {
 
 def feature_rows(data, feature_names) -> np.ndarray:
     """Raw (unscaled) feature rows of a Cohort (or of a sequence of
-    records); what decision_value expects."""
+    records); what decision_values expects."""
     cohort = as_cohort(data)
     names = tuple(feature_names)
     for name in names:

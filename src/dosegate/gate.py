@@ -4,30 +4,32 @@ the classifier that screens HighRisk patients out of the test set.
 A patient is HighRisk when the clinical model's predicted dose misses
 the therapeutic dose by strictly more than the threshold fraction
 (default 15%), measured in mg/week against the therapeutic dose. The
-gated workflow evaluates the dose model on the full test set and again
-on the Safe-classified remainder.
+gated workflow is two steps, which the CLI's ``train`` and ``evaluate``
+run as they are: ``fit_gate`` imputes, labels, encodes and fits the
+classifier on the training cohort, and ``evaluate_gate`` evaluates the
+dose model on the full test set and again on the Safe-classified
+remainder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
 
 from .cohort import ImputationPlan, apply_imputation, fit_imputation
+from .crossval import DEFAULT_C_GRID, CSelection, select_c
 from .errors import DegenerateGateError, DegenerateLabelsError, DomainError, NonPhysicalDoseError
-from .features import (
-    FeatureMatrix,
-    default_feature_names,
-    encode_features,
-    feature_rows,
-)
+from .features import default_feature_names, encode_features, feature_rows
 from .iwpc import DEFAULT_COEFFICIENTS, IwpcCoefficients, weekly_doses
+from .kernels import KernelSpec
 from .metrics import EvalReport, confusion, mae, metrics, rmse
 from .records import as_cohort
-from .svm import SvmModel, TrainConfig, decision_values, decision_values_from_matrix, train
+from .svm import SvmModel, TrainConfig, decision_values, score_signs, train
 
+# trained: the classifier decides; identity keeps every test row (the
+# control); oracle keeps the rows whose true label is Safe (the upper bound)
 GATE_MODES = ("trained", "identity", "oracle")
 
 
@@ -99,18 +101,11 @@ def label_cohort(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS,
                         n_safe=len(cohort) - n_high, doses=doses)
 
 
-def shrink_test_set(test_features: FeatureMatrix, classifier: SvmModel) -> np.ndarray:
-    """Indices the classifier keeps (predicts SafeForModel, i.e. score < 0)."""
-    scores = decision_values_from_matrix(classifier, test_features)
-    return np.flatnonzero(scores < 0.0)
-
-
 def classify_records(model: SvmModel, data) -> tuple[np.ndarray, np.ndarray]:
     """Decision values and gate signs for an imputed Cohort (or sequence
-    of records), raw-space path."""
-    rows = feature_rows(data, model.feature_names)
-    scores = decision_values(model, rows)
-    return scores, np.where(scores >= 0.0, 1, -1)
+    of records)."""
+    scores = decision_values(model, feature_rows(data, model.feature_names))
+    return scores, score_signs(scores)
 
 
 def evaluation_report(truth, predicted, actual_dose, model_dose) -> EvalReport:
@@ -144,75 +139,72 @@ def evaluation_report(truth, predicted, actual_dose, model_dose) -> EvalReport:
 
 
 @dataclass(frozen=True)
-class GatedEvaluation:
-    """Everything the gated run produced, report first."""
+class FittedGate:
+    """What fitting the gate produced; selection is None for a one-value
+    C grid, which needs no cross-validation."""
 
-    report: EvalReport
-    model: SvmModel | None
     plan: ImputationPlan
     feature_names: tuple
-    train_labels: CohortLabels
-    test_labels: CohortLabels
+    labels: CohortLabels
+    selection: CSelection | None
+    model: SvmModel
 
 
-def gated_evaluation(
-    train_records,
-    test_records,
-    kernel,
-    train_config: TrainConfig = TrainConfig(),
-    gate_config: GateConfig = GateConfig(),
-    coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS,
-    gate_mode: str = "trained",
-    feature_names=None,
-    min_minority_fraction: float = 0.10,
-) -> GatedEvaluation:
-    """Run the full gated pipeline on a train/test pair.
+def fit_gate(train_cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv_k: int = 10,
+             train_config: TrainConfig = TrainConfig(),
+             gate_config: GateConfig = GateConfig(),
+             coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> FittedGate:
+    """Impute, label, encode and fit the gate on a training Cohort (or
+    sequence of records).
 
-    gate_mode "trained" fits the classifier on the training labels;
-    "identity" keeps every test row (control); "oracle" uses the true
-    labels (upper bound). Imputation and scaling always come from the
-    training side only.
+    The imputation plan and the scaler come from these rows only. C is
+    picked by ``cv_k``-fold cross-validation seeded with
+    ``train_config.seed`` when the grid has more than one value, and the
+    final model is fit on every row at that C.
+    """
+    if not c_grid:
+        raise DomainError("the C grid must be non-empty")
+    cohort = as_cohort(train_cohort)
+    plan = fit_imputation(cohort)
+    imputed = apply_imputation(plan, cohort)
+    labels = label_cohort(imputed, coeffs, gate_config)
+    if labels.n_high_risk == 0 or labels.n_safe == 0:
+        raise DegenerateLabelsError(
+            "training labels are single-class; nothing to train the gate on")
+    feature_names = default_feature_names(cohort)
+    features = encode_features(imputed, feature_names, labels=labels.signs())
+    selection = None
+    c = float(c_grid[0])
+    if len(c_grid) > 1:
+        selection = select_c(features, kernel, c_grid, k=cv_k, seed=train_config.seed,
+                             base_config=train_config)
+        c = selection.best_c
+    model = train(features, kernel=kernel, config=replace(train_config, c_regularization=c))
+    return FittedGate(plan=plan, feature_names=feature_names, labels=labels,
+                      selection=selection, model=model)
+
+
+def evaluate_gate(model: SvmModel | None, plan: ImputationPlan, test_cohort,
+                  gate_mode: str = "trained", gate_config: GateConfig = GateConfig(),
+                  coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS
+                  ) -> tuple[EvalReport, CohortLabels]:
+    """The gated evaluation of a test Cohort (or sequence of records)
+    imputed by the training plan, and the test rows' true labels.
+
+    ``gate_mode`` is one of GATE_MODES; only "trained" reads the model.
     """
     if gate_mode not in GATE_MODES:
         raise DomainError(f"gate_mode must be one of {GATE_MODES}")
-    train_cohort, test_cohort = as_cohort(train_records), as_cohort(test_records)
-    if not len(train_cohort) or not len(test_cohort):
-        raise DomainError("gated evaluation needs non-empty train and test cohorts")
-
-    plan = fit_imputation(train_cohort)
-    imputed_train = apply_imputation(plan, train_cohort)
-    imputed_test = apply_imputation(plan, test_cohort)
-    if feature_names is None:
-        feature_names = default_feature_names(train_cohort, min_minority_fraction)
-    feature_names = tuple(feature_names)
-
-    train_labels = label_cohort(imputed_train, coeffs, gate_config)
-    test_labels = label_cohort(imputed_test, coeffs, gate_config)
-    truth = test_labels.signs().astype(int)
-
-    model = None
+    cohort = as_cohort(test_cohort)
+    imputed = apply_imputation(plan, cohort)
+    labels = label_cohort(imputed, coeffs, gate_config)
+    truth = labels.signs().astype(int)
     if gate_mode == "trained":
-        if train_labels.n_high_risk == 0 or train_labels.n_safe == 0:
-            raise DegenerateLabelsError(
-                "training labels are single-class; nothing to train the gate on"
-            )
-        fm_train = encode_features(imputed_train, feature_names, labels=train_labels.signs())
-        model = train(fm_train, kernel=kernel, config=train_config)
-        fm_test = encode_features(imputed_test, feature_names, scaler=fm_train)
-        scores = decision_values_from_matrix(model, fm_test)
-        predicted = np.where(scores >= 0.0, 1, -1)
+        _, predicted = classify_records(model, imputed)
     elif gate_mode == "oracle":
         predicted = truth.copy()
     else:
         predicted = np.full(truth.shape, -1, dtype=int)
-
-    report = evaluation_report(truth, predicted, test_cohort["therapeutic_dose_mg_week"],
-                               test_labels.doses)
-    return GatedEvaluation(
-        report=report,
-        model=model,
-        plan=plan,
-        feature_names=feature_names,
-        train_labels=train_labels,
-        test_labels=test_labels,
-    )
+    report = evaluation_report(truth, predicted, cohort["therapeutic_dose_mg_week"],
+                               labels.doses)
+    return report, labels

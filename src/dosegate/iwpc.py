@@ -92,11 +92,6 @@ def weekly_doses(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> np.nd
     return root * root
 
 
-def predict_sqrt_weekly_dose(record, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> float:
-    """The sqrt-space predictor for one record."""
-    return float(sqrt_weekly_doses([record], coeffs)[0])
-
-
 def predict_weekly_dose(record, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> float:
     """Dose in mg/week for one record."""
     return float(weekly_doses([record], coeffs)[0])

@@ -152,11 +152,6 @@ class RawPatientRecord:
             self, "covariates", _normalize_covariates(self.covariates, allow_missing=True)
         )
 
-    def covariate(self, name: str):
-        if name not in self.covariates:
-            raise SchemaError(f"unknown covariate {name!r}")
-        return self.covariates[name]
-
 
 @dataclass(frozen=True)
 class ImputedPatientRecord:
@@ -184,11 +179,6 @@ class ImputedPatientRecord:
         object.__setattr__(
             self, "covariates", _normalize_covariates(self.covariates, allow_missing=False)
         )
-
-    def covariate(self, name: str) -> int:
-        if name not in self.covariates:
-            raise SchemaError(f"unknown covariate {name!r}")
-        return self.covariates[name]
 
 
 class Cohort:

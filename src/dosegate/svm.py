@@ -19,7 +19,7 @@ difference, and update the pair analytically. Either way the bias, the
 KKT verdict and the dual objective come from exact kernel values.
 
 Models keep their support vectors in standardized feature space along
-with the scaler, so decision_value accepts raw-space inputs and scales
+with the scaler, so decision_values accepts raw-space inputs and scales
 internally. w is never formed; everything goes through the kernel.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, DomainError, NumericalError, SchemaError
+from .errors import DegenerateLabelsError, DomainError, NumericalError
 from .kernels import KernelSpec, kernel_matrix
 
 # The factored interior-point path serves kernels whose pivoted Cholesky
@@ -46,6 +46,7 @@ LOW_RANK_CAP = 200
 PIVOT_TOLERANCE = 1e-12
 IPM_TOLERANCE = 1e-9  # dual residual in margin units; primal residuals and gap relative
 STEP_FRACTION = 0.995  # of the step to the boundary of the positive orthant
+SUPPORT_EPSILON = 1e-12  # a multiplier above this makes its row a support vector
 # Scoring evaluates the kernel against the support vectors this many rows
 # at a time: at 1,288 support vectors a block is 10.6 MB, where a
 # 4,237-row cohort in one product was 43.7 MB. At one BLAS thread a row
@@ -60,20 +61,17 @@ SCORE_BLOCK_ROWS = 1024
 class TrainConfig:
     """Knobs for the dual solver.
 
-    class_weights scales C per class as (scale for -1, scale for +1);
-    when it is None and balance_classes is set, inverse class
-    frequencies are used. max_passes bounds the work: SMO makes at most
-    max_passes * n pair updates, the interior-point method at most
-    max_passes iterations, and a fit that uses it up is not converged.
-    seed only randomizes tie-breaking in SMO's second-index search, so
-    results are reproducible bit for bit.
+    balance_classes scales C per class by inverse class frequency.
+    max_passes bounds the work: SMO makes at most max_passes * n pair
+    updates, the interior-point method at most max_passes iterations,
+    and a fit that uses it up is not converged. seed only randomizes
+    tie-breaking in SMO's second-index search, so results are
+    reproducible bit for bit.
     """
 
     c_regularization: float = 1.0
     kkt_tolerance: float = 1e-3
-    numeric_epsilon: float = 1e-12
     max_passes: int = 200
-    class_weights: tuple[float, float] | None = None
     balance_classes: bool = True
     seed: int = 0
 
@@ -82,14 +80,8 @@ class TrainConfig:
             raise DomainError("c_regularization must be > 0")
         if not self.kkt_tolerance > 0:
             raise DomainError("kkt_tolerance must be > 0")
-        if not self.numeric_epsilon > 0:
-            raise DomainError("numeric_epsilon must be > 0")
         if self.max_passes < 1:
             raise DomainError("max_passes must be >= 1")
-        if self.class_weights is not None:
-            lo, hi = self.class_weights
-            if not (lo > 0 and hi > 0):
-                raise DomainError("class_weights must both be positive")
 
 
 @dataclass(frozen=True)
@@ -135,9 +127,7 @@ def _unpack_training(x, labels):
 
 
 def _box_bounds(z: np.ndarray, config: TrainConfig) -> np.ndarray:
-    if config.class_weights is not None:
-        w_neg, w_pos = config.class_weights
-    elif config.balance_classes:
+    if config.balance_classes:
         n = z.size
         n_pos = int(np.count_nonzero(z > 0))
         n_neg = n - n_pos
@@ -574,7 +564,7 @@ def train(x, labels=None, kernel: KernelSpec = KernelSpec(),
     max_viol = float(np.maximum(grow, shrink).max())
     objective = float(alpha.sum() - 0.5 * (weighted @ final_scores))
 
-    keep = alpha > config.numeric_epsilon
+    keep = alpha > SUPPORT_EPSILON
     return SvmModel(
         kernel=kernel,
         support_vectors=data[keep].copy(),
@@ -619,35 +609,7 @@ def decision_values(model: SvmModel, rows) -> np.ndarray:
     return _scores(model, (raw - model.scaler_means) / model.scaler_scales)
 
 
-def decision_value(model: SvmModel, x) -> float:
-    """Decision score for a single raw-space vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("decision_value expects a 1-D vector")
-    return float(decision_values(model, x[None, :])[0])
-
-
-def predict(model: SvmModel, x) -> int:
-    """Class of one raw-space vector; a score of exactly 0 maps to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
-
-
-def decision_values_from_matrix(model: SvmModel, fm) -> np.ndarray:
-    """Fast path for an already-standardized feature matrix.
-
-    Rejects matrices whose feature names or scaler differ from the
-    model's, since their rows would otherwise be silently double-scaled.
-    """
-    if tuple(fm.feature_names) != model.feature_names:
-        raise SchemaError("feature names do not match the model")
-    if not (
-        np.array_equal(np.asarray(fm.means, dtype=float), model.scaler_means)
-        and np.array_equal(np.asarray(fm.scales, dtype=float), model.scaler_scales)
-    ):
-        raise SchemaError("scaler parameters do not match the model")
-    return _scores(model, np.asarray(fm.x, dtype=float))
-
-
-def dual_feasibility_gap(model: SvmModel) -> float:
-    """|sum alpha_i z_i|, which a valid model keeps within 1e-8."""
-    return float(abs(np.sum(model.alphas * model.sv_labels)))
+def score_signs(scores: np.ndarray) -> np.ndarray:
+    """The class of each decision value: +1 (HighRisk) at or above 0,
+    else -1."""
+    return np.where(scores >= 0.0, 1, -1)

@@ -17,10 +17,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, SizeError
-from .kernels import KernelSpec, gram_matrix
+from dosegate.errors import DataError, DegenerateLabelsError, DomainError
+from dosegate.kernels import KernelSpec, kernel_matrix
 
 MAX_ROWS = 12
+
+
+class SizeError(DataError):
+    """Input too large (or too small) for the reference solver."""
+
+
+def gram_matrix(spec: KernelSpec, rows) -> np.ndarray:
+    """Full kernel matrix of a sample against itself, exactly symmetric.
+
+    Each unordered pair is evaluated once; the upper triangle is mirrored
+    so G[i, j] and G[j, i] are the same float.
+    """
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise DomainError("gram_matrix expects a non-empty 2-D sample")
+    g = kernel_matrix(spec, x, x)
+    iu, ju = np.triu_indices(g.shape[0], k=1)
+    g[ju, iu] = g[iu, ju]
+    return g
 
 
 class DualSolution(NamedTuple):

@@ -17,17 +17,17 @@ import numpy as np
 import pytest
 
 from dosegate.cli import main
-from dosegate.cohort import apply_imputation, split_cohort
-from dosegate.gate import GateConfig, gated_evaluation, label_cohort
-from dosegate.iwpc import predict_sqrt_weekly_dose, predict_weekly_dose
+from dosegate.cohort import apply_imputation, fit_imputation, split_cohort
+from dosegate.gate import GateConfig, evaluate_gate, fit_gate, label_cohort
+from dosegate.iwpc import predict_weekly_dose, sqrt_weekly_doses
 from dosegate.kernels import KernelSpec, kernel_matrix
 from dosegate.metrics import confusion, mae, metrics, rmse
 from dosegate.records import Race
-from dosegate.reference_qp import reference_dual_solve
-from dosegate.svm import TrainConfig, decision_values, predict, train
+from dosegate.svm import TrainConfig, decision_values, score_signs, train
 from dosegate.synth import generate_synthetic_cohort
 
 from helpers import make_imputed, make_raw
+from reference_qp import reference_dual_solve
 
 POLY = KernelSpec("polynomial", degree=2, offset=1.0)
 
@@ -56,7 +56,7 @@ def test_dose_model_matches_independent_hand_arithmetic():
         record = make_raw(age_decade=age, height_cm=height, weight_kg=weight,
                           race=race,
                           covariates={"enzyme": enzyme, "amiodarone": amiodarone})
-        assert abs(predict_sqrt_weekly_dose(record) - expected) <= 1e-9
+        assert abs(sqrt_weekly_doses([record])[0] - expected) <= 1e-9
 
 
 def _random_instance(trial):
@@ -173,7 +173,7 @@ def test_analytic_two_point_and_xor_cases():
     labels = np.array([-1.0, -1.0, 1.0, 1.0])
     model = train(xor, labels, kernel=POLY, config=config)
     for row, want in zip(xor, labels):
-        assert predict(model, row) == want
+        assert score_signs(decision_values(model, row))[0] == want
 
 
 def test_gram_symmetry_and_positive_semidefiniteness():
@@ -235,19 +235,20 @@ def test_oracle_gate_monotonicity_and_identity_control():
         records = generate_synthetic_cohort(500, seed=seed)
         train_recs, test_recs = split_cohort(records, 0.5, seed=seed)
 
-        oracle = gated_evaluation(train_recs, test_recs, POLY, gate_mode="oracle")
-        assert oracle.report.rmse_shrunken <= oracle.report.rmse_original
-        kept = np.flatnonzero(oracle.test_labels.signs() < 0)
-        imputed = [apply_imputation(oracle.plan, r) for r in test_recs]
+        plan = fit_imputation(train_recs)
+        oracle, test_labels = evaluate_gate(None, plan, test_recs, gate_mode="oracle")
+        assert oracle.rmse_shrunken <= oracle.rmse_original
+        kept = np.flatnonzero(test_labels.signs() < 0)
+        imputed = [apply_imputation(plan, r) for r in test_recs]
         for i in kept:
             actual = test_recs[i].therapeutic_dose_mg_week
             rel = abs(predict_weekly_dose(imputed[i]) - actual) / actual
             assert rel <= threshold
 
-        identity = gated_evaluation(train_recs, test_recs, POLY, gate_mode="identity")
-        assert identity.report.rmse_shrunken == identity.report.rmse_original
-        assert identity.report.mae_shrunken == identity.report.mae_original
-        assert identity.report.shrink_ratio == 1.0
+        identity, _ = evaluate_gate(None, plan, test_recs, gate_mode="identity")
+        assert identity.rmse_shrunken == identity.rmse_original
+        assert identity.mae_shrunken == identity.mae_original
+        assert identity.shrink_ratio == 1.0
     assert time.monotonic() - start < 120.0
 
 
@@ -259,10 +260,9 @@ def test_trained_gate_improves_rmse_across_seeded_runs():
     for seed in range(50):
         records = generate_synthetic_cohort(500, seed=seed)
         train_recs, test_recs = split_cohort(records, 0.5, seed=seed)
-        config = TrainConfig(c_regularization=1.0, seed=seed)
-        out = gated_evaluation(train_recs, test_recs, POLY,
-                               train_config=config, gate_mode="trained")
-        if out.report.rmse_shrunken < out.report.rmse_original:
+        fitted = fit_gate(train_recs, POLY, c_grid=(1.0,), train_config=TrainConfig(seed=seed))
+        report, _ = evaluate_gate(fitted.model, fitted.plan, test_recs, gate_mode="trained")
+        if report.rmse_shrunken < report.rmse_original:
             wins += 1
     assert wins >= 45
     assert time.monotonic() - start < 600.0
@@ -301,13 +301,10 @@ def test_best_effort_real_cohort_reproduction():
     assert abs(labels.n_safe - 985) <= 0.05 * 985
 
     train_recs, test_recs = split_cohort(records, 0.5, seed=0)
-    out = gated_evaluation(train_recs, test_recs, POLY,
-                           train_config=TrainConfig(c_regularization=1.0, seed=0),
-                           gate_mode="trained")
-    rmse_gain = (out.report.rmse_original - out.report.rmse_shrunken) \
-        / out.report.rmse_original
-    mae_gain = (out.report.mae_original - out.report.mae_shrunken) \
-        / out.report.mae_original
+    fitted = fit_gate(train_recs, POLY, c_grid=(1.0,), train_config=TrainConfig(seed=0))
+    report, _ = evaluate_gate(fitted.model, fitted.plan, test_recs, gate_mode="trained")
+    rmse_gain = (report.rmse_original - report.rmse_shrunken) / report.rmse_original
+    mae_gain = (report.mae_original - report.mae_shrunken) / report.mae_original
     assert 0.05 <= rmse_gain <= 0.25
     assert 0.07 <= mae_gain <= 0.27
     assert time.monotonic() - start < 900.0

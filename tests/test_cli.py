@@ -12,11 +12,18 @@ import shutil
 import pytest
 
 from dosegate.cli import main
-from dosegate.cohort import cohort_to_text, fit_imputation, plan_to_text
+from dosegate.cohort import (
+    cohort_to_text,
+    fit_imputation,
+    plan_to_text,
+    read_cohort,
+    split_cohort,
+)
+from dosegate.gate import evaluate_gate, fit_gate
 from dosegate.iwpc import predict_weekly_dose, weekly_doses
 from dosegate.kernels import KernelSpec
 from dosegate.model_io import save_model
-from dosegate.svm import SvmModel
+from dosegate.svm import SvmModel, TrainConfig
 
 import numpy as np
 
@@ -215,11 +222,31 @@ def test_train_cv_accuracy_beats_majority_class(tmp_path):
     assert max(accuracies) > majority
 
 
-@pytest.mark.parametrize("grid", ["abc", "0.1,x", "0,1", "-1", "nan", "inf"])
-def test_bad_c_grid_is_usage_error(pipeline, tmp_path, capsys, grid):
-    assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
-                 "--out-dir", str(tmp_path), "--c-grid", grid]) == 1
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(["train", "--c-grid", grid], id=grid)
+      for grid in ("abc", "0.1,x", "0,1", "-1", "nan", "inf")),
+    pytest.param(["train", "--cv-k", "1"], id="cv-k 1"),
+    pytest.param(["train", "--train-fraction", "1.5"], id="train-fraction 1.5"),
+    pytest.param(["train", "--kernel", "bogus"], id="kernel bogus"),
+    pytest.param(["synth", "--n", "0"], id="synth n 0"),
+    pytest.param(["synth", "--n", "-5"], id="synth n -5"),
+])
+def test_bad_c_grid_is_usage_error(pipeline, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        argv = [*argv, "--input", str(pipeline / "synth" / "cohort.tsv")]
+    assert main([*argv, "--out-dir", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cv_k_above_training_rows_is_data_error(pipeline, tmp_path, capsys):
+    # 260 rows split in half leave 130 to deal into folds
+    out = tmp_path / "out"
+    assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
+                 "--out-dir", str(out), "--cv-k", "131"]) == 2
+    assert "exceeds the 130 available rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_coefficient_override_flag_takes_effect(pipeline, run_dir, tmp_path, capsys):
@@ -281,6 +308,26 @@ def test_evaluate_predicts_each_dose_once(run_dir, monkeypatch):
     assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
     n_test = len((run_dir / "test.tsv").read_text().splitlines()) - 1
     assert len(calls) == n_test
+
+
+def test_cli_evaluation_equals_library_pipeline(pipeline, run_dir, tmp_path):
+    # `train --seed 5 --c-grid 1` and `evaluate` against fit_gate and
+    # evaluate_gate on the same cohort and split
+    cohort = read_cohort(pipeline / "synth" / "cohort.tsv").cohort
+    train_rows, test_rows = split_cohort(cohort, 0.5, 5)
+    fitted = fit_gate(train_rows, KernelSpec(), (1.0,), 10, TrainConfig(seed=5))
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    for mode in ("trained", "identity", "oracle"):
+        assert main(["evaluate", "--run-dir", str(run), "--gate-mode", mode]) == 0
+        report, _ = evaluate_gate(fitted.model, fitted.plan, test_rows, mode)
+        cm = report.confusion
+        assert json.loads((run / "evaluation.json").read_text()) == {
+            "gate_mode": mode, "tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn,
+            **{key: getattr(report, key) for key in (
+                "accuracy", "sensitivity", "specificity", "rmse_original", "rmse_shrunken",
+                "mae_original", "mae_shrunken", "shrink_ratio")},
+        }
 
 
 def test_evaluate_requires_model(tmp_path, capsys):

@@ -18,7 +18,6 @@ from dosegate.cohort import (
     plan_to_text,
     read_cohort,
     split_cohort,
-    write_cohort,
 )
 from dosegate.errors import (
     DegenerateSplitError,
@@ -122,8 +121,8 @@ def test_enzyme_derived_from_component_inducers():
              carbamazepine="0", phenytoin="0"),
     )
     records = parse_cohort(text, schema).cohort.records()
-    assert records[0].covariate("enzyme") == 1
-    assert records[1].covariate("enzyme") == 0
+    assert records[0].covariates["enzyme"] == 1
+    assert records[1].covariates["enzyme"] == 0
 
 
 def test_load_schema_round_trip(tmp_path):
@@ -314,7 +313,7 @@ def test_cohort_text_round_trip(tmp_path):
         for _ in range(25)
     ]
     path = tmp_path / "cohort.tsv"
-    write_cohort(records, path)
+    path.write_text(cohort_to_text(records), encoding="ascii")
     restored = read_cohort(path).cohort.records()
     assert list(restored) == records
 
@@ -368,3 +367,7 @@ def test_imputation_of_a_record_matches_its_cohort():
     filled = apply_imputation(plan, Cohort.from_records(records))
     assert filled.records(ImputedPatientRecord) == tuple(
         apply_imputation(plan, r) for r in records)
+    # a list or tuple of records is a batch, imputed as its cohort
+    for batch in (records, tuple(records)):
+        assert np.array_equal(apply_imputation(plan, batch).columns, filled.columns,
+                              equal_nan=True)

@@ -1,20 +1,15 @@
-"""Cross-validation folds, C selection, and model comparison tables."""
+"""Cross-validation folds and C selection."""
 
 import numpy as np
 import pytest
 
 from helpers import separable_blobs
 
-from dosegate.crossval import (
-    compare_models,
-    kfold_cv,
-    render_comparison,
-    select_c,
-)
+from dosegate.crossval import kfold_cv, select_c
 from dosegate.errors import DegenerateLabelsError, DomainError, NumericalError
 from dosegate.features import FeatureMatrix
 from dosegate.kernels import KernelSpec
-from dosegate.svm import TrainConfig, train
+from dosegate.svm import TrainConfig
 
 LINEAR = KernelSpec(variant="linear")
 
@@ -27,16 +22,14 @@ def _labeled_matrix(rng, n=40, signal=True):
                          means=np.zeros(2), scales=np.ones(2), labels=labels)
 
 
-def _trainer(rows, labels):
-    return train(rows, labels, kernel=LINEAR,
-                 config=TrainConfig(c_regularization=10.0, balance_classes=False))
+CONFIG = TrainConfig(c_regularization=10.0, balance_classes=False)
 
 
 def test_fold_sizes_at_paper_cohort_size():
     rng = np.random.default_rng(0)
     labels = np.where(rng.random(4237) < 0.77, 1.0, -1.0)
     from dosegate.crossval import _fold_assignment
-    folds = _fold_assignment(labels, 10, seed=0, stratified=True)
+    folds = _fold_assignment(labels, 10, seed=0)
     sizes = sorted(len(f) for f in folds)
     assert set(sizes) <= {423, 424}
     assert sum(sizes) == 4237
@@ -47,7 +40,7 @@ def test_fold_sizes_at_paper_cohort_size():
 def test_leave_one_out_boundary():
     rng = np.random.default_rng(1)
     fm = _labeled_matrix(rng, n=10)
-    result = kfold_cv(fm, k=10, trainer=_trainer, seed=3)
+    result = kfold_cv(fm, LINEAR, CONFIG, k=10, seed=3)
     assert len(result.folds) == 10
     validated = sorted(f.fold for f in result.folds)
     assert validated == list(range(10))
@@ -57,27 +50,27 @@ def test_leave_one_out_boundary():
 def test_k_of_one_rejected():
     rng = np.random.default_rng(2)
     with pytest.raises(DomainError):
-        kfold_cv(_labeled_matrix(rng), k=1, trainer=_trainer)
+        kfold_cv(_labeled_matrix(rng), LINEAR, CONFIG, k=1)
 
 
 def test_k_exceeding_n_rejected():
     rng = np.random.default_rng(3)
     with pytest.raises(DomainError):
-        kfold_cv(_labeled_matrix(rng, n=6), k=7, trainer=_trainer)
+        kfold_cv(_labeled_matrix(rng, n=6), LINEAR, CONFIG, k=7)
 
 
 def test_unlabeled_matrix_rejected():
     fm = FeatureMatrix(feature_names=("f0",), x=np.zeros((8, 1)),
                        means=np.zeros(1), scales=np.ones(1))
     with pytest.raises(DegenerateLabelsError):
-        kfold_cv(fm, k=2, trainer=_trainer)
+        kfold_cv(fm, LINEAR, CONFIG, k=2)
 
 
 def test_cv_is_seed_deterministic():
     rng = np.random.default_rng(4)
     fm = _labeled_matrix(rng)
-    a = kfold_cv(fm, k=5, trainer=_trainer, seed=11)
-    b = kfold_cv(fm, k=5, trainer=_trainer, seed=11)
+    a = kfold_cv(fm, LINEAR, CONFIG, k=5, seed=11)
+    b = kfold_cv(fm, LINEAR, CONFIG, k=5, seed=11)
     assert a.mean_accuracy == b.mean_accuracy
     assert [f.accuracy for f in a.folds] == [f.accuracy for f in b.folds]
 
@@ -85,7 +78,7 @@ def test_cv_is_seed_deterministic():
 def test_cv_separable_data_scores_high():
     rng = np.random.default_rng(5)
     fm = _labeled_matrix(rng, n=60)
-    result = kfold_cv(fm, k=6, trainer=_trainer, seed=2)
+    result = kfold_cv(fm, LINEAR, CONFIG, k=6, seed=2)
     assert result.mean_accuracy >= 0.95
     assert result.n_skipped == 0
 
@@ -97,7 +90,7 @@ def test_stratified_folds_keep_minority_presence():
     fm = FeatureMatrix(feature_names=("f0", "f1"), x=x,
                        means=np.zeros(2), scales=np.ones(2), labels=labels)
     from dosegate.crossval import _fold_assignment
-    folds = _fold_assignment(labels, 5, seed=1, stratified=True)
+    folds = _fold_assignment(labels, 5, seed=1)
     for fold in folds:
         assert (labels[fold] > 0).sum() == 2  # 10 positives dealt evenly
 
@@ -108,7 +101,7 @@ def test_single_class_folds_are_skipped_with_reason():
     fm = FeatureMatrix(feature_names=("f0", "f1"), x=x,
                        means=np.zeros(2), scales=np.ones(2), labels=labels)
     # leave-one-out: removing the single positive leaves one-class training
-    result = kfold_cv(fm, k=10, trainer=_trainer, seed=0, stratified=False)
+    result = kfold_cv(fm, LINEAR, CONFIG, k=10, seed=0)
     skipped = [f for f in result.folds if f.skipped]
     assert len(skipped) == 1
     assert skipped[0].reason
@@ -143,57 +136,3 @@ def test_select_c_skips_c_whose_folds_did_not_converge():
     assert selection.best_c == 0.01
     with pytest.raises(NumericalError):
         select_c(fm, sigmoid, (100.0,), k=4, seed=0, base_config=config)
-
-
-def test_compare_models_perfect_candidate():
-    rng = np.random.default_rng(8)
-    fm_train = _labeled_matrix(rng, n=30)
-    fm_test = _labeled_matrix(rng, n=30)
-    rows = compare_models([("linear", LINEAR, TrainConfig(balance_classes=False))],
-                          fm_train, fm_test)
-    assert len(rows) == 1
-    assert rows[0].accuracy == 1.0
-    assert rows[0].sensitivity == 1.0
-    assert rows[0].specificity == 1.0
-
-
-def test_compare_models_duplicate_names_suffixed():
-    rng = np.random.default_rng(9)
-    fm_train = _labeled_matrix(rng, n=30)
-    fm_test = _labeled_matrix(rng, n=30)
-    candidates = [("svm", LINEAR, TrainConfig()), ("svm", KernelSpec(), TrainConfig())]
-    rows = compare_models(candidates, fm_train, fm_test)
-    names = [r.name for r in rows]
-    assert len(set(names)) == 2 and "svm" in names and "svm#2" in names
-
-
-def test_compare_models_reports_per_candidate_errors():
-    rng = np.random.default_rng(10)
-    fm_train = _labeled_matrix(rng, n=30)
-    fm_test = _labeled_matrix(rng, n=30)
-    bad = KernelSpec(variant="anova", sigma=1.0, d=1, n_dims=5)  # wrong width
-    rows = compare_models([("ok", LINEAR, TrainConfig()),
-                           ("broken", bad, TrainConfig())], fm_train, fm_test)
-    by_name = {r.name: r for r in rows}
-    assert by_name["ok"].error is None
-    assert by_name["broken"].error
-    assert by_name["broken"].accuracy is None
-
-
-def test_comparison_rendering_is_aligned_text():
-    rng = np.random.default_rng(11)
-    fm_train = _labeled_matrix(rng, n=30)
-    fm_test = _labeled_matrix(rng, n=30)
-    rows = compare_models([("linear", LINEAR, TrainConfig())], fm_train, fm_test)
-    text = render_comparison(rows)
-    lines = text.splitlines()
-    assert "Accuracy" in lines[0] and "Sensitivity" in lines[0]
-    assert "linear" in text
-    assert "100.00" in text
-
-
-def test_empty_candidate_list_rejected():
-    rng = np.random.default_rng(12)
-    fm = _labeled_matrix(rng)
-    with pytest.raises(DomainError):
-        compare_models([], fm, fm)

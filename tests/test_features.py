@@ -1,5 +1,7 @@
 """Feature encoding: z-scores, indicator columns, scaler reuse."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from dosegate.features import (
     default_feature_names,
     encode_features,
     feature_rows,
-    with_labels,
 )
 from dosegate.records import Race
 
@@ -99,12 +100,12 @@ def test_default_features_drop_enzyme_and_rare():
 def test_labels_attach_and_validate():
     fm = encode_features([make_imputed(), make_imputed(height_cm=160.0)],
                          ("height_cm",))
-    labeled = with_labels(fm, np.array([-1.0, 1.0]))
+    labeled = replace(fm, labels=np.array([-1.0, 1.0]))
     assert labeled.labels is not None
     with pytest.raises(DataError):
-        with_labels(fm, np.array([0.0, 2.0]))
+        replace(fm, labels=np.array([0.0, 2.0]))
     with pytest.raises(DataError):
-        with_labels(fm, np.array([1.0]))
+        replace(fm, labels=np.array([1.0]))
 
 
 def test_matrix_shape_validation():

@@ -5,20 +5,20 @@ import pytest
 
 from helpers import make_imputed, make_raw
 
+from dosegate.cohort import fit_imputation
 from dosegate.errors import DegenerateGateError, DomainError, SchemaError
-from dosegate.features import encode_features
 from dosegate.gate import (
     GateConfig,
     GateLabel,
     classify_records,
-    gated_evaluation,
+    evaluate_gate,
+    fit_gate,
     label_cohort,
     label_record,
-    shrink_test_set,
 )
 from dosegate.iwpc import DEFAULT_COEFFICIENTS, predict_weekly_dose
 from dosegate.kernels import KernelSpec
-from dosegate.svm import TrainConfig, train
+from dosegate.svm import TrainConfig, decision_values, score_signs, train
 from dosegate.synth import generate_synthetic_cohort
 
 CFG = GateConfig()
@@ -110,20 +110,15 @@ def _toy_gate_model(signs):
 
 def test_shrink_indices_follow_predictions():
     model, x = _toy_gate_model([-1, 1, -1, 1])
-    from dosegate.features import FeatureMatrix
-    fm = FeatureMatrix(feature_names=model.feature_names, x=x,
-                       means=model.scaler_means, scales=model.scaler_scales)
-    kept = shrink_test_set(fm, model)
+    kept = np.flatnonzero(score_signs(decision_values(model, x)) < 0)
     assert kept.tolist() == [0, 2]
 
 
 def test_shrink_schema_mismatch():
-    model, x = _toy_gate_model([-1, 1, -1, 1])
-    from dosegate.features import FeatureMatrix
-    fm = FeatureMatrix(feature_names=("other", "names"), x=x,
-                       means=model.scaler_means, scales=model.scaler_scales)
+    # the toy model's features (f0, f1) are not features of a cohort
+    model, _ = _toy_gate_model([-1, 1, -1, 1])
     with pytest.raises(SchemaError):
-        shrink_test_set(fm, model)
+        classify_records(model, [make_imputed(), make_imputed(age_decade=6)])
 
 
 def _split_synthetic(n=260, seed=5):
@@ -133,17 +128,16 @@ def _split_synthetic(n=260, seed=5):
 
 def test_identity_gate_preserves_metrics():
     train_recs, test_recs = _split_synthetic()
-    out = gated_evaluation(train_recs, test_recs, KernelSpec(),
-                           gate_mode="identity")
-    assert out.report.shrink_ratio == 1.0
-    assert out.report.rmse_shrunken == out.report.rmse_original
-    assert out.report.mae_shrunken == out.report.mae_original
+    report, _ = evaluate_gate(None, fit_imputation(train_recs), test_recs,
+                              gate_mode="identity")
+    assert report.shrink_ratio == 1.0
+    assert report.rmse_shrunken == report.rmse_original
+    assert report.mae_shrunken == report.mae_original
 
 
 def test_oracle_gate_bounds_and_threshold():
     train_recs, test_recs = _split_synthetic(seed=6)
-    out = gated_evaluation(train_recs, test_recs, KernelSpec(), gate_mode="oracle")
-    r = out.report
+    r, _ = evaluate_gate(None, fit_imputation(train_recs), test_recs, gate_mode="oracle")
     assert r.rmse_shrunken <= r.rmse_original
     assert r.mae_shrunken <= r.mae_original
     assert r.accuracy == 1.0
@@ -152,12 +146,14 @@ def test_oracle_gate_bounds_and_threshold():
 
 def test_trained_gate_returns_model_and_plan():
     train_recs, test_recs = _split_synthetic(seed=7)
-    out = gated_evaluation(train_recs, test_recs, KernelSpec(),
-                           train_config=TrainConfig(c_regularization=1.0, seed=7))
-    assert out.model is not None
-    assert out.plan is not None
-    assert 0.0 < out.report.shrink_ratio <= 1.0
-    assert len(out.feature_names) >= 5
+    fitted = fit_gate(train_recs, KernelSpec(), c_grid=(1.0,),
+                      train_config=TrainConfig(seed=7))
+    report, _ = evaluate_gate(fitted.model, fitted.plan, test_recs)
+    assert fitted.model is not None
+    assert fitted.plan is not None
+    assert fitted.selection is None
+    assert 0.0 < report.shrink_ratio <= 1.0
+    assert len(fitted.feature_names) >= 5
 
 
 def test_degenerate_gate_carries_original_metrics():
@@ -165,18 +161,18 @@ def test_degenerate_gate_carries_original_metrics():
     train_recs, _ = _split_synthetic(seed=8)
     bad_test = [make_raw(therapeutic_dose_mg_week=500.0 + i) for i in range(30)]
     with pytest.raises(DegenerateGateError) as info:
-        gated_evaluation(train_recs, bad_test, KernelSpec(), gate_mode="oracle")
+        evaluate_gate(None, fit_imputation(train_recs), bad_test, gate_mode="oracle")
     assert info.value.report is not None
     assert info.value.report["rmse_original"] > 0
 
 
 def test_classify_records_matches_decision_sign():
     train_recs, test_recs = _split_synthetic(seed=9)
-    out = gated_evaluation(train_recs, test_recs, KernelSpec(),
-                           train_config=TrainConfig(seed=9))
+    fitted = fit_gate(train_recs, KernelSpec(), c_grid=(1.0,),
+                      train_config=TrainConfig(seed=9))
     from dosegate.cohort import apply_imputation
-    imputed = [apply_imputation(out.plan, r) for r in test_recs]
-    scores, signs = classify_records(out.model, imputed)
+    imputed = [apply_imputation(fitted.plan, r) for r in test_recs]
+    scores, signs = classify_records(fitted.model, imputed)
     assert np.all((scores >= 0) == (signs == 1))
     assert set(np.unique(signs)) <= {-1, 1}
 

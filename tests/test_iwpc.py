@@ -9,10 +9,14 @@ from dosegate.iwpc import (
     DEFAULT_COEFFICIENTS,
     IwpcCoefficients,
     load_coefficients,
-    predict_sqrt_weekly_dose,
     predict_weekly_dose,
+    sqrt_weekly_doses,
 )
 from dosegate.records import Race
+
+
+def _sqrt_dose(record, coeffs=DEFAULT_COEFFICIENTS):
+    return sqrt_weekly_doses([record], coeffs)[0]
 
 
 def test_published_coefficient_values():
@@ -26,7 +30,7 @@ def test_published_coefficient_values():
 def test_hand_computed_white_patient():
     record = make_imputed(age_decade=5, height_cm=170.0, weight_kg=80.0,
                           race=Race.WHITE)
-    sqrt_dose = predict_sqrt_weekly_dose(record, DEFAULT_COEFFICIENTS)
+    sqrt_dose = _sqrt_dose(record, DEFAULT_COEFFICIENTS)
     assert sqrt_dose == pytest.approx(5.8426, abs=1e-10)
     assert predict_weekly_dose(record, DEFAULT_COEFFICIENTS) == pytest.approx(
         34.136, abs=5e-4)
@@ -35,7 +39,7 @@ def test_hand_computed_white_patient():
 def test_hand_computed_asian_patient():
     record = make_imputed(age_decade=6, height_cm=160.0, weight_kg=55.0,
                           race=Race.ASIAN)
-    assert predict_sqrt_weekly_dose(record, DEFAULT_COEFFICIENTS) == pytest.approx(
+    assert _sqrt_dose(record, DEFAULT_COEFFICIENTS) == pytest.approx(
         4.4598, abs=1e-10)
     assert predict_weekly_dose(record, DEFAULT_COEFFICIENTS) == pytest.approx(
         19.890, abs=5e-4)
@@ -47,7 +51,7 @@ def test_intercept_only_probe():
                           race=Race.WHITE)
     coeffs = IwpcCoefficients(age_per_decade=0.0, height_per_cm=0.0,
                               weight_per_kg=0.0)
-    assert predict_sqrt_weekly_dose(record, coeffs) == pytest.approx(4.0376)
+    assert _sqrt_dose(record, coeffs) == pytest.approx(4.0376)
     assert predict_weekly_dose(record, coeffs) == pytest.approx(16.302, abs=5e-4)
 
 
@@ -63,7 +67,7 @@ def test_square_relation():
             covariates={"enzyme": int(rng.integers(0, 2)),
                         "amiodarone": int(rng.integers(0, 2))},
         )
-        s = predict_sqrt_weekly_dose(record, DEFAULT_COEFFICIENTS)
+        s = _sqrt_dose(record, DEFAULT_COEFFICIENTS)
         d = predict_weekly_dose(record, DEFAULT_COEFFICIENTS)
         assert d == pytest.approx(s * s, rel=1e-12)
 
@@ -79,11 +83,9 @@ def test_monotone_in_weight_and_age():
 
 def test_race_terms_mutually_exclusive():
     kwargs = dict(age_decade=5, height_cm=170.0, weight_kg=80.0)
-    white = predict_sqrt_weekly_dose(make_imputed(race=Race.WHITE, **kwargs),
-                                     DEFAULT_COEFFICIENTS)
-    asian = predict_sqrt_weekly_dose(make_imputed(race=Race.ASIAN, **kwargs),
-                                     DEFAULT_COEFFICIENTS)
-    black = predict_sqrt_weekly_dose(
+    white = _sqrt_dose(make_imputed(race=Race.WHITE, **kwargs), DEFAULT_COEFFICIENTS)
+    asian = _sqrt_dose(make_imputed(race=Race.ASIAN, **kwargs), DEFAULT_COEFFICIENTS)
+    black = _sqrt_dose(
         make_imputed(race=Race.AFRICAN_AMERICAN, **kwargs), DEFAULT_COEFFICIENTS)
     assert asian == pytest.approx(white - 0.6752)
     assert black == pytest.approx(white + 0.406)
@@ -93,7 +95,7 @@ def test_non_physical_dose_raises():
     # drive the linear predictor negative with a hostile override
     coeffs = IwpcCoefficients(intercept=-10.0)
     with pytest.raises(NonPhysicalDoseError):
-        predict_sqrt_weekly_dose(make_imputed(), coeffs)
+        _sqrt_dose(make_imputed(), coeffs)
 
 
 def test_coefficient_file_override_needs_flag(tmp_path):

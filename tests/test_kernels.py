@@ -1,6 +1,7 @@
 """Kernel formulas, Gram assembly, and spec validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from dosegate.kernels import (
     ANOVA_BLOCK_CELLS,
     VARIANTS,
     KernelSpec,
-    gram_matrix,
-    kernel_eval,
     kernel_matrix,
 )
 
@@ -52,17 +51,17 @@ def _scalar_oracle(spec, x, y):
 
 def test_polynomial_example():
     spec = KernelSpec(variant="polynomial", degree=2, offset=1.0)
-    assert kernel_eval(spec, [1.0, 0.0], [1.0, 1.0]) == 4.0
+    assert kernel_matrix(spec, [1.0, 0.0], [1.0, 1.0])[0, 0] == 4.0
 
 
 def test_rbf_zero_distance():
     spec = KernelSpec(variant="rbf", delta=0.37)
-    assert kernel_eval(spec, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
+    assert kernel_matrix(spec, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])[0, 0] == 1.0
 
 
 def test_polynomial_offset_only():
     spec = KernelSpec(variant="polynomial", degree=2, offset=1.0)
-    assert kernel_eval(spec, [0.0, 0.0], [0.0, 0.0]) == 1.0
+    assert kernel_matrix(spec, [0.0, 0.0], [0.0, 0.0])[0, 0] == 1.0
 
 
 def test_default_spec_is_squared_inner_product_plus_one():
@@ -71,7 +70,7 @@ def test_default_spec_is_squared_inner_product_plus_one():
     for _ in range(50):
         x, y = rng.normal(size=3), rng.normal(size=3)
         expected = (float(x @ y) + 1.0) ** 2
-        assert kernel_eval(spec, x, y) == pytest.approx(expected, rel=1e-14)
+        assert kernel_matrix(spec, x, y)[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_all_variants_match_scalar_oracle():
@@ -82,7 +81,7 @@ def test_all_variants_match_scalar_oracle():
         spec = _random_spec(rng, variant, dims)
         x = rng.normal(size=dims)
         y = rng.normal(size=dims)
-        got = kernel_eval(spec, x, y)
+        got = kernel_matrix(spec, x, y)[0, 0]
         assert got == pytest.approx(_scalar_oracle(spec, x, y), abs=1e-12)
 
 
@@ -92,11 +91,12 @@ def test_symmetry_all_variants():
         dims = int(rng.integers(1, 7))
         spec = _random_spec(rng, VARIANTS[trial % len(VARIANTS)], dims)
         x, y = rng.normal(size=dims), rng.normal(size=dims)
-        assert abs(kernel_eval(spec, x, y) - kernel_eval(spec, y, x)) <= 1e-12
+        assert abs(kernel_matrix(spec, x, y)[0, 0] - kernel_matrix(spec, y, x)[0, 0]) <= 1e-12
 
 
 def test_gram_single_row_rbf():
-    g = gram_matrix(KernelSpec(variant="rbf", delta=1.0), np.array([[3.0, -1.0]]))
+    x = np.array([[3.0, -1.0]])
+    g = kernel_matrix(KernelSpec(variant="rbf", delta=1.0), x, x)
     assert g.shape == (1, 1) and g[0, 0] == 1.0
 
 
@@ -106,13 +106,14 @@ def test_gram_duplicate_rows_constant():
     rows = np.vstack([row, row, row])
     for variant in VARIANTS:
         spec = _random_spec(rng, variant, 4)
-        g = gram_matrix(spec, rows)
+        g = kernel_matrix(spec, rows, rows)
         assert np.all(g == g[0, 0])
 
 
 def test_gram_psd_polynomial_example():
     rng = np.random.default_rng(11)
-    g = gram_matrix(KernelSpec(), rng.normal(size=(10, 3)))
+    x = rng.normal(size=(10, 3))
+    g = kernel_matrix(KernelSpec(), x, x)
     # independent eigenvalue routine as the oracle
     assert np.linalg.eigvalsh(g).min() >= -1e-9
 
@@ -121,11 +122,12 @@ def test_gram_exactly_symmetric():
     rng = np.random.default_rng(19)
     for variant in VARIANTS:
         spec = _random_spec(rng, variant, 5)
-        g = gram_matrix(spec, rng.normal(size=(12, 5)))
+        x = rng.normal(size=(12, 5))
+        g = kernel_matrix(spec, x, x)
         assert np.array_equal(g, g.T)
 
 
-def test_kernel_matrix_agrees_with_kernel_eval():
+def test_kernel_matrix_agrees_with_single_pair_evaluation():
     rng = np.random.default_rng(23)
     a = rng.normal(size=(6, 3))
     b = rng.normal(size=(4, 3))
@@ -135,13 +137,13 @@ def test_kernel_matrix_agrees_with_kernel_eval():
         assert m.shape == (6, 4)
         for i in range(6):
             for j in range(4):
-                assert m[i, j] == pytest.approx(kernel_eval(spec, a[i], b[j]),
+                assert m[i, j] == pytest.approx(kernel_matrix(spec, a[i], b[j])[0, 0],
                                                 abs=1e-12)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DomainError):
-        kernel_eval(KernelSpec(), [1.0, 2.0], [1.0, 2.0, 3.0])
+        kernel_matrix(KernelSpec(), [1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -206,7 +208,7 @@ BIT_SPECS = [
     KernelSpec(variant="anova", sigma=1.3, d=3),
     KernelSpec(variant="anova", sigma=0.8, d=2, n_dims=2),
 ]
-WIDE = 300  # rows of b; an anova block then holds ANOVA_BLOCK_CELLS // WIDE rows
+WIDE = 300  # rows of b; an anova or rbf block then holds ANOVA_BLOCK_CELLS // WIDE rows
 STEP = ANOVA_BLOCK_CELLS // WIDE
 
 
@@ -220,7 +222,7 @@ def _pair(shape_a, shape_b, seed=0):
     ((1, 4), (WIDE, 4)),  # one row
     ((WIDE, 4), (1, 4)),
     ((50, 3), (40, 3)),
-    ((STEP - 1, 3), (WIDE, 3)),  # around the anova block size
+    ((STEP - 1, 3), (WIDE, 3)),  # around the anova and rbf block size
     ((STEP, 3), (WIDE, 3)),
     ((STEP + 1, 3), (WIDE, 3)),
     ((3, 2), (ANOVA_BLOCK_CELLS + 5, 2)),  # a block holds one row
@@ -235,7 +237,7 @@ def test_kernel_matrix_is_bit_identical_to_formula(spec, shapes):
 
 
 @pytest.mark.parametrize("spec, shape", [
-    (spec, shape) for spec in BIT_SPECS for shape in ((STEP + 1, 3), (60, 1), (1, 3))
+    (spec, shape) for spec in BIT_SPECS for shape in ((STEP + 1, 3), (60, 1), (1, 3), (1025, 3))
     if (spec.n_dims or 0) <= shape[1]
 ], ids=lambda v: v.to_text() if isinstance(v, KernelSpec) else f"{v[0]}x{v[1]}")
 def test_kernel_matrix_of_sample_with_itself_is_bit_identical(spec, shape):
@@ -243,6 +245,17 @@ def test_kernel_matrix_of_sample_with_itself_is_bit_identical(spec, shape):
     got = kernel_matrix(spec, x, x)
     want = _formula(spec, x, x)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rbf_matrix_holds_no_second_full_size_array():
+    x = np.random.default_rng(2).normal(size=(1000, 14))
+    tracemalloc.start()
+    try:
+        result = kernel_matrix(KernelSpec(variant="rbf"), x, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * result.nbytes
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from dosegate.errors import DegenerateLabelsError, SizeError
-from dosegate.kernels import KernelSpec, gram_matrix
-from dosegate.reference_qp import reference_dual_solve
+from dosegate.errors import DegenerateLabelsError
+from dosegate.kernels import KernelSpec
+
+from reference_qp import SizeError, gram_matrix, reference_dual_solve
 
 TWO_POINTS = np.array([[0.0, 0.0], [2.0, 2.0]])
 TWO_LABELS = np.array([-1.0, 1.0])

@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from helpers import separable_blobs
+from helpers import make_imputed, separable_blobs
 
-from dosegate.errors import DegenerateLabelsError, SchemaError
+from dosegate.errors import DegenerateLabelsError, DomainError, SchemaError
 from dosegate.features import FeatureMatrix
+from dosegate.gate import classify_records
 from dosegate.kernels import KernelSpec, kernel_matrix
 from dosegate.svm import (
     SCORE_BLOCK_ROWS,
     SvmModel,
     TrainConfig,
-    decision_value,
     decision_values,
-    decision_values_from_matrix,
-    dual_feasibility_gap,
-    predict,
+    score_signs,
     train,
 )
 
@@ -27,6 +25,14 @@ TWO_POINTS = np.array([[0.0, 0.0], [2.0, 2.0]])
 TWO_LABELS = np.array([-1.0, 1.0])
 
 
+def _score(model, x):
+    return decision_values(model, x)[0]
+
+
+def _predict(model, x):
+    return score_signs(decision_values(model, x))[0]
+
+
 def _hard_margin(c=1e6):
     return TrainConfig(c_regularization=c, balance_classes=False,
                        kkt_tolerance=1e-6, max_passes=500)
@@ -35,17 +41,17 @@ def _hard_margin(c=1e6):
 def test_two_point_boundary():
     model = train(TWO_POINTS, TWO_LABELS, kernel=LINEAR, config=_hard_margin())
     assert model.bias == pytest.approx(-1.0, abs=1e-6)
-    assert decision_value(model, [2.0, 2.0]) == pytest.approx(1.0, abs=1e-6)
-    assert decision_value(model, [0.0, 0.0]) == pytest.approx(-1.0, abs=1e-6)
+    assert _score(model, [2.0, 2.0]) == pytest.approx(1.0, abs=1e-6)
+    assert _score(model, [0.0, 0.0]) == pytest.approx(-1.0, abs=1e-6)
     # midpoint sits on the boundary x1 + x2 = 2 and routes to +1
-    assert decision_value(model, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-6)
-    assert predict(model, [1.0, 1.0]) == 1
+    assert _score(model, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-6)
+    assert _predict(model, [1.0, 1.0]) == 1
 
 
 def test_sign_mapping():
     model = train(TWO_POINTS, TWO_LABELS, kernel=LINEAR, config=_hard_margin())
-    assert predict(model, [3.0, 3.0]) == 1
-    assert predict(model, [0.9, 0.9]) == -1
+    assert _predict(model, [3.0, 3.0]) == 1
+    assert _predict(model, [0.9, 0.9]) == -1
 
 
 def test_xor_with_quadratic_kernel():
@@ -53,7 +59,7 @@ def test_xor_with_quadratic_kernel():
     labels = np.array([-1.0, -1.0, 1.0, 1.0])
     model = train(x, labels, kernel=POLY21, config=_hard_margin())
     for row, want in zip(x, labels):
-        assert predict(model, row) == want
+        assert _predict(model, row) == want
 
 
 def test_single_class_rejected():
@@ -107,7 +113,6 @@ def test_kkt_conditions_on_random_problems():
         assert np.all(model.alphas > 0.0)
         assert np.all(model.alphas <= c)
         assert abs(model.alphas @ model.sv_labels) <= 1e-8
-        assert dual_feasibility_gap(model) <= 1e-8
 
 
 def test_separable_margins_at_large_c():
@@ -148,14 +153,14 @@ def test_class_weighted_box_bounds():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(30, 2))
     labels = np.array([-1.0] * 24 + [1.0] * 6)
-    config = TrainConfig(c_regularization=1.0, class_weights=(0.5, 4.0),
-                         balance_classes=False, max_passes=300)
+    # balancing scales C by n / (2 n_class): 30/48 for -1, 30/12 for +1
+    config = TrainConfig(c_regularization=1.0, balance_classes=True, max_passes=300)
     model = train(x, labels, kernel=LINEAR, config=config)
     neg = model.alphas[model.sv_labels < 0]
     pos = model.alphas[model.sv_labels > 0]
-    assert np.all(neg <= 0.5 + 1e-12)
-    assert np.all(pos <= 4.0 + 1e-12)
-    assert pos.max() > 0.5  # minority class actually uses the wider box
+    assert np.all(neg <= 0.625 + 1e-12)
+    assert np.all(pos <= 2.5 + 1e-12)
+    assert pos.max() > 0.625  # minority class actually uses the wider box
 
 
 def test_feature_matrix_metadata_flows_into_model():
@@ -173,7 +178,8 @@ def test_feature_matrix_metadata_flows_into_model():
     assert model.feature_names == ("height_cm", "weight_kg")
     # decision_values takes RAW rows and must scale internally
     direct = decision_values(model, raw)
-    via_matrix = decision_values_from_matrix(model, fm)
+    via_matrix = (kernel_matrix(LINEAR, fm.x, model.support_vectors)
+                  @ (model.alphas * model.sv_labels) + model.bias)
     assert np.allclose(direct, via_matrix, atol=1e-12)
 
 
@@ -193,14 +199,12 @@ def test_matrix_schema_mismatch_rejected():
     fm = FeatureMatrix(feature_names=("a", "b"), x=x,
                        means=np.zeros(2), scales=np.ones(2), labels=labels)
     model = train(fm, kernel=LINEAR, config=TrainConfig())
-    renamed = FeatureMatrix(feature_names=("a", "c"), x=x,
-                            means=np.zeros(2), scales=np.ones(2))
+    # a cohort has no features named like the model's; rows of another
+    # width cannot be scaled by the model's scaler
     with pytest.raises(SchemaError):
-        decision_values_from_matrix(model, renamed)
-    rescaled = FeatureMatrix(feature_names=("a", "b"), x=x,
-                             means=np.zeros(2), scales=np.full(2, 2.0))
-    with pytest.raises(SchemaError):
-        decision_values_from_matrix(model, rescaled)
+        classify_records(model, [make_imputed()])
+    with pytest.raises(DomainError):
+        decision_values(model, x[:, :1])
 
 
 @pytest.mark.parametrize("kernel", [POLY21, KernelSpec(variant="rbf", delta=1.5)])
@@ -219,6 +223,3 @@ def test_block_scoring_equals_one_product(kernel):
         whole = (kernel_matrix(kernel, rows, model.support_vectors)
                  @ (model.alphas * model.sv_labels) + model.bias)
         assert np.array_equal(decision_values(model, rows), whole)
-        fm = FeatureMatrix(feature_names=("a", "b", "c"), x=rows,
-                           means=np.zeros(d), scales=np.ones(d))
-        assert np.array_equal(decision_values_from_matrix(model, fm), whole)

@@ -51,7 +51,7 @@ def test_records_satisfy_inclusion_rules():
 def test_missingness_present_at_calibrated_scale():
     records = generate_synthetic_cohort(2000, seed=3)
     rifampin_missing = sum(
-        1 for r in records if r.covariate("rifampin") is None) / len(records)
+        1 for r in records if r.covariates["rifampin"] is None) / len(records)
     height_missing = sum(1 for r in records if r.height_cm is None) / len(records)
     # table rates: rifampin about 47% missing, height about 16%
     assert 0.37 <= rifampin_missing <= 0.57
@@ -70,8 +70,8 @@ def test_relative_error_bands_are_separated():
         r for r in records
         if r.age_decade is not None and r.height_cm is not None
         and r.weight_kg is not None and r.race is not None
-        and r.covariate("enzyme") is not None
-        and r.covariate("amiodarone") is not None
+        and r.covariates["enzyme"] is not None
+        and r.covariates["amiodarone"] is not None
     ]
     assert len(complete) > 100
     in_gap = 0
@@ -98,4 +98,4 @@ def test_covariates_are_binary_or_missing():
     records = generate_synthetic_cohort(300, seed=6)
     for r in records:
         for name in BINARY_COVARIATES:
-            assert r.covariate(name) in (0, 1, None)
+            assert r.covariates[name] in (0, 1, None)
