@@ -616,9 +616,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built by main's first call; argparse keeps no state between parses
+_parser: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -56,8 +56,10 @@ _MODE_CODES = {
     **{name: (0, 1) for name in ("gender", *BINARY_COVARIATES)},
 }
 
-# binary variables subject to the minority-fraction filter
+# binary variables subject to the minority-fraction filter, and the share
+# of non-missing values below which their minority category is too rare
 FILTERABLE_BINARY = (*BINARY_COVARIATES, "gender")
+MIN_MINORITY_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
@@ -325,25 +327,23 @@ def _parse_rows(text: str, schema: dict | None) -> ParseResult:
     )
 
 
-def filter_unbalanced(data, min_minority_fraction: float = 0.10) -> list[str]:
+def filter_unbalanced(data) -> list[str]:
     """Binary variables whose minority category is too rare to learn from.
 
     The minority share is computed over non-missing observations; a
-    variable is removed when that share is strictly below the cutoff.
-    Variables with no observations at all are removed too. ``data`` is a
-    Cohort or a sequence of records.
+    variable is removed when that share is strictly below
+    MIN_MINORITY_FRACTION. Variables with no observations at all are
+    removed too. ``data`` is a Cohort or a sequence of records.
     """
     cohort = as_cohort(data)
     if not len(cohort):
         raise EmptyCohortError("cannot filter an empty cohort")
-    if not 0.0 < min_minority_fraction < 0.5:
-        raise DomainError("min_minority_fraction must lie in (0, 0.5)")
     removed = []
     for name in FILTERABLE_BINARY:
         column = cohort[name]
         observed = int(np.count_nonzero(~np.isnan(column)))
         ones = int(np.count_nonzero(column == 1))
-        if not observed or min(ones, observed - ones) < min_minority_fraction * observed:
+        if not observed or min(ones, observed - ones) < MIN_MINORITY_FRACTION * observed:
             removed.append(name)
     return removed
 
@@ -375,7 +375,7 @@ def _observed(column: np.ndarray) -> np.ndarray:
     return column[~np.isnan(column)]
 
 
-def fit_imputation(data, provenance: str = "train") -> ImputationPlan:
+def fit_imputation(data) -> ImputationPlan:
     """Means for continuous variables, modes for coded ones.
 
     Complete cases only; mode ties break toward the smaller code so the
@@ -397,7 +397,7 @@ def fit_imputation(data, provenance: str = "train") -> ImputationPlan:
             raise UnimputableVariableError(name)
         codes, counts = np.unique(values, return_counts=True)  # codes ascending
         modes[name] = int(codes[np.argmax(counts)])
-    return ImputationPlan(means=means, modes=modes, provenance=provenance)
+    return ImputationPlan(means=means, modes=modes)
 
 
 def apply_imputation(plan: ImputationPlan, data):

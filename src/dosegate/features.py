@@ -77,7 +77,7 @@ class FeatureMatrix:
 def default_feature_names(data) -> tuple:
     """The classifier feature list for a training cohort.
 
-    Applies the default minority-fraction filter to the binary variables
+    Applies the minority-fraction filter to the binary variables
     and always drops enzyme: it stays an input to the dose model but is
     far too rare in this population to carry classifier signal.
     """
@@ -115,31 +115,17 @@ def feature_rows(data, feature_names) -> np.ndarray:
     return np.ascontiguousarray(raw.T)
 
 
-def encode_features(data, feature_names, scaler=None, labels=None) -> FeatureMatrix:
-    """Build the standardized matrix.
-
-    With no scaler, one is fit on these rows (population sigma; constant
-    columns keep scale 1). Passing a previous FeatureMatrix or a
-    (means, scales) pair reuses its transform, e.g. for a test split.
-    """
+def encode_features(data, feature_names, labels=None) -> FeatureMatrix:
+    """Build the standardized matrix, with a scaler fit on these rows
+    (population sigma; constant columns keep scale 1)."""
     names = tuple(feature_names)
     raw = feature_rows(data, names)
-    if scaler is None:
-        means = np.zeros(len(names))
-        scales = np.ones(len(names))
-        for j, name in enumerate(names):
-            if name in SCALED_FEATURES:
-                means[j] = float(np.mean(raw[:, j]))
-                sigma = float(np.std(raw[:, j]))  # population, divide by n
-                scales[j] = sigma if sigma > 0 else 1.0
-    elif hasattr(scaler, "means") and hasattr(scaler, "scales"):
-        if hasattr(scaler, "feature_names") and tuple(scaler.feature_names) != names:
-            raise SchemaError("scaler feature names do not match the requested features")
-        means = np.asarray(scaler.means, dtype=float).copy()
-        scales = np.asarray(scaler.scales, dtype=float).copy()
-    else:
-        means, scales = (np.asarray(a, dtype=float).copy() for a in scaler)
-    if means.shape != (len(names),) or scales.shape != (len(names),):
-        raise SchemaError("scaler length does not match the requested features")
+    means = np.zeros(len(names))
+    scales = np.ones(len(names))
+    for j, name in enumerate(names):
+        if name in SCALED_FEATURES:
+            means[j] = float(np.mean(raw[:, j]))
+            sigma = float(np.std(raw[:, j]))  # population, divide by n
+            scales[j] = sigma if sigma > 0 else 1.0
     x = (raw - means) / scales
     return FeatureMatrix(feature_names=names, x=x, means=means, scales=scales, labels=labels)

@@ -4,6 +4,11 @@ Versioned, self-describing, and bit-exact: floats are written with 17
 significant digits, which round-trips IEEE doubles losslessly, so a
 reloaded model produces identical decision values. One support vector
 per line keeps the format diffable and greppable.
+
+load_model parses a given text once per process: it remembers the last
+text it parsed and the model it gave, and hands that same model back
+while the file holds exactly that text. The model's arrays are
+read-only, so no caller can change what another caller gets.
 """
 
 from __future__ import annotations
@@ -104,6 +109,8 @@ def _parse_model(text: str) -> SvmModel:
     if block.shape[1] != width:
         raise SchemaError(f"support vector lines have {block.shape[1]} fields, expected {width}")
     labels, alphas, vectors = block[:, 0].copy(), block[:, 1].copy(), block[:, 2:].copy()
+    for array in (labels, alphas, vectors, means, scales):
+        array.setflags(write=False)
     return SvmModel(
         kernel=kernel,
         support_vectors=vectors,
@@ -123,5 +130,17 @@ def save_model(model: SvmModel, path) -> None:
     Path(path).write_text(model_to_text(model), encoding="ascii")
 
 
+# (text, model) of the last text load_model parsed; the key is the whole
+# text, so a rewritten file is parsed again whatever its path or mtime
+_last_loaded: tuple[str, SvmModel] | None = None
+
+
 def load_model(path) -> SvmModel:
-    return model_from_text(read_text(path, "model file", encoding="ascii"))
+    global _last_loaded
+    text = read_text(path, "model file", encoding="ascii")
+    last = _last_loaded  # one read, so the text and model checked belong together
+    if last is not None and last[0] == text:
+        return last[1]
+    model = model_from_text(text)  # a text that fails to parse is not kept
+    _last_loaded = (text, model)
+    return model

@@ -48,13 +48,15 @@ IPM_TOLERANCE = 1e-9  # dual residual in margin units; primal residuals and gap 
 STEP_FRACTION = 0.995  # of the step to the boundary of the positive orthant
 SUPPORT_EPSILON = 1e-12  # a multiplier above this makes its row a support vector
 # Scoring evaluates the kernel against the support vectors this many rows
-# at a time: at 1,288 support vectors a block is 10.6 MB, where a
-# 4,237-row cohort in one product was 43.7 MB. At one BLAS thread a row
-# scores bit for bit as in one product: blocks start at a multiple of four
-# rows (the grouping of OpenBLAS's matrix-vector kernel), and no block but
-# a lone input row has one row (numpy multiplies a single row by another
-# path), so a one-row tail joins the block before it.
-SCORE_BLOCK_ROWS = 1024
+# at a time: at 1,288 support vectors a block is 2.6 MB, where a
+# 4,237-row cohort in one product was 43.7 MB. A fresh-process `gate
+# --jsonl` on 4,237 rows peaks 11.5 MB above its import with these blocks
+# and 26.4 MB with 1,024-row ones (one BLAS thread). At one BLAS thread a
+# row scores bit for bit as in one product: blocks start at a multiple of
+# four rows (the grouping of OpenBLAS's matrix-vector kernel), and no
+# block but a lone input row has one row (numpy multiplies a single row
+# by another path), so a one-row tail joins the block before it.
+SCORE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)

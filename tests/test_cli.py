@@ -7,7 +7,11 @@ mutate their run directory build their own.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -443,6 +447,44 @@ def test_dose_without_plan_needs_all_fields(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no imputation plan" in err
     assert "gender" in err
+
+
+def test_repeated_calls_in_one_process_print_the_same(run_dir, tmp_path, capsys):
+    # main reuses its parser and load_model its parsed model across calls;
+    # neither may carry anything from one call into the next, so every call
+    # prints the same whichever calls ran before it
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    dose = ["dose", "--run-dir", str(run_dir), "age_decade=5", "height_cm=170",
+            "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0"]
+    calls = [
+        (dose, 0),
+        (["gate", "--run-dir", str(run_dir)], 0),
+        (["gate", "--run-dir", str(run_dir), "--jsonl"], 0),
+        (["dose", "--run-dir", str(run_dir), "age_decade=5"], 1),
+        (["gate", "--run-dir", str(run_dir), "--wat"], 1),
+        (["gate", "--run-dir", str(empty)], 2),
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [call(argv) for argv, _ in calls]
+    assert [code for code, _, _ in first] == [code for _, code in calls]
+    again = [call(argv) for argv, _ in reversed(calls)][::-1]
+    assert again == first
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = subprocess.run([sys.executable, "-m", "dosegate.cli", *dose],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                               filter(None, (str(src), os.environ.get("PYTHONPATH"))))})
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == first[0]
 
 
 def test_report_summarizes_run(run_dir, capsys):

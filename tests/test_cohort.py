@@ -27,7 +27,7 @@ from dosegate.errors import (
     SchemaError,
     UnimputableVariableError,
 )
-from dosegate.records import BINARY_COVARIATES, Cohort, ImputedPatientRecord, Race
+from dosegate.records import Cohort, ImputedPatientRecord, Race
 
 HEADER = "\t".join(CANONICAL_COLUMNS)
 
@@ -166,20 +166,6 @@ def test_filter_boundary_is_strict():
 def test_filter_unobserved_variable_removed():
     records = [make_raw(covariates={"macrolide": None}) for _ in range(20)]
     assert "macrolide" in filter_unbalanced(records)
-
-
-def test_filter_is_monotone_in_fraction():
-    rng = np.random.default_rng(0)
-    records = [
-        make_raw(covariates={name: (int(rng.random() < 0.08 * (i % 5 + 1))
-                                    if rng.random() > 0.1 else None)
-                             for i, name in enumerate(BINARY_COVARIATES)})
-        for _ in range(300)
-    ]
-    fractions = (0.02, 0.05, 0.10, 0.20, 0.40)
-    removed = [set(filter_unbalanced(records, f)) for f in fractions]
-    for smaller, larger in zip(removed, removed[1:]):
-        assert smaller <= larger
 
 
 # --- imputation ---

@@ -1,4 +1,4 @@
-"""Feature encoding: z-scores, indicator columns, scaler reuse."""
+"""Feature encoding: z-scores, indicator columns, the fitted scaler."""
 
 from dataclasses import replace
 
@@ -42,23 +42,17 @@ def test_binary_columns_not_scaled():
     assert np.all(fm.means == 0.0) and np.all(fm.scales == 1.0)
 
 
-def test_stored_scaler_centering_identity():
-    fit_rows = [make_imputed(height_cm=h) for h in (150.0, 170.0, 190.0)]
-    fm = encode_features(fit_rows, ("height_cm",))
-    probe = encode_features([make_imputed(height_cm=float(fm.means[0]))],
-                            ("height_cm",), scaler=fm)
-    assert probe.x[0, 0] == 0.0
-
-
 def test_stored_scaler_reproduces_fit_matrix_bitwise():
+    # decision_values standardizes raw rows with the model's stored scaler,
+    # which must give the training matrix bit for bit
     rng = np.random.default_rng(4)
     records = [make_imputed(height_cm=float(rng.uniform(150, 200)),
                             weight_kg=float(rng.uniform(50, 120)))
                for _ in range(20)]
     names = ("height_cm", "weight_kg", "gender")
     fitted = encode_features(records, names)
-    replayed = encode_features(records, names, scaler=fitted)
-    assert np.array_equal(fitted.x, replayed.x)
+    replayed = (feature_rows(records, names) - fitted.means) / fitted.scales
+    assert np.array_equal(fitted.x, replayed)
 
 
 def test_constant_column_sigma_one():
@@ -76,13 +70,6 @@ def test_unknown_feature_rejected():
 def test_missing_value_rejected():
     with pytest.raises(DataError):
         feature_rows([make_raw(height_cm=None)], ("height_cm",))
-
-
-def test_scaler_name_mismatch_rejected():
-    fm = encode_features([make_imputed(), make_imputed(height_cm=180.0)],
-                         ("height_cm",))
-    with pytest.raises(SchemaError):
-        encode_features([make_imputed()], ("weight_kg",), scaler=fm)
 
 
 def test_default_features_drop_enzyme_and_rare():

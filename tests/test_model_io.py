@@ -147,3 +147,44 @@ def test_unsigned_label_and_blank_lines_accepted():
     restored = model_from_text("\n".join(lines) + "\n")
     assert np.array_equal(restored.sv_labels, model.sv_labels)
     assert np.array_equal(restored.support_vectors, model.support_vectors)
+
+
+def test_same_text_is_parsed_once_and_rewritten_file_again(tmp_path):
+    first, _ = _fitted_model(seed=1)
+    second, _ = _fitted_model(seed=5)
+    path = tmp_path / "model.txt"
+    save_model(first, path)
+    loaded = load_model(path)
+    assert load_model(path) is loaded
+    save_model(second, path)  # same path, another model's text
+    reloaded = load_model(path)
+    assert np.array_equal(reloaded.alphas, second.alphas)
+    assert np.array_equal(reloaded.support_vectors, second.support_vectors)
+    assert not np.array_equal(reloaded.alphas, loaded.alphas)
+
+
+def test_damaged_text_after_good_text_fails_every_time(tmp_path):
+    model, raw = _fitted_model(seed=3)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    good = load_model(path)
+    lines, first = _sv_lines(model_to_text(model))
+    lines[first + 1] = lines[first + 1].rsplit(" ", 1)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            load_model(path)
+    save_model(model, path)
+    restored = load_model(path)
+    assert np.array_equal(decision_values(restored, raw), decision_values(good, raw))
+
+
+def test_loaded_model_arrays_are_read_only(tmp_path):
+    model, _ = _fitted_model(seed=6)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    loaded = load_model(path)
+    for name in ("alphas", "support_vectors", "scaler_means", "scaler_scales", "sv_labels"):
+        with pytest.raises(ValueError):
+            getattr(loaded, name)[0] = 1.0
+    assert np.array_equal(load_model(path).alphas, model.alphas)
