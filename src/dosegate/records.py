@@ -1,22 +1,16 @@
-"""Patient record types, the cohort variable schema, and the column form
-of a cohort.
+"""The cohort variable schema and the one form a patient takes: a
+Cohort, one float64 column per canonical field.
 
 Field codes follow the dataset conventions: age is a decade code
 (1 means 10-19 years, 9 means 90+), race is 1/2/3 for White,
 African-American, Asian, gender is 0 female / 1 male, and the named
-covariates are 0/1 flags. A None marks a missing value in raw records;
-imputed records carry no missing values at all.
-
-A record is one validated patient. A batch of patients travels as a
-Cohort: one float64 column per canonical field, NaN where a value is
-missing. Records and columns convert into each other here and nowhere
-else.
+covariates are 0/1 flags. NaN marks a missing value. A single patient,
+as `dose` takes one, is a one-row Cohort.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import sys
 from enum import IntEnum
 
 import numpy as np
@@ -46,8 +40,6 @@ BINARY_COVARIATES = (
     "valve_replacement",
 )
 
-_COVARIATE_NAMES = frozenset(BINARY_COVARIATES)
-
 # the canonical field order of a cohort, in its columns and in its text form
 CANONICAL_COLUMNS = (
     "age_decade",
@@ -63,9 +55,6 @@ CANONICAL_COLUMNS = (
 
 COLUMN_INDEX = {name: j for j, name in enumerate(CANONICAL_COLUMNS)}
 
-# fields held as integer codes in a record
-_CODED_FIELDS = frozenset(("age_decade", "race", "gender", *BINARY_COVARIATES))
-
 # enzyme inducer status is the OR of these three drugs
 ENZYME_COMPONENTS = ("carbamazepine", "phenytoin", "rifampin")
 
@@ -80,105 +69,58 @@ class Race(IntEnum):
     ASIAN = 3
 
 
-def _check_optional_binary(name: str, value):
-    if value is not None and value not in (0, 1):
-        raise DomainError(f"{name} must be 0, 1, or missing; got {value!r}")
+# the range a positive, finite value lies in
+_POSITIVE = (5e-324, sys.float_info.max)
+
+_CODE = "{name} must be an integer code {low}..{high}, got {value}"
+_FLAG = "{name} must be 0, 1, or missing; got {value}"
+_BOUNDED = "{name} {value} outside sanity bounds ({low!r}, {high!r})"
+_POSITIVE_FINITE = "{name} must be positive and finite, got {value}"
+
+# per canonical column: the lowest and highest value it may hold, whether
+# its values are integer codes, whether it may be missing (NaN), and the
+# message for a value that breaks these rules
+_RULES = {
+    "age_decade": (*AGE_DECADE_RANGE, True, True, _CODE),
+    "height_cm": (*HEIGHT_BOUNDS_CM, False, True, _BOUNDED),
+    "weight_kg": (*WEIGHT_BOUNDS_KG, False, True, _BOUNDED),
+    "race": (min(Race).value, max(Race).value, True, True, _CODE),
+    **{name: (0, 1, True, True, _FLAG) for name in ("gender", *BINARY_COVARIATES)},
+    "inr": (*_POSITIVE, False, True, _POSITIVE_FINITE),
+    "target_inr": (*_POSITIVE, False, True, _POSITIVE_FINITE),
+    "therapeutic_dose_mg_week": (*_POSITIVE, False, False,
+                                 "{name} must be > 0 and finite, got {value}"),
+}
+
+# the rules as arrays: bounds and a 1.0/0.0 coded mark per column, and
+# the columns that may not be missing
+_LOW, _HIGH, _CODED = (np.array([[float(_RULES[name][k])] for name in CANONICAL_COLUMNS])
+                       for k in range(3))
+_REQUIRED = [j for j, name in enumerate(CANONICAL_COLUMNS) if not _RULES[name][3]]
 
 
-def _normalize_covariates(covariates, allow_missing: bool) -> dict:
-    cov = dict(covariates or {})
-    if not cov.keys() <= _COVARIATE_NAMES:
-        raise SchemaError(f"unknown covariates: {sorted(set(cov) - _COVARIATE_NAMES)}")
-    full = {}
-    for name in BINARY_COVARIATES:
-        value = cov.get(name)
-        if value is None:
-            if not allow_missing:
-                raise DomainError(f"covariate {name} is missing in an imputed record")
-            full[name] = None
-        elif value in (0, 1):
-            full[name] = int(value)
-        else:
-            raise DomainError(f"{name} must be 0, 1, or missing; got {value!r}")
-    return full
-
-
-def _check_ranges(age_decade, height_cm, weight_kg, gender, inr, target_inr, dose):
-    if age_decade is not None and not (
-        AGE_DECADE_RANGE[0] <= age_decade <= AGE_DECADE_RANGE[1]
-        and int(age_decade) == age_decade
-    ):
-        raise DomainError(f"age_decade must be an integer code 1..9, got {age_decade!r}")
-    if height_cm is not None and not (HEIGHT_BOUNDS_CM[0] <= height_cm <= HEIGHT_BOUNDS_CM[1]):
-        raise DomainError(f"height_cm {height_cm!r} outside sanity bounds {HEIGHT_BOUNDS_CM}")
-    if weight_kg is not None and not (WEIGHT_BOUNDS_KG[0] <= weight_kg <= WEIGHT_BOUNDS_KG[1]):
-        raise DomainError(f"weight_kg {weight_kg!r} outside sanity bounds {WEIGHT_BOUNDS_KG}")
-    _check_optional_binary("gender", gender)
-    if inr is not None and not 0 < inr < math.inf:
-        raise DomainError(f"inr must be positive and finite, got {inr!r}")
-    if target_inr is not None and not 0 < target_inr < math.inf:
-        raise DomainError(f"target_inr must be positive and finite, got {target_inr!r}")
-    if not 0 < dose < math.inf:
-        raise DomainError(f"therapeutic_dose_mg_week must be > 0 and finite, got {dose!r}")
-
-
-@dataclass(frozen=True)
-class RawPatientRecord:
-    """One parsed patient; None marks a missing value.
-
-    inr and therapeutic dose are always present because rows lacking
-    them never enter a cohort; the [2,3] INR inclusion window is a
-    parse-time rule, not a record invariant.
-    """
-
-    inr: float
-    therapeutic_dose_mg_week: float
-    age_decade: int | None = None
-    height_cm: float | None = None
-    weight_kg: float | None = None
-    race: Race | None = None
-    gender: int | None = None
-    target_inr: float | None = None
-    covariates: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_ranges(
-            self.age_decade, self.height_cm, self.weight_kg, self.gender,
-            self.inr, self.target_inr, self.therapeutic_dose_mg_week,
-        )
-        if self.race is not None:
-            object.__setattr__(self, "race", Race(self.race))
-        object.__setattr__(
-            self, "covariates", _normalize_covariates(self.covariates, allow_missing=True)
-        )
-
-
-@dataclass(frozen=True)
-class ImputedPatientRecord:
-    """A patient with every field filled in; bounds as in the raw record."""
-
-    inr: float
-    therapeutic_dose_mg_week: float
-    age_decade: int
-    height_cm: float
-    weight_kg: float
-    race: Race
-    gender: int
-    target_inr: float
-    covariates: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("age_decade", "height_cm", "weight_kg", "race", "gender", "target_inr"):
-            if getattr(self, name) is None:
-                raise DomainError(f"imputed record is missing {name}")
-        _check_ranges(
-            self.age_decade, self.height_cm, self.weight_kg, self.gender,
-            self.inr, self.target_inr, self.therapeutic_dose_mg_week,
-        )
-        object.__setattr__(self, "race", Race(self.race))
-        object.__setattr__(
-            self, "covariates", _normalize_covariates(self.covariates, allow_missing=False)
-        )
+def _check_values(columns: np.ndarray):
+    """Raise DomainError naming the first value, in canonical column
+    order, that breaks its column's rule."""
+    # a comparison with NaN is false, so a missing value passes the bounds
+    bad = columns < _LOW
+    bad |= columns > _HIGH
+    with np.errstate(invalid="ignore"):  # an infinity's fraction is NaN; the bounds catch it
+        fraction = np.rint(columns)
+        fraction -= columns
+    np.abs(fraction, out=fraction)
+    fraction *= _CODED
+    bad |= fraction > 0
+    for j in _REQUIRED:
+        bad[j] |= np.isnan(columns[j])
+    if not bad.any():
+        return
+    j, i = divmod(int(np.argmax(bad)), columns.shape[1])
+    name = CANONICAL_COLUMNS[j]
+    low, high, coded, _, message = _RULES[name]
+    value = float(columns[j, i])
+    shown = str(int(value)) if coded and value.is_integer() else repr(value)
+    raise DomainError(message.format(name=name, value=shown, low=low, high=high))
 
 
 class Cohort:
@@ -187,8 +129,12 @@ class Cohort:
     NaN marks a missing value; race keeps its 1/2/3 code and every flag
     is 0.0 or 1.0. ``columns`` holds the columns as the rows of one
     array, in canonical order; ``cohort[name]`` is a column, ``len()``
-    the row count. A Cohort does not validate its values: the parser and
-    the record types do.
+    the row count. Every Cohort checks its values when it is made: a
+    code outside its range, a height or weight outside its sanity
+    bounds, an INR or target INR that is not positive and finite, or a
+    therapeutic dose that is missing, is a DomainError. The parser turns
+    an out-of-bounds height or weight into a missing value before it
+    makes its Cohort.
     """
 
     __slots__ = ("columns",)
@@ -206,6 +152,7 @@ class Cohort:
             raise DomainError("cohort columns must be of one length") from None
         if self.columns.ndim != 2 or self.columns.shape[0] != len(CANONICAL_COLUMNS):
             raise DomainError(f"a cohort has {len(CANONICAL_COLUMNS)} 1-D columns")
+        _check_values(self.columns)
 
     def __len__(self) -> int:
         return self.columns.shape[1]
@@ -216,32 +163,3 @@ class Cohort:
     def take(self, rows) -> "Cohort":
         """The rows at an index array, mask or slice, in that order."""
         return Cohort(self.columns[:, rows])
-
-    @classmethod
-    def from_records(cls, records) -> "Cohort":
-        rows = [(r.age_decade, r.height_cm, r.weight_kg, r.race, r.gender,
-                 *(r.covariates[name] for name in BINARY_COVARIATES),
-                 r.inr, r.target_inr, r.therapeutic_dose_mg_week) for r in records]
-        # None becomes NaN
-        table = np.array(rows, dtype=np.float64).reshape(len(rows), len(CANONICAL_COLUMNS))
-        return cls(table.T)
-
-    def records(self, kind=None) -> tuple:
-        """One validated record per row, RawPatientRecord unless ``kind``
-        names ImputedPatientRecord."""
-        kind = RawPatientRecord if kind is None else kind
-        values = [[None if v != v else (int(v) if name in _CODED_FIELDS and v.is_integer()
-                                         else v)
-                   for v in column]
-                  for name, column in zip(CANONICAL_COLUMNS, self.columns.tolist())]
-        out = []
-        for row in zip(*values):
-            fields = dict(zip(CANONICAL_COLUMNS, row))
-            covariates = {name: fields.pop(name) for name in BINARY_COVARIATES}
-            out.append(kind(covariates=covariates, **fields))
-        return tuple(out)
-
-
-def as_cohort(data) -> Cohort:
-    """A Cohort as it is, or the Cohort of a sequence of records."""
-    return data if isinstance(data, Cohort) else Cohort.from_records(data)

@@ -101,8 +101,8 @@ def _truncated_normal(rng, mean, std, low, high, size) -> np.ndarray:
 
 
 def generate_synthetic_cohort(n: int, seed: int,
-                              config: SyntheticConfig = DEFAULT_SYNTHETIC) -> list:
-    """Deterministic list of RawPatientRecord with table-true marginals."""
+                              config: SyntheticConfig = DEFAULT_SYNTHETIC) -> Cohort:
+    """A deterministic Cohort with table-true marginals."""
     if n <= 0:
         raise DomainError("cohort size must be positive")
     rng = np.random.default_rng(seed)
@@ -164,8 +164,7 @@ def generate_synthetic_cohort(n: int, seed: int,
 
     hidden = {"age_decade": age_mask, "height_cm": height_mask, "weight_kg": weight_mask,
               **cov_masks}
-    observed = Cohort({
+    return Cohort({
         name: np.where(hidden[name], np.nan, column) if name in hidden else column
         for name, column in truth.items()
     } | {"therapeutic_dose_mg_week": doses})
-    return list(observed.records())

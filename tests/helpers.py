@@ -1,49 +1,35 @@
-"""Shared record factories and toy-data generators for the test suite."""
+"""Shared patient factories and toy-data generators for the test suite."""
 
 import numpy as np
 
-from dosegate.records import (
-    BINARY_COVARIATES,
-    ImputedPatientRecord,
-    Race,
-    RawPatientRecord,
-)
+from dosegate.records import BINARY_COVARIATES, CANONICAL_COLUMNS, Cohort, Race
+
+# a complete patient; every field a one-row Cohort needs
+PATIENT = {
+    "age_decade": 5,
+    "height_cm": 170.0,
+    "weight_kg": 80.0,
+    "race": Race.WHITE,
+    "gender": 1,
+    **{name: 0 for name in BINARY_COVARIATES},
+    "inr": 2.5,
+    "target_inr": 2.5,
+    "therapeutic_dose_mg_week": 34.0,
+}
 
 
-def make_imputed(**overrides):
-    values = {
-        "inr": 2.5,
-        "therapeutic_dose_mg_week": 34.0,
-        "age_decade": 5,
-        "height_cm": 170.0,
-        "weight_kg": 80.0,
-        "race": Race.WHITE,
-        "gender": 1,
-        "target_inr": 2.5,
-        "covariates": {name: 0 for name in BINARY_COVARIATES},
-    }
-    cov_overrides = overrides.pop("covariates", {})
-    values.update(overrides)
-    values["covariates"] = {**values["covariates"], **cov_overrides}
-    return ImputedPatientRecord(**values)
+def make_patient(**fields):
+    """A one-row Cohort of PATIENT with ``fields`` changed; a field given
+    as None is missing."""
+    assert fields.keys() <= PATIENT.keys(), fields.keys() - PATIENT.keys()
+    values = {**PATIENT, **fields}
+    return Cohort({name: [np.nan if values[name] is None else values[name]]
+                   for name in CANONICAL_COLUMNS})
 
 
-def make_raw(**overrides):
-    values = {
-        "inr": 2.5,
-        "therapeutic_dose_mg_week": 34.0,
-        "age_decade": 5,
-        "height_cm": 170.0,
-        "weight_kg": 80.0,
-        "race": Race.WHITE,
-        "gender": 1,
-        "target_inr": 2.5,
-        "covariates": {name: 0 for name in BINARY_COVARIATES},
-    }
-    cov_overrides = overrides.pop("covariates", {})
-    values.update(overrides)
-    values["covariates"] = {**values["covariates"], **cov_overrides}
-    return RawPatientRecord(**values)
+def stack(cohorts):
+    """One Cohort of the rows of ``cohorts``, in order."""
+    return Cohort(np.hstack([cohort.columns for cohort in cohorts]))
 
 
 def separable_blobs(rng, n_per_class=15, gap=4.0, dims=2):

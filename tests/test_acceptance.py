@@ -26,7 +26,7 @@ from dosegate.records import Race
 from dosegate.svm import TrainConfig, decision_values, score_signs, train
 from dosegate.synth import generate_synthetic_cohort
 
-from helpers import make_imputed, make_raw
+from helpers import make_patient
 from reference_qp import reference_dual_solve
 
 POLY = KernelSpec("polynomial", degree=2, offset=1.0)
@@ -53,10 +53,9 @@ def test_dose_model_matches_independent_hand_arithmetic():
             expected += 0.406
         expected += 1.2799 * enzyme - 0.5695 * amiodarone
 
-        record = make_raw(age_decade=age, height_cm=height, weight_kg=weight,
-                          race=race,
-                          covariates={"enzyme": enzyme, "amiodarone": amiodarone})
-        assert abs(sqrt_weekly_doses([record])[0] - expected) <= 1e-9
+        patient = make_patient(age_decade=age, height_cm=height, weight_kg=weight,
+                               race=race, enzyme=enzyme, amiodarone=amiodarone)
+        assert abs(sqrt_weekly_doses(patient)[0] - expected) <= 1e-9
 
 
 def _random_instance(trial):
@@ -227,22 +226,22 @@ def test_metrics_match_brute_force_recomputation():
 
 def test_oracle_gate_monotonicity_and_identity_control():
     """On 50 synthetic cohorts the oracle gate never hurts RMSE and
-    keeps only records inside the 15% band; the identity gate changes
+    keeps only patients inside the 15% band; the identity gate changes
     nothing. Budget: two minutes."""
     start = time.monotonic()
     threshold = GateConfig().threshold
     for seed in range(50):
-        records = generate_synthetic_cohort(500, seed=seed)
-        train_recs, test_recs = split_cohort(records, 0.5, seed=seed)
+        cohort = generate_synthetic_cohort(500, seed=seed)
+        train_recs, test_recs = split_cohort(cohort, 0.5, seed=seed)
 
         plan = fit_imputation(train_recs)
         oracle, test_labels = evaluate_gate(None, plan, test_recs, gate_mode="oracle")
         assert oracle.rmse_shrunken <= oracle.rmse_original
         kept = np.flatnonzero(test_labels.signs() < 0)
-        imputed = [apply_imputation(plan, r) for r in test_recs]
+        imputed = apply_imputation(plan, test_recs)
         for i in kept:
-            actual = test_recs[i].therapeutic_dose_mg_week
-            rel = abs(predict_weekly_dose(imputed[i]) - actual) / actual
+            actual = test_recs["therapeutic_dose_mg_week"][i]
+            rel = abs(predict_weekly_dose(imputed.take([i])) - actual) / actual
             assert rel <= threshold
 
         identity, _ = evaluate_gate(None, plan, test_recs, gate_mode="identity")
@@ -258,8 +257,8 @@ def test_trained_gate_improves_rmse_across_seeded_runs():
     start = time.monotonic()
     wins = 0
     for seed in range(50):
-        records = generate_synthetic_cohort(500, seed=seed)
-        train_recs, test_recs = split_cohort(records, 0.5, seed=seed)
+        cohort = generate_synthetic_cohort(500, seed=seed)
+        train_recs, test_recs = split_cohort(cohort, 0.5, seed=seed)
         fitted = fit_gate(train_recs, POLY, c_grid=(1.0,), train_config=TrainConfig(seed=seed))
         report, _ = evaluate_gate(fitted.model, fitted.plan, test_recs, gate_mode="trained")
         if report.rmse_shrunken < report.rmse_original:
@@ -290,17 +289,15 @@ def test_best_effort_real_cohort_reproduction():
     schema = load_schema(schema_path)
     text = Path(os.environ["DOSEGATE_IWPC_FILE"]).read_text(encoding="utf-8")
     result = parse_cohort(text, schema)
-    records = result.cohort.records()
-    filter_unbalanced(records)
-    assert 4000 <= len(records) <= 4500
+    cohort = result.cohort
+    filter_unbalanced(cohort)
+    assert 4000 <= len(cohort) <= 4500
 
-    plan = fit_imputation(records)
-    imputed = [apply_imputation(plan, r) for r in records]
-    labels = label_cohort(imputed)
+    labels = label_cohort(apply_imputation(fit_imputation(cohort), cohort))
     assert abs(labels.n_high_risk - 3252) <= 0.05 * 3252
     assert abs(labels.n_safe - 985) <= 0.05 * 985
 
-    train_recs, test_recs = split_cohort(records, 0.5, seed=0)
+    train_recs, test_recs = split_cohort(cohort, 0.5, seed=0)
     fitted = fit_gate(train_recs, POLY, c_grid=(1.0,), train_config=TrainConfig(seed=0))
     report, _ = evaluate_gate(fitted.model, fitted.plan, test_recs, gate_mode="trained")
     rmse_gain = (report.rmse_original - report.rmse_shrunken) / report.rmse_original

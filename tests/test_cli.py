@@ -31,7 +31,7 @@ from dosegate.svm import SvmModel, TrainConfig
 
 import numpy as np
 
-from helpers import make_imputed, make_raw
+from helpers import make_patient, stack
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ def _stub_model_files(tmp_path, bias):
     )
     model_path = tmp_path / "model.txt"
     save_model(model, model_path)
-    plan = fit_imputation([make_raw(), make_raw(height_cm=180.0)])
+    plan = fit_imputation(stack([make_patient(), make_patient(height_cm=180.0)]))
     plan_path = tmp_path / "plan.txt"
     plan_path.write_text(plan_to_text(plan), encoding="ascii")
     return str(model_path), str(plan_path)
@@ -194,14 +194,14 @@ def test_train_is_deterministic(tmp_path):
 def test_train_one_class_cohort_is_numerical_error(tmp_path, capsys):
     # every dose equals the clinical prediction exactly, so every label
     # is SafeForModel and there is nothing to separate
-    records = []
+    patients = []
     for i in range(24):
         fields = {"age_decade": 4 + i % 5, "height_cm": 158.0 + i,
                   "weight_kg": 62.0 + i}
-        dose = predict_weekly_dose(make_imputed(**fields))
-        records.append(make_raw(therapeutic_dose_mg_week=dose, **fields))
+        dose = predict_weekly_dose(make_patient(**fields))
+        patients.append(make_patient(therapeutic_dose_mg_week=dose, **fields))
     src = tmp_path / "cohort.tsv"
-    src.write_text(cohort_to_text(records), encoding="ascii")
+    src.write_text(cohort_to_text(stack(patients)), encoding="ascii")
     assert main(["train", "--input", str(src), "--out-dir", str(tmp_path / "o"),
                  "--c-grid", "1"]) == 3
     assert "numerical error" in capsys.readouterr().err
@@ -552,12 +552,35 @@ def test_unreadable_config_value_is_usage_error(tmp_path, capsys):
     assert "bad config value" in capsys.readouterr().err
 
 
-def test_dose_unreadable_field_is_usage_error(tmp_path, capsys):
+# "nan" names no value, and an integer too large for a float has none
+@pytest.mark.parametrize("field", [
+    "age_decade=abc", "height_cm=nan", "target_inr=nan",
+    pytest.param("age_decade=" + "1" * 400, id="age_decade=400 digits"),
+])
+def test_dose_unreadable_field_is_usage_error(tmp_path, capsys, field):
     model_path, plan_path = _stub_model_files(tmp_path, bias=-1.0)
     assert main(["dose", "--model", model_path, "--plan", plan_path,
-                 "age_decade=abc", "height_cm=170", "weight_kg=80",
-                 "race=1", "enzyme=0", "amiodarone=0"]) == 1
-    assert "age_decade=abc" in capsys.readouterr().err
+                 "age_decade=5", "height_cm=170", "weight_kg=80",
+                 "race=1", "enzyme=0", "amiodarone=0", field]) == 1
+    assert f"cannot read patient field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, message", [
+    ("age_decade=12", "age_decade must be an integer code 1..9, got 12"),
+    ("age_decade=0", "age_decade must be an integer code 1..9, got 0"),
+    ("height_cm=50", "height_cm 50.0 outside sanity bounds (100.0, 250.0)"),
+    ("weight_kg=1e999", "weight_kg inf outside sanity bounds (20.0, 300.0)"),
+    ("gender=2", "gender must be 0, 1, or missing; got 2"),
+    ("aspirin=2", "aspirin must be 0, 1, or missing; got 2"),
+    ("target_inr=0", "target_inr must be positive and finite, got 0.0"),
+    ("target_inr=-1", "target_inr must be positive and finite, got -1.0"),
+])
+def test_dose_bad_field_is_data_error(run_dir, capsys, field, message):
+    assert main(["dose", "--run-dir", str(run_dir), "age_decade=5", "height_cm=170",
+                 "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dosegate dose: data error: {message}\n"
 
 
 def test_dose_plan_without_needed_mode_is_data_error(run_dir, tmp_path, capsys):
@@ -581,26 +604,3 @@ def test_seed_only_where_it_is_used(run_dir, tmp_path, command):
         main([command, *argv, "--seed", "1"])
     assert exc.value.code == 1
 
-
-def test_batch_commands_build_no_records(pipeline, run_dir, tmp_path, monkeypatch, capsys):
-    from dosegate.records import ImputedPatientRecord, RawPatientRecord
-
-    built = []
-    for kind in (RawPatientRecord, ImputedPatientRecord):
-        def counting(self, original=kind.__post_init__):
-            built.append(type(self).__name__)
-            original(self)
-        monkeypatch.setattr(kind, "__post_init__", counting)
-
-    assert main(["gate", "--run-dir", str(run_dir), "--jsonl",
-                 "--input", str(pipeline / "synth" / "cohort.tsv")]) == 0
-    assert main(["gate", "--run-dir", str(run_dir)]) == 0
-    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
-    assert main(["ingest", "--input", str(pipeline / "synth" / "cohort.tsv"),
-                 "--out-dir", str(tmp_path / "ingest")]) == 0
-    assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
-                 "--out-dir", str(tmp_path / "train"), "--c-grid", "1"]) == 0
-    assert built == []
-    assert main(["dose", "--run-dir", str(run_dir), "age_decade=5", "height_cm=170",
-                 "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0"]) == 0
-    assert len(built) <= 1

@@ -1,9 +1,11 @@
 """Ingestion, filtering, imputation, splitting, and text round trips."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from helpers import make_imputed, make_raw
+from helpers import make_patient, stack
 
 from dosegate.cohort import (
     CANONICAL_COLUMNS,
@@ -27,7 +29,14 @@ from dosegate.errors import (
     SchemaError,
     UnimputableVariableError,
 )
-from dosegate.records import Cohort, ImputedPatientRecord, Race
+from dosegate.records import (
+    AGE_DECADE_RANGE,
+    COLUMN_INDEX,
+    HEIGHT_BOUNDS_CM,
+    WEIGHT_BOUNDS_KG,
+    Cohort,
+    Race,
+)
 
 HEADER = "\t".join(CANONICAL_COLUMNS)
 
@@ -46,12 +55,12 @@ def _text(*rows):
 def test_race_code_two_is_african_american():
     text = _text(_row(race="2", inr="2.5", therapeutic_dose_mg_week="30"))
     result = parse_cohort(text)
-    assert result.cohort.records()[0].race == Race.AFRICAN_AMERICAN
+    assert result.cohort["race"].tolist() == [Race.AFRICAN_AMERICAN]
 
 
 def test_empty_height_cell_is_missing():
     text = _text(_row(height_cm="", inr="2.5", therapeutic_dose_mg_week="30"))
-    assert parse_cohort(text).cohort.records()[0].height_cm is None
+    assert np.isnan(parse_cohort(text).cohort["height_cm"]).all()
 
 
 def test_inr_outside_window_excluded():
@@ -60,7 +69,7 @@ def test_inr_outside_window_excluded():
         _row(inr="2.5", therapeutic_dose_mg_week="30"),
     )
     result = parse_cohort(text)
-    assert len(result.cohort.records()) == 1
+    assert len(result.cohort) == 1
     assert result.excluded_inr == 1
     assert result.n_data_rows == 2
 
@@ -74,7 +83,7 @@ def test_missing_dose_excluded_and_counted():
     result = parse_cohort(text)
     assert result.excluded_missing_dose == 2
     assert result.n_excluded == 2
-    assert len(result.cohort.records()) == 1
+    assert len(result.cohort) == 1
 
 
 def test_age_range_text_maps_to_decade_code():
@@ -83,15 +92,14 @@ def test_age_range_text_maps_to_decade_code():
         _row(age_decade="90+", inr="2.5", therapeutic_dose_mg_week="30"),
         _row(age_decade="3", inr="2.5", therapeutic_dose_mg_week="30"),
     )
-    records = parse_cohort(text).cohort.records()
-    assert [r.age_decade for r in records] == [5, 9, 3]
+    assert parse_cohort(text).cohort["age_decade"].tolist() == [5, 9, 3]
 
 
 def test_comma_delimited_accepted():
     header = ",".join(CANONICAL_COLUMNS)
     row = _row(inr="2.5", therapeutic_dose_mg_week="30").replace("\t", ",")
     result = parse_cohort(header + "\n" + row + "\n")
-    assert len(result.cohort.records()) == 1
+    assert len(result.cohort) == 1
 
 
 def test_no_header_rejected():
@@ -120,9 +128,7 @@ def test_enzyme_derived_from_component_inducers():
         _row(inr="2.5", therapeutic_dose_mg_week="30", rifampin="0",
              carbamazepine="0", phenytoin="0"),
     )
-    records = parse_cohort(text, schema).cohort.records()
-    assert records[0].covariates["enzyme"] == 1
-    assert records[1].covariates["enzyme"] == 0
+    assert parse_cohort(text, schema).cohort["enzyme"].tolist() == [1, 0]
 
 
 def test_load_schema_round_trip(tmp_path):
@@ -141,108 +147,107 @@ def test_load_schema_round_trip(tmp_path):
 
 # --- filter_unbalanced ---
 
+def _flags(name, zeros, ones):
+    """A cohort whose flag ``name`` is 0 in ``zeros`` rows, then 1 in ``ones``."""
+    return stack([make_patient(**{name: 0})] * zeros + [make_patient(**{name: 1})] * ones)
+
+
 def test_filter_rare_minority_removed():
-    records = ([make_raw(covariates={"rifampin": 0})] * 2230
-               + [make_raw(covariates={"rifampin": 1})] * 3)
-    assert "rifampin" in filter_unbalanced(records)
+    assert "rifampin" in filter_unbalanced(_flags("rifampin", 2230, 3))
 
 
 def test_filter_balanced_retained():
-    records = ([make_raw(covariates={"aspirin": 0})] * 50
-               + [make_raw(covariates={"aspirin": 1})] * 50)
-    assert "aspirin" not in filter_unbalanced(records)
+    assert "aspirin" not in filter_unbalanced(_flags("aspirin", 50, 50))
 
 
 def test_filter_boundary_is_strict():
     # minority exactly 10% of non-missing stays
-    records = ([make_raw(covariates={"diabetes": 0})] * 90
-               + [make_raw(covariates={"diabetes": 1})] * 10)
-    assert "diabetes" not in filter_unbalanced(records)
-    records = ([make_raw(covariates={"diabetes": 0})] * 91
-               + [make_raw(covariates={"diabetes": 1})] * 9)
-    assert "diabetes" in filter_unbalanced(records)
+    assert "diabetes" not in filter_unbalanced(_flags("diabetes", 90, 10))
+    assert "diabetes" in filter_unbalanced(_flags("diabetes", 91, 9))
 
 
 def test_filter_unobserved_variable_removed():
-    records = [make_raw(covariates={"macrolide": None}) for _ in range(20)]
-    assert "macrolide" in filter_unbalanced(records)
+    assert "macrolide" in filter_unbalanced(stack([make_patient(macrolide=None)] * 20))
 
 
 # --- imputation ---
 
 def test_mean_imputation_example():
-    records = [make_raw(height_cm=160.0), make_raw(height_cm=None),
-               make_raw(height_cm=180.0)]
-    plan = fit_imputation(records)
+    cohort = stack([make_patient(height_cm=160.0), make_patient(height_cm=None),
+                    make_patient(height_cm=180.0)])
+    plan = fit_imputation(cohort)
     assert plan.means["height_cm"] == 170.0
-    fixed = apply_imputation(plan, records[1])
-    assert fixed.height_cm == 170.0
+    assert apply_imputation(plan, cohort)["height_cm"].tolist() == [160.0, 170.0, 180.0]
 
 
 def test_mode_imputation_majority_and_tie():
-    records = [make_raw(covariates={"aspirin": 0}),
-               make_raw(covariates={"aspirin": 0}),
-               make_raw(covariates={"aspirin": 1}),
-               make_raw(covariates={"aspirin": None})]
-    assert fit_imputation(records).modes["aspirin"] == 0
-    tied = [make_raw(covariates={"aspirin": 0}), make_raw(covariates={"aspirin": 1})]
+    cohort = stack([make_patient(aspirin=0), make_patient(aspirin=0),
+                    make_patient(aspirin=1), make_patient(aspirin=None)])
+    assert fit_imputation(cohort).modes["aspirin"] == 0
+    tied = stack([make_patient(aspirin=0), make_patient(aspirin=1)])
     assert fit_imputation(tied).modes["aspirin"] == 0  # tie -> smaller code
 
 
-def test_complete_record_unchanged():
-    record = make_raw()
-    plan = fit_imputation([record, make_raw(age_decade=7)])
-    fixed = apply_imputation(plan, record)
-    assert fixed.height_cm == record.height_cm
-    assert fixed.age_decade == record.age_decade
-    assert fixed.race == record.race
+def test_complete_rows_unchanged():
+    cohort = stack([make_patient(), make_patient(age_decade=7)])
+    fixed = apply_imputation(fit_imputation(cohort), cohort)
+    assert np.array_equal(fixed.columns, cohort.columns)
 
 
 def test_plan_mean_applied_to_missing_weight():
-    records = [make_raw(weight_kg=81.3), make_raw(weight_kg=None)]
-    plan = fit_imputation(records)
-    assert apply_imputation(plan, records[1]).weight_kg == 81.3
+    cohort = stack([make_patient(weight_kg=81.3), make_patient(weight_kg=None)])
+    plan = fit_imputation(cohort)
+    assert apply_imputation(plan, cohort)["weight_kg"].tolist() == [81.3, 81.3]
 
 
 def test_unimputable_variable_named():
-    records = [make_raw(height_cm=None), make_raw(height_cm=None)]
     with pytest.raises(UnimputableVariableError) as info:
-        fit_imputation(records)
+        fit_imputation(stack([make_patient(height_cm=None)] * 2))
     assert info.value.variable == "height_cm"
 
 
 def test_incomplete_plan_rejected():
-    plan = fit_imputation([make_raw(), make_raw(age_decade=3)])
+    plan = fit_imputation(stack([make_patient(), make_patient(age_decade=3)]))
     broken_means = dict(plan.means)
     del broken_means["height_cm"]
     clone = type(plan)(means=broken_means, modes=plan.modes,
                        provenance=plan.provenance)
     with pytest.raises(PlanIncompleteError):
-        apply_imputation(clone, make_raw(height_cm=None))
+        apply_imputation(clone, make_patient(height_cm=None))
 
 
 def test_imputation_idempotent():
     rng = np.random.default_rng(12)
-    records = [make_raw(height_cm=None if rng.random() < 0.3 else 150.0 + i,
-                        covariates={"chf": None if rng.random() < 0.3 else 1})
-               for i in range(40)]
-    plan = fit_imputation(records)
-    once = [apply_imputation(plan, r) for r in records]
-    twice = [apply_imputation(plan, r) for r in once]
-    assert once == twice
+    cohort = stack([make_patient(height_cm=None if rng.random() < 0.3 else 150.0 + i,
+                                 chf=None if rng.random() < 0.3 else 1)
+                    for i in range(40)])
+    plan = fit_imputation(cohort)
+    once = apply_imputation(plan, cohort)
+    assert not np.isnan(once["height_cm"]).any() and not np.isnan(once["chf"]).any()
+    assert np.array_equal(apply_imputation(plan, once).columns, once.columns)
+
+
+def test_imputing_one_row_matches_its_cohort():
+    cohort = stack([make_patient(height_cm=None, chf=None), make_patient(age_decade=3)])
+    plan = fit_imputation(cohort)
+    filled = apply_imputation(plan, cohort)
+    for i in range(len(cohort)):
+        one = apply_imputation(plan, cohort.take([i]))
+        assert np.array_equal(one.columns, filled.take([i]).columns)
 
 
 def test_plan_ignores_test_rows():
-    train_rows = [make_raw(height_cm=160.0 + i) for i in range(10)]
+    train_rows = stack([make_patient(height_cm=160.0 + i) for i in range(10)])
     plan_a = fit_imputation(train_rows)
-    # perturbing records outside the training split cannot matter
-    plan_b = fit_imputation(list(train_rows))
+    # perturbing rows outside the training split cannot matter
+    with_test = stack([train_rows, make_patient(height_cm=250.0, age_decade=9)])
+    plan_b = fit_imputation(with_test.take(slice(0, 10)))
     assert plan_a.means == plan_b.means
     assert plan_a.modes == plan_b.modes
 
 
 def test_plan_text_round_trip():
-    plan = fit_imputation([make_raw(), make_raw(age_decade=3, height_cm=155.0)])
+    plan = fit_imputation(stack([make_patient(), make_patient(age_decade=3, height_cm=155.0)]))
     restored = plan_from_text(plan_to_text(plan))
     assert restored.means == plan.means
     assert restored.modes == plan.modes
@@ -257,51 +262,73 @@ def test_plan_statistic_for_no_such_variable_rejected(line):
 
 # --- split ---
 
+def _numbered(n):
+    """A cohort whose row i has height 100 + i / 100, so a row names itself."""
+    return stack([make_patient(height_cm=100.0 + i / 100) for i in range(n)])
+
+
 def test_split_floor_rule_at_paper_size():
-    records = list(range(4237))
-    train, test = split_cohort(records, 0.5, seed=0)
+    cohort = Cohort(np.repeat(make_patient().columns, 4237, axis=1))
+    train, test = split_cohort(cohort, 0.5, seed=0)
     assert (len(train), len(test)) == (2118, 2119)
 
 
 def test_split_is_partition():
-    records = [make_raw(age_decade=1 + i % 9) for i in range(4)]
-    train, test = split_cohort(records, 0.5, seed=5)
+    cohort = _numbered(4)
+    train, test = split_cohort(cohort, 0.5, seed=5)
     assert len(train) == 2 and len(test) == 2
-    combined = list(train) + list(test)
-    assert sorted(map(id, combined)) == sorted(map(id, records))
+    combined = np.concatenate([train["height_cm"], test["height_cm"]])
+    assert sorted(combined.tolist()) == cohort["height_cm"].tolist()
 
 
 def test_split_seed_determinism():
-    records = list(range(100))
-    assert split_cohort(records, 0.3, seed=9) == split_cohort(records, 0.3, seed=9)
-    assert split_cohort(records, 0.3, seed=9) != split_cohort(records, 0.3, seed=10)
+    cohort = _numbered(100)
+
+    def heights(seed):
+        return [side["height_cm"].tolist() for side in split_cohort(cohort, 0.3, seed=seed)]
+
+    assert heights(9) == heights(9)
+    assert heights(9) != heights(10)
 
 
 def test_split_degenerate_sides_rejected():
     with pytest.raises(DegenerateSplitError):
-        split_cohort([make_raw()], 0.5, seed=0)
+        split_cohort(make_patient(), 0.5, seed=0)
     with pytest.raises(DegenerateSplitError):
-        split_cohort([make_raw(), make_raw()], 0.01, seed=0)
+        split_cohort(stack([make_patient()] * 2), 0.01, seed=0)
 
 
 # --- canonical text ---
 
+def _same_columns(a: Cohort, b: Cohort) -> bool:
+    """Bit-equal columns, NaN in the same places."""
+    return a.columns.shape == b.columns.shape and a.columns.tobytes() == b.columns.tobytes()
+
+
 def test_cohort_text_round_trip(tmp_path):
     rng = np.random.default_rng(77)
-    records = [
-        make_raw(
+    cohort = stack([
+        make_patient(
             height_cm=None if rng.random() < 0.2 else float(rng.uniform(150, 200)),
             weight_kg=float(rng.uniform(40, 150)),
             race=None if rng.random() < 0.1 else Race(int(rng.integers(1, 4))),
             therapeutic_dose_mg_week=float(rng.uniform(5, 80)),
-            covariates={"aspirin": None if rng.random() < 0.5 else 1},
+            aspirin=None if rng.random() < 0.5 else 1,
         )
         for _ in range(25)
-    ]
+    ])
     path = tmp_path / "cohort.tsv"
-    path.write_text(cohort_to_text(records), encoding="ascii")
-    restored = read_cohort(path).cohort.records()
-    assert list(restored) == records
+    path.write_text(cohort_to_text(cohort), encoding="ascii")
+    assert _same_columns(read_cohort(path).cohort, cohort)
+
+
+def test_overflowing_target_inr_range_is_missing():
+    # the midpoint of "1e308-1.7e308" is not finite, so the cell is missing
+    # and the written cohort parses back to the same columns
+    text = _text(_row(target_inr="1e308-1.7e308", inr="2.5", therapeutic_dose_mg_week="30"))
+    cohort = parse_cohort(text).cohort
+    assert np.isnan(cohort["target_inr"]).all()
+    assert _same_columns(parse_cohort(cohort_to_text(cohort)).cohort, cohort)
 
 
 def test_unsplittable_row_is_schema_error():
@@ -318,42 +345,77 @@ def test_repeated_coded_cells_parse_alike():
                 ("55", "asian", "m", "2-3", "yes"), ("5", "3", "1", "2.5", "1"),
                 ("55", "asian", "m", "2-3", "yes"), ("bad", "x", "?", "-1", "maybe"),
                 ("bad", "x", "?", "-1", "maybe"))]
-    records = parse_cohort(_text(*rows)).cohort.records()
-    assert records[0] == records[1] == records[2]
-    assert records[3] == records[4]
-    assert (records[3].age_decade, records[3].race, records[3].gender,
-            records[3].target_inr, records[3].covariates["aspirin"]) == (None,) * 5
+    cohort = parse_cohort(_text(*rows)).cohort
+    rows = [cohort.take([i]) for i in range(len(cohort))]
+    assert _same_columns(rows[0], rows[1]) and _same_columns(rows[0], rows[2])
+    assert _same_columns(rows[3], rows[4])
+    assert np.isnan([rows[3][name][0] for name in (
+        "age_decade", "race", "gender", "target_inr", "aspirin")]).all()
 
 
-# --- records and columns ---
+# --- the Cohort and its rules ---
 
-@pytest.mark.parametrize("field", ["inr", "target_inr", "therapeutic_dose_mg_week"])
-@pytest.mark.parametrize("value", [float("inf"), float("nan")])
-def test_records_reject_non_finite_values(field, value):
-    with pytest.raises(DomainError):
-        make_raw(**{field: value})
-    with pytest.raises(DomainError):
-        make_imputed(**{field: value})
-
-
-def test_cohort_columns_round_trip_records():
-    records = [make_raw(), make_raw(height_cm=None, race=Race.ASIAN, gender=None),
-               make_raw(age_decade=9, covariates={"aspirin": None, "chf": 1})]
-    cohort = Cohort.from_records(records)
+def test_cohort_columns_and_take():
+    cohort = stack([make_patient(), make_patient(height_cm=None, race=Race.ASIAN, gender=None),
+                    make_patient(age_decade=9, aspirin=None, chf=1)])
     assert len(cohort) == 3
+    assert cohort.columns.shape == (len(CANONICAL_COLUMNS), 3)
     assert np.isnan(cohort["height_cm"][1]) and cohort["race"][1] == 3.0
-    assert cohort.records() == tuple(records)
-    assert cohort.take([2, 0]).records() == (records[2], records[0])
-    assert len(Cohort.from_records([])) == 0
+    assert cohort.take([2, 0])["age_decade"].tolist() == [9.0, 5.0]
+    assert len(cohort.take([])) == 0
 
 
-def test_imputation_of_a_record_matches_its_cohort():
-    records = [make_raw(height_cm=None, covariates={"chf": None}), make_raw(age_decade=3)]
-    plan = fit_imputation(records)
-    filled = apply_imputation(plan, Cohort.from_records(records))
-    assert filled.records(ImputedPatientRecord) == tuple(
-        apply_imputation(plan, r) for r in records)
-    # a list or tuple of records is a batch, imputed as its cohort
-    for batch in (records, tuple(records)):
-        assert np.array_equal(apply_imputation(plan, batch).columns, filled.columns,
-                              equal_nan=True)
+_TINY = 5e-324  # the smallest positive float
+_HUGE = sys.float_info.max
+
+
+# field, a value its rule accepts, and the value just past it, which the
+# rule rejects; None is a missing value
+@pytest.mark.parametrize("field, accepted, rejected", [
+    ("age_decade", AGE_DECADE_RANGE[0], AGE_DECADE_RANGE[0] - 1),
+    ("age_decade", AGE_DECADE_RANGE[1], AGE_DECADE_RANGE[1] + 1),
+    ("age_decade", None, 4.5),
+    ("height_cm", HEIGHT_BOUNDS_CM[0], np.nextafter(HEIGHT_BOUNDS_CM[0], 0.0)),
+    ("height_cm", HEIGHT_BOUNDS_CM[1], np.nextafter(HEIGHT_BOUNDS_CM[1], np.inf)),
+    ("height_cm", None, -np.inf),
+    ("weight_kg", WEIGHT_BOUNDS_KG[0], np.nextafter(WEIGHT_BOUNDS_KG[0], 0.0)),
+    ("weight_kg", WEIGHT_BOUNDS_KG[1], np.nextafter(WEIGHT_BOUNDS_KG[1], np.inf)),
+    ("weight_kg", None, np.inf),
+    ("race", 1, 0),
+    ("race", 3, 4),
+    ("race", None, 1.5),
+    ("gender", 0, -1),
+    ("gender", 1, 2),
+    ("gender", None, 0.5),
+    ("aspirin", 0, -1),
+    ("aspirin", 1, 2),
+    ("valve_replacement", None, 0.5),
+    ("inr", _TINY, 0.0),
+    ("inr", _HUGE, np.inf),
+    ("inr", None, -1.0),
+    ("target_inr", _TINY, 0.0),
+    ("target_inr", _HUGE, np.inf),
+    ("target_inr", None, -_TINY),
+    ("therapeutic_dose_mg_week", _TINY, 0.0),
+    ("therapeutic_dose_mg_week", _HUGE, np.inf),
+    ("therapeutic_dose_mg_week", 34.0, None),
+])
+def test_cohort_checks_each_rule_at_its_boundary(field, accepted, rejected):
+    patient = make_patient(**{field: accepted})
+    assert np.array_equal(patient[field], [np.nan if accepted is None else accepted],
+                          equal_nan=True)
+    with pytest.raises(DomainError, match=f"^{field} "):
+        make_patient(**{field: rejected})
+
+
+def test_cohort_names_the_first_bad_value_in_canonical_order():
+    columns = stack([make_patient(), make_patient()]).columns.copy()
+    columns[COLUMN_INDEX["weight_kg"], 0] = 10.0
+    columns[COLUMN_INDEX["height_cm"], 1] = 50.0
+    columns[COLUMN_INDEX["height_cm"], 0] = 60.0
+    with pytest.raises(DomainError, match=r"^height_cm 60\.0 outside sanity bounds "
+                                          r"\(100\.0, 250\.0\)$"):
+        Cohort(columns)
+    with pytest.raises(DomainError, match="^age_decade must be an integer code 1..9, got 12$"):
+        make_patient(age_decade=12, height_cm=50.0)
+

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import make_imputed, make_raw
+from helpers import make_patient, stack
 
 from dosegate.errors import DataError, SchemaError
 from dosegate.features import (
@@ -18,8 +18,8 @@ from dosegate.records import Race
 
 
 def test_population_zscore_example():
-    records = [make_imputed(height_cm=h) for h in (160.0, 170.0, 180.0)]
-    fm = encode_features(records, ("height_cm",))
+    cohort = stack([make_patient(height_cm=h) for h in (160.0, 170.0, 180.0)])
+    fm = encode_features(cohort, ("height_cm",))
     # population sigma: sqrt(200/3); hand-derived column
     expected = np.array([-1.224744871391589, 0.0, 1.224744871391589])
     assert fm.x[:, 0] == pytest.approx(expected, abs=1e-12)
@@ -27,17 +27,15 @@ def test_population_zscore_example():
 
 
 def test_race_indicator_columns():
-    records = [make_imputed(race=Race.ASIAN), make_imputed(race=Race.WHITE),
-               make_imputed(race=Race.AFRICAN_AMERICAN)]
-    fm = encode_features(records, ("race_african_american", "race_asian"))
+    cohort = stack([make_patient(race=Race.ASIAN), make_patient(race=Race.WHITE),
+                    make_patient(race=Race.AFRICAN_AMERICAN)])
+    fm = encode_features(cohort, ("race_african_american", "race_asian"))
     assert fm.x.tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
 
 
 def test_binary_columns_not_scaled():
-    records = [make_imputed(covariates={"aspirin": 1}),
-               make_imputed(covariates={"aspirin": 0}),
-               make_imputed(covariates={"aspirin": 1})]
-    fm = encode_features(records, ("aspirin", "gender"))
+    cohort = stack([make_patient(aspirin=1), make_patient(aspirin=0), make_patient(aspirin=1)])
+    fm = encode_features(cohort, ("aspirin", "gender"))
     assert set(np.unique(fm.x)) <= {0.0, 1.0}
     assert np.all(fm.means == 0.0) and np.all(fm.scales == 1.0)
 
@@ -46,37 +44,35 @@ def test_stored_scaler_reproduces_fit_matrix_bitwise():
     # decision_values standardizes raw rows with the model's stored scaler,
     # which must give the training matrix bit for bit
     rng = np.random.default_rng(4)
-    records = [make_imputed(height_cm=float(rng.uniform(150, 200)),
-                            weight_kg=float(rng.uniform(50, 120)))
-               for _ in range(20)]
+    cohort = stack([make_patient(height_cm=float(rng.uniform(150, 200)),
+                                 weight_kg=float(rng.uniform(50, 120)))
+                    for _ in range(20)])
     names = ("height_cm", "weight_kg", "gender")
-    fitted = encode_features(records, names)
-    replayed = (feature_rows(records, names) - fitted.means) / fitted.scales
+    fitted = encode_features(cohort, names)
+    replayed = (feature_rows(cohort, names) - fitted.means) / fitted.scales
     assert np.array_equal(fitted.x, replayed)
 
 
 def test_constant_column_sigma_one():
-    records = [make_imputed(height_cm=170.0) for _ in range(5)]
-    fm = encode_features(records, ("height_cm",))
+    fm = encode_features(stack([make_patient(height_cm=170.0)] * 5), ("height_cm",))
     assert fm.scales[0] == 1.0
     assert np.all(fm.x == 0.0)
 
 
 def test_unknown_feature_rejected():
     with pytest.raises(SchemaError):
-        encode_features([make_imputed()], ("bogus_feature",))
+        encode_features(make_patient(), ("bogus_feature",))
 
 
 def test_missing_value_rejected():
     with pytest.raises(DataError):
-        feature_rows([make_raw(height_cm=None)], ("height_cm",))
+        feature_rows(make_patient(height_cm=None), ("height_cm",))
 
 
 def test_default_features_drop_enzyme_and_rare():
     # enzyme is never a classifier feature; rifampin here is too rare
-    records = [make_raw(covariates={"enzyme": 1, "rifampin": 0}) for _ in range(99)]
-    records.append(make_raw(covariates={"enzyme": 1, "rifampin": 1}))
-    names = default_feature_names(records)
+    names = default_feature_names(stack([make_patient(enzyme=1, rifampin=0)] * 99
+                                        + [make_patient(enzyme=1, rifampin=1)]))
     assert "enzyme" not in names
     assert "rifampin" not in names
     assert "age_decade" in names and "race_asian" in names
@@ -85,7 +81,7 @@ def test_default_features_drop_enzyme_and_rare():
 
 
 def test_labels_attach_and_validate():
-    fm = encode_features([make_imputed(), make_imputed(height_cm=160.0)],
+    fm = encode_features(stack([make_patient(), make_patient(height_cm=160.0)]),
                          ("height_cm",))
     labeled = replace(fm, labels=np.array([-1.0, 1.0]))
     assert labeled.labels is not None

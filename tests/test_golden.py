@@ -33,6 +33,8 @@ GOLDEN = {
     "train_report head": "f8e5ed62a083016c52cfe250c6413d0c732beb3842839530d1b97eb3474b67af",
     "gate id/dose": "04e9669be849224b04a6d46aa39506a010ae5a7c6d576684adc236ef73fd7718",
 }
+# `synth --n 4237 --seed 7`: the paper-scale cohort the benchmark builds on
+PAPER_SYNTH_COHORT = "efa09c1cd2693f007a196a9afcd3fcf8a19417de4b0e5e0d60aab1d2eaaf95f1"
 RMSE_ORIGINAL = 11.835422901985957
 MAE_ORIGINAL = 9.298193793290823
 
@@ -60,3 +62,8 @@ def test_end_to_end_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys
     evaluation = json.loads(Path("run/evaluation.json").read_text())
     assert (evaluation["rmse_original"], evaluation["mae_original"]) == (
         RMSE_ORIGINAL, MAE_ORIGINAL)
+
+
+def test_paper_scale_synth_matches_golden_digest(tmp_path):
+    assert main(["synth", "--n", "4237", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    assert _sha((tmp_path / "cohort.tsv").read_bytes()) == PAPER_SYNTH_COHORT

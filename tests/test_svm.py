@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_imputed, separable_blobs
+from helpers import make_patient, separable_blobs
 
 from dosegate.errors import DegenerateLabelsError, DomainError, SchemaError
 from dosegate.features import FeatureMatrix
@@ -202,7 +202,7 @@ def test_matrix_schema_mismatch_rejected():
     # a cohort has no features named like the model's; rows of another
     # width cannot be scaled by the model's scaler
     with pytest.raises(SchemaError):
-        classify_records(model, [make_imputed()])
+        classify_records(model, make_patient())
     with pytest.raises(DomainError):
         decision_values(model, x[:, :1])
 

@@ -4,24 +4,25 @@ import numpy as np
 
 from dosegate.cohort import cohort_to_text
 from dosegate.gate import GateConfig, label_cohort
-from dosegate.iwpc import DEFAULT_COEFFICIENTS, predict_weekly_dose
-from dosegate.records import BINARY_COVARIATES, Race, RawPatientRecord
+from dosegate.iwpc import DEFAULT_COEFFICIENTS, weekly_doses
+from dosegate.records import BINARY_COVARIATES, Cohort, Race
 from dosegate.synth import DEFAULT_SYNTHETIC, generate_synthetic_cohort
 
 
+def _observed(column):
+    return column[~np.isnan(column)]
+
+
 def test_height_calibration():
-    records = generate_synthetic_cohort(1000, seed=0)
-    heights = [r.height_cm for r in records if r.height_cm is not None]
-    assert abs(np.mean(heights) - 169.7) <= 1.5
+    cohort = generate_synthetic_cohort(1000, seed=0)
+    assert abs(np.mean(_observed(cohort["height_cm"])) - 169.7) <= 1.5
 
 
 def test_race_frequency_calibration():
-    records = generate_synthetic_cohort(1000, seed=1)
-    races = [r.race for r in records if r.race is not None]
-    n = len(races)
-    white = sum(1 for r in races if r == Race.WHITE) / n
-    black = sum(1 for r in races if r == Race.AFRICAN_AMERICAN) / n
-    asian = sum(1 for r in races if r == Race.ASIAN) / n
+    races = _observed(generate_synthetic_cohort(1000, seed=1)["race"])
+    white = np.mean(races == Race.WHITE)
+    black = np.mean(races == Race.AFRICAN_AMERICAN)
+    asian = np.mean(races == Race.ASIAN)
     assert abs(white - 0.63) <= 0.04
     assert abs(black - 0.15) <= 0.04
     assert abs(asian - 0.22) <= 0.04
@@ -35,67 +36,54 @@ def test_same_seed_byte_identical():
     assert cohort_to_text(a) != cohort_to_text(c)
 
 
-def test_records_satisfy_inclusion_rules():
-    records = generate_synthetic_cohort(500, seed=2)
-    assert len(records) == 500
-    for r in records:
-        assert isinstance(r, RawPatientRecord)
-        assert r.therapeutic_dose_mg_week > 0
-        assert 2.0 <= r.inr <= 3.0
-        if r.height_cm is not None:
-            assert 100.0 <= r.height_cm <= 250.0
-        if r.age_decade is not None:
-            assert 1 <= r.age_decade <= 9
+def test_cohort_satisfies_inclusion_rules():
+    cohort = generate_synthetic_cohort(500, seed=2)
+    assert isinstance(cohort, Cohort) and len(cohort) == 500
+    assert np.all(cohort["therapeutic_dose_mg_week"] > 0)
+    assert np.all((cohort["inr"] >= 2.0) & (cohort["inr"] <= 3.0))
+    heights = _observed(cohort["height_cm"])
+    assert np.all((heights >= 100.0) & (heights <= 250.0))
+    ages = _observed(cohort["age_decade"])
+    assert np.all((ages >= 1) & (ages <= 9))
 
 
 def test_missingness_present_at_calibrated_scale():
-    records = generate_synthetic_cohort(2000, seed=3)
-    rifampin_missing = sum(
-        1 for r in records if r.covariates["rifampin"] is None) / len(records)
-    height_missing = sum(1 for r in records if r.height_cm is None) / len(records)
+    cohort = generate_synthetic_cohort(2000, seed=3)
+    rifampin_missing = np.mean(np.isnan(cohort["rifampin"]))
+    height_missing = np.mean(np.isnan(cohort["height_cm"]))
     # table rates: rifampin about 47% missing, height about 16%
     assert 0.37 <= rifampin_missing <= 0.57
     assert 0.10 <= height_missing <= 0.23
-    assert all(r.race is not None for r in records)
-    assert all(r.gender is not None for r in records)
+    assert not np.isnan(cohort["race"]).any()
+    assert not np.isnan(cohort["gender"]).any()
 
 
 def test_relative_error_bands_are_separated():
-    """Complete records fall in the safe or risky band, never between."""
-    records = generate_synthetic_cohort(800, seed=4)
+    """Complete rows fall in the safe or risky band, never between."""
+    cohort = generate_synthetic_cohort(800, seed=4)
     config = DEFAULT_SYNTHETIC
     safe_cap = config.safe_rel / (1.0 - config.safe_rel)
     risky_floor = config.risky_rel_low / (1.0 + config.risky_rel_low)
-    complete = [
-        r for r in records
-        if r.age_decade is not None and r.height_cm is not None
-        and r.weight_kg is not None and r.race is not None
-        and r.covariates["enzyme"] is not None
-        and r.covariates["amiodarone"] is not None
-    ]
+    inputs = ("age_decade", "height_cm", "weight_kg", "race", "enzyme", "amiodarone")
+    complete = cohort.take(~np.isnan(np.array([cohort[name] for name in inputs])).any(axis=0))
     assert len(complete) > 100
-    in_gap = 0
-    for r in complete:
-        predicted = predict_weekly_dose(r, DEFAULT_COEFFICIENTS)
-        rel = abs(predicted - r.therapeutic_dose_mg_week) / r.therapeutic_dose_mg_week
-        if safe_cap + 1e-9 < rel < risky_floor - 1e-9:
-            in_gap += 1
-    assert in_gap == 0
+    actual = complete["therapeutic_dose_mg_week"]
+    rel = np.abs(weekly_doses(complete, DEFAULT_COEFFICIENTS) - actual) / actual
+    in_gap = (safe_cap + 1e-9 < rel) & (rel < risky_floor - 1e-9)
+    assert not in_gap.any()
     assert safe_cap < 0.15 < risky_floor  # the bands straddle the gate threshold
 
 
 def test_both_gate_classes_present():
-    records = generate_synthetic_cohort(400, seed=5)
+    cohort = generate_synthetic_cohort(400, seed=5)
     from dosegate.cohort import apply_imputation, fit_imputation
-    plan = fit_imputation(records)
-    imputed = [apply_imputation(plan, r) for r in records]
+    imputed = apply_imputation(fit_imputation(cohort), cohort)
     labels = label_cohort(imputed, DEFAULT_COEFFICIENTS, GateConfig())
     assert labels.n_high_risk > 40
     assert labels.n_safe > 40
 
 
 def test_covariates_are_binary_or_missing():
-    records = generate_synthetic_cohort(300, seed=6)
-    for r in records:
-        for name in BINARY_COVARIATES:
-            assert r.covariates[name] in (0, 1, None)
+    cohort = generate_synthetic_cohort(300, seed=6)
+    for name in BINARY_COVARIATES:
+        assert set(_observed(cohort[name]).tolist()) <= {0.0, 1.0}
