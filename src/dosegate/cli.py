@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,37 +57,54 @@ from .model_io import load_model, save_model
 from .records import BINARY_COVARIATES, CANONICAL_COLUMNS, Cohort
 from .svm import TrainConfig
 
-_DEFAULTS = {
-    "seed": 0,
-    "train_fraction": 0.5,
-    "threshold": 0.15,
-    "kernel": "polynomial degree=2 offset=1.0",
-    "c_grid": "0.1,1,10,100",
-    "cv_k": 10,
-    "balance_classes": True,
-    "n": 1000,
-    "gate_mode": "trained",
+
+class _Option(NamedTuple):
+    """A config key's option: ``FLAG VALUE``, or bool flags setting True, then False."""
+
+    flags: tuple
+    type: type = str
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+
+
+# every config key, each once
+_OPTIONS = {
+    "input": _Option(("--input",), help="cohort file (gate defaults to the run's test set)"),
+    "schema": _Option(("--schema",), help="column-map file (key=value)"),
+    "out_dir": _Option(("--out-dir",), help="directory to write the artifacts into"),
+    "run_dir": _Option(("--run-dir",), help="run directory written by train"),
+    "model": _Option(("--model",), help="model file (alternative to --run-dir)"),
+    "plan": _Option(("--plan",), help="imputation plan file"),
+    "coefficients": _Option(("--coefficients",), help="override coefficient file"),
+    "allow_override": _Option(("--allow-coefficient-override",), bool,
+                              help="accept --coefficients that deviate from the published"),
+    "seed": _Option(("--seed",), int, 0, "random seed"),
+    "n": _Option(("--n",), int, 1000, "cohort size"),
+    "train_fraction": _Option(("--train-fraction",), float, 0.5, "share to train on"),
+    "threshold": _Option(("--threshold",), float, 0.15, "HighRisk relative dose error"),
+    "kernel": _Option(("--kernel",), str, "polynomial degree=2 offset=1.0", "kernel spec"),
+    "c_grid": _Option(("--c-grid",), str, "0.1,1,10,100", "comma-separated C values"),
+    "cv_k": _Option(("--cv-k",), int, 10, "cross-validation folds"),
+    "balance_classes": _Option(("--balance", "--no-balance"), bool, True, "class-weighted C"),
+    "gate_mode": _Option(("--gate-mode",), str, "trained", "which gate to apply", GATE_MODES),
 }
 
-_CONFIG_TYPES = {
-    "command": str,  # present in echoed configs; informational only
-    "input": str,
-    "schema": str,
-    "out_dir": str,
-    "run_dir": str,
-    "model": str,
-    "plan": str,
-    "coefficients": str,
-    "allow_override": bool,
-    "seed": int,
-    "train_fraction": float,
-    "threshold": float,
-    "kernel": str,
-    "c_grid": str,
-    "cv_k": int,
-    "balance_classes": bool,
-    "n": int,
-    "gate_mode": str,
+_COEFFICIENT_KEYS = ("coefficients", "allow_override")
+
+# subcommand -> (help, the config keys it takes); each runs cmd_<name>
+_COMMANDS = {
+    "synth": ("generate a synthetic cohort", ("seed", "n", "out_dir")),
+    "ingest": ("normalize a raw cohort export", ("input", "schema", "out_dir")),
+    "train": ("split, impute, label, and fit the gate",
+              ("seed", "input", "out_dir", "train_fraction", "threshold", "kernel", "c_grid",
+               "cv_k", "balance_classes", *_COEFFICIENT_KEYS)),
+    "evaluate": ("score the trained gate on the held-out test set",
+                 ("run_dir", "gate_mode", "threshold", *_COEFFICIENT_KEYS)),
+    "gate": ("per-patient gate decisions", ("run_dir", "input", *_COEFFICIENT_KEYS)),
+    "dose": ("dose one patient given as key=value pairs",
+             ("run_dir", "model", "plan", *_COEFFICIENT_KEYS)),
+    "report": ("summarize a finished run directory", ("run_dir",)),
 }
 
 DOSE_REQUIRED_FIELDS = (
@@ -119,9 +138,11 @@ def config_from_text(text: str) -> dict:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not sep or key not in _CONFIG_TYPES:
+        if sep and key == "command":  # echoed configs name their command
+            continue
+        if not sep or key not in _OPTIONS:
             raise UsageError(f"bad config line: {raw_line!r}")
-        caster = _CONFIG_TYPES[key]
+        caster = _OPTIONS[key].type
         try:
             values[key] = _parse_bool(value) if caster is bool else caster(value)
         except ValueError:
@@ -129,31 +150,24 @@ def config_from_text(text: str) -> dict:
     return values
 
 
-def _effective_config(args: argparse.Namespace, keys) -> dict:
-    """defaults < config file < explicit flags, restricted to ``keys``."""
-    merged = {k: _DEFAULTS[k] for k in keys if k in _DEFAULTS}
-    if getattr(args, "config", None):
+def _effective_config(args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags, for the command's keys;
+    an unset key is None."""
+    keys = _COMMANDS[args.command][1]
+    config = {key: _OPTIONS[key].default for key in keys}
+    if args.config:
         file_values = config_from_text(read_text(args.config, "config file"))
-        merged.update({k: v for k, v in file_values.items() if k in keys})
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
+        config.update((k, v) for k, v in file_values.items() if k in keys)
+    config.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    return config
 
 
 def _config_text(config: dict) -> str:
     # out_dir is where the echo itself lives; omitting it keeps artifacts
     # byte-identical across runs that differ only in destination
-    lines = []
-    for key in sorted(config):
-        value = config[key]
-        if value is None or key == "out_dir":
-            continue
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key}={value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={str(value).lower() if isinstance(value, bool) else value}\n"
+                   for key, value in sorted(config.items())
+                   if value is not None and key != "out_dir")
 
 
 def _out_dir(config: dict) -> Path:
@@ -170,8 +184,7 @@ def _coefficients(config: dict):
     return DEFAULT_COEFFICIENTS
 
 
-def cmd_synth(args) -> int:
-    config = _effective_config(args, ("n", "seed", "out_dir"))
+def cmd_synth(config: dict, args) -> int:
     if config["n"] < 1:
         raise UsageError(f"the cohort size must be at least 1, got {config['n']}")
     out = _out_dir(config)
@@ -186,8 +199,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
-    config = _effective_config(args, ("input", "schema", "out_dir"))
+def cmd_ingest(config: dict, args) -> int:
     if not config.get("input"):
         raise UsageError("an input file is required (--input)")
     out = _out_dir(config)
@@ -254,11 +266,7 @@ def _kernel(text: str) -> KernelSpec:
         raise UsageError(f"bad kernel {text!r}: {exc}") from None
 
 
-def cmd_train(args) -> int:
-    keys = ("input", "out_dir", "seed", "train_fraction", "threshold",
-            "kernel", "c_grid", "cv_k", "balance_classes", "coefficients",
-            "allow_override")
-    config = _effective_config(args, keys)
+def cmd_train(config: dict, args) -> int:
     if not config.get("input"):
         raise UsageError("a normalized cohort file is required (--input)")
     gate_config = _gate_config(config)
@@ -353,7 +361,7 @@ def _evaluation_text(report, gate_mode: str) -> str:
 
 
 def _require_run_dir(config: dict) -> Path:
-    run_dir = config.get("run_dir") or config.get("out_dir")
+    run_dir = config.get("run_dir")
     if not run_dir:
         raise UsageError("a run directory from `train` is required (--run-dir)")
     path = Path(run_dir)
@@ -362,9 +370,7 @@ def _require_run_dir(config: dict) -> Path:
     return path
 
 
-def cmd_evaluate(args) -> int:
-    config = _effective_config(args, ("run_dir", "gate_mode", "threshold", "coefficients",
-                                      "allow_override"))
+def cmd_evaluate(config: dict, args) -> int:
     gate_config = _gate_config(config)
     gate_mode = config["gate_mode"]
     if gate_mode not in GATE_MODES:
@@ -386,8 +392,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_gate(args) -> int:
-    config = _effective_config(args, ("run_dir", "input", "coefficients", "allow_override"))
+def cmd_gate(config: dict, args) -> int:
     run_dir = _require_run_dir(config)
     coeffs = _coefficients(config)
     model = load_model(run_dir / "model.txt")
@@ -441,7 +446,7 @@ def patient_cohort(pairs, plan) -> Cohort:
             raise UsageError(f"unknown patient field {key!r}")
         try:
             values[key] = float(_PATIENT_FIELDS[key](value.strip()))
-        except (ValueError, OverflowError):  # an integer too large for a float overflows
+        except ValueError:
             raise UsageError(f"cannot read patient field {pair!r}") from None
     missing = [k for k in DOSE_REQUIRED_FIELDS if k not in values]
     if missing:
@@ -475,20 +480,27 @@ def _number(text: str) -> float:
     return value
 
 
+def _code(text: str) -> float:
+    """A coded field's value, read as a float so that "5.0" is the code
+    5 (the Cohort's rules judge the code); only a finite value reads."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 _PATIENT_FIELDS = {
-    "age_decade": int,
+    "age_decade": _code,
     "height_cm": _number,
     "weight_kg": _number,
     "race": _parse_race_arg,
-    "gender": int,
+    "gender": _code,
     "target_inr": _number,
-    **{name: int for name in BINARY_COVARIATES},
+    **{name: _code for name in BINARY_COVARIATES},
 }
 
 
-def cmd_dose(args) -> int:
-    config = _effective_config(args, ("run_dir", "model", "plan", "coefficients",
-                                      "allow_override"))
+def cmd_dose(config: dict, args) -> int:
     coeffs = _coefficients(config)
     if config.get("model"):
         model = load_model(config["model"])
@@ -514,8 +526,7 @@ def cmd_dose(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    config = _effective_config(args, ("run_dir",))
+def cmd_report(config: dict, args) -> int:
     run_dir = _require_run_dir(config)
     eval_path = run_dir / "evaluation.json"
     if not eval_path.exists():
@@ -541,8 +552,16 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="key=value config file; flags override it")
+def _add_option(parser: argparse.ArgumentParser, key: str, option: _Option):
+    if option.type is not bool:
+        shown = option.help if option.default is None else (
+            f"{option.help} (default: {option.default})")
+        parser.add_argument(*option.flags, dest=key, help=shown, choices=option.choices,
+                            type=None if option.type is str else option.type)
+        return
+    for flag, const in zip(option.flags, (True, False)):
+        parser.add_argument(flag, dest=key, action="store_const", const=const,
+                            help=option.help if const else f"the opposite of {option.flags[0]}")
 
 
 def build_parser() -> _Parser:
@@ -551,76 +570,17 @@ def build_parser() -> _Parser:
                                  "behind a learned safety gate.")
     parser.add_argument("--version", action="version", version=f"dosegate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic cohort", parents=[])
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="normalize a raw cohort export")
-    _add_common(p)
-    p.add_argument("--input", default=None)
-    p.add_argument("--schema", default=None, help="column-map file (key=value)")
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("train", help="split, impute, label, and fit the gate")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--input", default=None, help="normalized cohort (.tsv)")
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--kernel", default=None, help='e.g. "polynomial degree=2 offset=1"')
-    p.add_argument("--c-grid", dest="c_grid", default=None, help="comma-separated C values")
-    p.add_argument("--cv-k", dest="cv_k", type=int, default=None)
-    p.add_argument("--balance", dest="balance_classes", action="store_const",
-                   const=True, default=None)
-    p.add_argument("--no-balance", dest="balance_classes", action="store_const", const=False)
-    p.add_argument("--coefficients", default=None, help="override coefficient file")
-    p.add_argument("--allow-coefficient-override", dest="allow_override",
-                   action="store_const", const=True, default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score the trained gate on the held-out test set")
-    _add_common(p)
-    p.add_argument("--run-dir", dest="run_dir", default=None)
-    p.add_argument("--gate-mode", dest="gate_mode", default=None,
-                   choices=GATE_MODES)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--coefficients", default=None)
-    p.add_argument("--allow-coefficient-override", dest="allow_override",
-                   action="store_const", const=True, default=None)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("gate", help="per-patient gate decisions")
-    _add_common(p)
-    p.add_argument("--run-dir", dest="run_dir", default=None)
-    p.add_argument("--input", default=None, help="cohort to gate (default: run's test set)")
-    p.add_argument("--jsonl", action="store_true", help="one JSON object per patient")
-    p.add_argument("--coefficients", default=None)
-    p.add_argument("--allow-coefficient-override", dest="allow_override",
-                   action="store_const", const=True, default=None)
-    p.set_defaults(func=cmd_gate)
-
-    p = sub.add_parser("dose", help="dose one patient given as key=value pairs")
-    _add_common(p)
-    p.add_argument("--run-dir", dest="run_dir", default=None)
-    p.add_argument("--model", default=None, help="model file (alternative to --run-dir)")
-    p.add_argument("--plan", default=None, help="imputation plan file")
-    p.add_argument("--coefficients", default=None)
-    p.add_argument("--allow-coefficient-override", dest="allow_override",
-                   action="store_const", const=True, default=None)
-    p.add_argument("patient", nargs="*", help="key=value patient fields")
-    p.set_defaults(func=cmd_dose)
-
-    p = sub.add_parser("report", help="summarize a finished run directory")
-    _add_common(p)
-    p.add_argument("--run-dir", dest="run_dir", default=None)
-    p.set_defaults(func=cmd_report)
-
+    for command, (help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for key in keys:
+            _add_option(p, key, _OPTIONS[key])
+        # looked up on each build, so a wrapper bound to the name since
+        # import is the function that runs
+        p.set_defaults(func=globals()[f"cmd_{command}"])
+    sub.choices["gate"].add_argument("--jsonl", action="store_true",
+                                     help="one JSON object per patient")
+    sub.choices["dose"].add_argument("patient", nargs="*", help="key=value patient fields")
     return parser
 
 
@@ -634,7 +594,7 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_effective_config(args), args)
     except UsageError as exc:
         print(f"dosegate {args.command}: usage error: {exc}", file=sys.stderr)
         return 1

@@ -236,21 +236,7 @@ def load_schema(path) -> dict:
     return schema_from_text(read_text(path, "schema file"))
 
 
-def _as_text(source) -> str:
-    if isinstance(source, bytes):
-        try:
-            return source.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"cohort bytes are not UTF-8 text: {exc.reason} "
-                              f"at byte {exc.start}") from None
-    if isinstance(source, str):
-        return source
-    if hasattr(source, "read"):
-        return _as_text(source.read())
-    raise SchemaError(f"unreadable cohort source of type {type(source).__name__}")
-
-
-def parse_cohort(source, schema: dict | None = None) -> ParseResult:
+def parse_cohort(text: str, schema: dict | None = None) -> ParseResult:
     """Parse delimited text into a cohort of columns.
 
     Rows without a positive therapeutic dose, or whose INR is missing
@@ -258,7 +244,6 @@ def parse_cohort(source, schema: dict | None = None) -> ParseResult:
     becomes a missing value. Text the csv module cannot split into rows
     is a SchemaError.
     """
-    text = _as_text(source)
     try:
         return _parse_rows(text, schema)
     except csv.Error as exc:  # e.g. a bare carriage return inside a field

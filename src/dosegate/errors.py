@@ -69,10 +69,11 @@ class DegenerateGateError(NumericalError):
 
 
 def read_text(path, what: str, encoding: str = "utf-8") -> str:
-    """The text of a file; a file that cannot be opened or whose bytes
-    are not ``encoding`` text is a DataError naming ``what`` it is."""
+    """The text of a file, without a leading byte-order mark; a file that
+    cannot be opened or whose bytes are not ``encoding`` text is a
+    DataError naming ``what`` it is."""
     try:
-        return Path(path).read_text(encoding=encoding)
+        return Path(path).read_text(encoding=encoding).removeprefix("\ufeff")
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:

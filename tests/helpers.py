@@ -1,8 +1,14 @@
 """Shared patient factories and toy-data generators for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 
 from dosegate.records import BINARY_COVARIATES, CANONICAL_COLUMNS, Cohort, Race
+
+# the identity column map that ships with the package
+CANONICAL_SCHEMA_FILE = (Path(__file__).resolve().parents[1] / "src" / "dosegate" / "schemas"
+                         / "canonical.txt")
 
 # a complete patient; every field a one-row Cohort needs
 PATIENT = {

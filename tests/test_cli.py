@@ -31,7 +31,7 @@ from dosegate.svm import SvmModel, TrainConfig
 
 import numpy as np
 
-from helpers import make_patient, stack
+from helpers import CANONICAL_SCHEMA_FILE, make_patient, stack
 
 
 @pytest.fixture(scope="module")
@@ -556,6 +556,7 @@ def test_unreadable_config_value_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("field", [
     "age_decade=abc", "height_cm=nan", "target_inr=nan",
     pytest.param("age_decade=" + "1" * 400, id="age_decade=400 digits"),
+    "gender=inf", "enzyme=nan", "aspirin=-inf",
 ])
 def test_dose_unreadable_field_is_usage_error(tmp_path, capsys, field):
     model_path, plan_path = _stub_model_files(tmp_path, bias=-1.0)
@@ -574,6 +575,9 @@ def test_dose_unreadable_field_is_usage_error(tmp_path, capsys, field):
     ("aspirin=2", "aspirin must be 0, 1, or missing; got 2"),
     ("target_inr=0", "target_inr must be positive and finite, got 0.0"),
     ("target_inr=-1", "target_inr must be positive and finite, got -1.0"),
+    ("age_decade=5.5", "age_decade must be an integer code 1..9, got 5.5"),
+    ("gender=0.5", "gender must be 0, 1, or missing; got 0.5"),
+    ("enzyme=1.5", "enzyme must be 0, 1, or missing; got 1.5"),
 ])
 def test_dose_bad_field_is_data_error(run_dir, capsys, field, message):
     assert main(["dose", "--run-dir", str(run_dir), "age_decade=5", "height_cm=170",
@@ -581,6 +585,16 @@ def test_dose_bad_field_is_data_error(run_dir, capsys, field, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"dosegate dose: data error: {message}\n"
+
+
+def test_dose_reads_whole_number_codes_written_as_floats(run_dir, capsys):
+    fields = ["height_cm=170", "weight_kg=80", "race=1", "amiodarone=0"]
+    assert main(["dose", "--run-dir", str(run_dir), *fields,
+                 "age_decade=5", "gender=1", "enzyme=1"]) == 0
+    as_integers = capsys.readouterr()
+    assert main(["dose", "--run-dir", str(run_dir), *fields,
+                 "age_decade=5.0", "gender=1.0", "enzyme=1.0"]) == 0
+    assert capsys.readouterr() == as_integers
 
 
 def test_dose_plan_without_needed_mode_is_data_error(run_dir, tmp_path, capsys):
@@ -604,3 +618,30 @@ def test_seed_only_where_it_is_used(run_dir, tmp_path, command):
         main([command, *argv, "--seed", "1"])
     assert exc.value.code == 1
 
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("kind", ["cohort", "schema", "config"])
+def test_byte_order_mark_is_ignored(pipeline, tmp_path, kind):
+    cohort = tmp_path / "cohort.tsv"
+    cohort.write_bytes((pipeline / "synth" / "cohort.tsv").read_bytes())
+    source = {"cohort": cohort, "schema": CANONICAL_SCHEMA_FILE, "config": None}[kind]
+    data = source.read_bytes() if source else b"seed=8\nn=20\n"
+    outputs = []
+    for prefix in (b"", BOM):
+        path = tmp_path / f"{kind}{len(prefix)}.txt"
+        path.write_bytes(prefix + data)
+        out = tmp_path / f"out{len(prefix)}"
+        argv = {
+            "cohort": ["ingest", "--input", str(path)],
+            "schema": ["ingest", "--input", str(cohort), "--schema", str(path)],
+            "config": ["synth", "--config", str(path)],
+        }[kind]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        # an ingest echoes its input and schema paths, which differ here
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                        if f.name != "config.txt" or kind == "config"})
+    assert outputs[1] == outputs[0]
+    if kind != "config":  # the first column survives: no age_decade became NA
+        assert outputs[0]["cohort.tsv"] == cohort.read_bytes()

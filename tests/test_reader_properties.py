@@ -180,6 +180,24 @@ def test_damaged_cohort_text_raises_only_package_errors(data):
 
 
 @PROPERTY
+@given(st.lists(patients, min_size=1, max_size=8), st.data())
+def test_valid_rows_with_one_damaged_cell_each_raise_only_package_errors(rows, data):
+    # every other cell of a row stays valid, so a damaged cell meets a
+    # kept INR and a positive dose, as it would in a real export
+    cohort = Cohort({name: [np.nan if row[name] is None else row[name] for row in rows]
+                     for name in CANONICAL_COLUMNS})
+    lines = cohort_to_text(cohort).splitlines()
+    for i in range(1, len(lines)):
+        cells = lines[i].split("\t")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(CELLS)
+        lines[i] = "\t".join(cells)
+    try:
+        parse_cohort("\n".join(lines))
+    except (SchemaError, EmptyCohortError):
+        pass
+
+
+@PROPERTY
 @given(st.text())
 def test_arbitrary_cohort_text_raises_only_package_errors(text):
     try:
