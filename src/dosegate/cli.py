@@ -126,7 +126,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def config_from_text(text: str) -> dict:

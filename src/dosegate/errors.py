@@ -35,6 +35,9 @@ class UnimputableVariableError(DataError):
         self.variable = variable
         super().__init__(f"variable {variable!r} has no non-missing training values")
 
+    def __reduce__(self):  # re-created from its variable, not from its message
+        return type(self), (self.variable,)
+
 
 class PlanIncompleteError(DataError):
     """The imputation plan lacks a statistic needed by a record."""

@@ -547,9 +547,11 @@ def test_plan_statistic_for_no_such_variable_is_data_error(run_dir, tmp_path, ca
 
 def test_unreadable_config_value_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seed=abc\n")
-    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
-    assert "bad config value" in capsys.readouterr().err
+    for command, line in (("synth", "seed=abc"), ("train", "balance_classes=maybe")):
+        cfg.write_text(f"{line}\n")
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"dosegate {command}: usage error: bad config value: {line!r}\n")
 
 
 # "nan" names no value, and an integer too large for a float has none

@@ -1,10 +1,18 @@
 """Cross-validation folds and C selection."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import separable_blobs
 
+from dosegate import crossval
+from dosegate.cli import main
 from dosegate.crossval import kfold_cv, select_c
 from dosegate.errors import DegenerateLabelsError, DomainError, NumericalError
 from dosegate.features import FeatureMatrix
@@ -136,3 +144,122 @@ def test_select_c_skips_c_whose_folds_did_not_converge():
     assert selection.best_c == 0.01
     with pytest.raises(NumericalError):
         select_c(fm, sigmoid, (100.0,), k=4, seed=0, base_config=config)
+
+
+# select_c's fits in this process (1) and in two forked workers (2)
+WORKER_COUNTS = (1, 2)
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Pin select_c's worker count, and check that no worker outlives
+    the test."""
+    def pin(count):
+        monkeypatch.setattr(crossval, "_available_cpus", lambda: count)
+    yield pin
+    assert multiprocessing.active_children() == []
+
+
+def _non_converging_case():
+    rng = np.random.default_rng(1)
+    x, labels = separable_blobs(rng, n_per_class=20, gap=1.0)
+    fm = FeatureMatrix(feature_names=("f0", "f1"), x=0.5 * x,
+                       means=np.zeros(2), scales=np.ones(2), labels=labels)
+    return (fm, KernelSpec(variant="sigmoid", theta=0.0), (0.01, 100.0), 4,
+            TrainConfig(balance_classes=False, max_passes=1))
+
+
+def _single_class_fold_case():
+    x = np.vstack([np.zeros((9, 2)), np.ones((1, 2))])
+    labels = np.array([-1.0] * 9 + [1.0])
+    fm = FeatureMatrix(feature_names=("f0", "f1"), x=x,
+                       means=np.zeros(2), scales=np.ones(2), labels=labels)
+    return fm, LINEAR, (0.5, 5.0), 10, CONFIG
+
+
+def _linear_case():
+    fm = _labeled_matrix(np.random.default_rng(8), n=60, signal=False)
+    return fm, LINEAR, (0.1, 1.0, 10.0, 100.0), 5, TrainConfig(balance_classes=False)
+
+
+@pytest.mark.parametrize("case", [_linear_case, _non_converging_case, _single_class_fold_case],
+                         ids=["linear", "non-converging", "single-class-fold"])
+def test_select_c_is_the_same_at_every_worker_count(set_workers, case):
+    fm, kernel, grid, k, config = case()
+    selections = []
+    for count in WORKER_COUNTS:
+        set_workers(count)
+        selections.append(repr(select_c(fm, kernel, grid, k=k, seed=0, base_config=config)))
+        assert multiprocessing.active_children() == []
+    assert selections[0] == selections[1]
+
+
+def _train(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)  # relative paths keep config.txt the same
+    if not Path("synth/cohort.tsv").exists():
+        assert main(["synth", "--n", "200", "--seed", "5", "--out-dir", "synth"]) == 0
+    capsys.readouterr()
+    code = main(["train", "--input", "synth/cohort.tsv", "--out-dir", out, "--seed", "5"])
+    return code, capsys.readouterr().err
+
+
+def test_train_artifacts_are_the_same_at_every_worker_count(tmp_path, monkeypatch, capsys,
+                                                             set_workers):
+    runs = []
+    for count in WORKER_COUNTS:
+        set_workers(count)
+        assert _train(tmp_path, monkeypatch, capsys, f"run{count}") == (0, "")
+        assert multiprocessing.active_children() == []
+        runs.append({name: (tmp_path / f"run{count}" / name).read_bytes()
+                     for name in ("train_report.txt", "model.txt", "plan.txt", "test.tsv")})
+    assert runs[0] == runs[1]
+    assert b"cv_folds 10\nc 0.1 " in runs[0]["train_report.txt"]  # the default grid ran
+
+
+def test_fit_error_in_a_worker_matches_the_in_process_error(tmp_path, monkeypatch, capsys,
+                                                            set_workers):
+    real_train = crossval.train
+
+    def failing_train(x, labels, kernel, config):
+        if config.c_regularization == 10.0:  # the sum tells the folds apart
+            raise NumericalError(f"forced failure at C=10 on rows summing to {x.sum()!r}")
+        return real_train(x, labels, kernel, config)
+
+    monkeypatch.setattr(crossval, "train", failing_train)
+    outcomes = []
+    for count in WORKER_COUNTS:
+        set_workers(count)
+        outcomes.append(_train(tmp_path, monkeypatch, capsys, f"run{count}"))
+        assert multiprocessing.active_children() == []
+    assert outcomes[0] == outcomes[1]
+    code, err = outcomes[0]
+    assert code == 3 and "numerical error: forced failure at C=10 on" in err
+
+
+@pytest.mark.parametrize("blas_env, expected", [
+    ({}, 1),  # OpenBLAS's default: a thread per CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
+    ({"GOTO_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OMP_NUM_THREADS": "1,1"}, 1),  # a nested setting is not read
+])
+def test_workers_share_the_cpus_with_the_blas_threads(monkeypatch, blas_env, expected):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in blas_env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert crossval._available_cpus() == expected
+
+
+def test_importing_the_cli_loads_no_pool_machinery():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, dosegate.cli; "
+             "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              filter(None, (str(src), os.environ.get("PYTHONPATH"))))})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
