@@ -18,6 +18,15 @@ pick a maximal KKT violator, pair it with the index of largest error
 difference, and update the pair analytically. Either way the bias, the
 KKT verdict and the dual objective come from exact kernel values.
 
+SMO starts at zero, or at the upper corner a = C (alpha seeding, DeCoste
+& Wagstaff, KDD 2000) when three things hold: the factor saw no negative
+pivot, so the kernel went to SMO for its rank only; sum_i z_i C_i = 0 to
+rounding, as balanced class weights make it, so the corner is feasible;
+and W(C) > 0 = W(0). At small C most multipliers end on the upper bound,
+so the corner start needs a fraction of the pair updates. An indefinite
+kernel (sigmoid) always starts at zero, because there the start picks
+which local optimum SMO finds.
+
 Models keep their support vectors in standardized feature space along
 with the scaler, so decision_values accepts raw-space inputs and scales
 internally. w is never formed; everything goes through the kernel.
@@ -25,6 +34,7 @@ internally. w is never formed; everything goes through the kernel.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +47,13 @@ from .kernels import KernelSpec, kernel_matrix
 # dense Gram matrix, as does an indefinite one. The cap sits at the
 # measured crossover: on 2118 training rows at C=0.1 (one BLAS thread)
 # the interior-point iterations take 0.12 s at rank 100, 0.31 s at rank
-# 200 and 0.64 s at rank 300, while SMO takes 0.3-0.5 s on the same rows
-# for its cheapest kernels (sigmoid, RBF, linear). The paper's kernel has
-# rank 95-124 on these features.
+# 200 and 0.64 s at rank 300, while SMO took 0.3-0.5 s on the same rows
+# for its cheapest kernels (sigmoid, RBF, linear). SMO's cheaper updates
+# do not move it for the low-rank kernels, which need many more updates:
+# the whole fit takes 0.12 s on the factor against 0.81 s (Gram matrix
+# and SMO) for the paper's kernel, 0.05 against 0.12 s for linear and
+# 0.23 against 0.35 s for anova. The paper's kernel has rank 95-124 on
+# these features.
 LOW_RANK_CAP = 200
 # A residual diagonal below this share of the largest kernel diagonal
 # ends the factor; one below minus this share shows an indefinite kernel.
@@ -78,12 +92,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.c_regularization > 0:
-            raise DomainError("c_regularization must be > 0")
-        if not self.kkt_tolerance > 0:
-            raise DomainError("kkt_tolerance must be > 0")
-        if self.max_passes < 1:
-            raise DomainError("max_passes must be >= 1")
+        if not 0 < self.c_regularization < np.inf:
+            raise DomainError("c_regularization must be finite and > 0")
+        if not 0 < self.kkt_tolerance < np.inf:
+            raise DomainError("kkt_tolerance must be finite and > 0")
+        if (isinstance(self.max_passes, bool) or not isinstance(self.max_passes, numbers.Integral)
+                or self.max_passes < 1):
+            raise DomainError("max_passes must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -169,21 +184,24 @@ def _kernel_diagonal(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diagonal(kernel_matrix(spec, blk, blk)) for blk in blocks])
 
 
-def _pivoted_cholesky(spec: KernelSpec, x: np.ndarray) -> np.ndarray | None:
+def _pivoted_cholesky(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray | None, bool]:
     """Greedy pivoted Cholesky factor V (n x rank) with K ~ V V^T.
 
     Each step pivots on the largest residual diagonal and computes that
-    one kernel column. Returns None when a residual diagonal falls below
-    zero by more than rounding (the kernel is indefinite on x) or when
-    the rank would pass LOW_RANK_CAP.
+    one kernel column. Returns (V, False), or (None, indefinite) when the
+    factor stops early: indefinite is True when a residual diagonal fell
+    below zero by more than rounding (the kernel is indefinite on x) and
+    False when the rank would pass LOW_RANK_CAP before any did.
     """
     n = x.shape[0]
     probe = LOW_RANK_CAP + 1
-    if n > probe and _pivoted_cholesky(spec, x[:probe]) is None:
+    if n > probe:
         # the kernel on some rows has no more rank than on all of them and
         # is indefinite only if it is on all of them, so the first rows
         # turn a full-rank kernel away at a fraction of the full cost
-        return None
+        head, indefinite = _pivoted_cholesky(spec, x[:probe])
+        if head is None:
+            return None, indefinite
     residual = _kernel_diagonal(spec, x)
     floor = PIVOT_TOLERANCE * max(float(np.abs(residual).max()), np.finfo(float).tiny)
     rows = np.empty((min(n, LOW_RANK_CAP), n))  # row k is column k of V
@@ -191,14 +209,14 @@ def _pivoted_cholesky(spec: KernelSpec, x: np.ndarray) -> np.ndarray | None:
     while float(residual.min()) >= -floor:
         p = int(np.argmax(residual))
         if residual[p] <= floor:
-            return rows[:rank].T
+            return rows[:rank].T, False
         if rank == LOW_RANK_CAP:
-            return None
+            return None, False
         col = kernel_matrix(spec, x, x[p:p + 1])[:, 0] - rows[:rank].T @ rows[:rank, p]
         rows[rank] = col / np.sqrt(residual[p])
         residual -= rows[rank] ** 2
         rank += 1
-    return None
+    return None, True
 
 
 def _step_to_boundary(*pairs) -> float:
@@ -367,30 +385,66 @@ def _settle_free(gram: np.ndarray, a: np.ndarray, z: np.ndarray,
         a[free] = moved
 
 
+def _smo_start(gram: np.ndarray, z: np.ndarray, upper: np.ndarray,
+               indefinite: bool) -> tuple[np.ndarray, np.ndarray]:
+    """SMO's first iterate and its scores gram @ (alpha * z): the upper
+    corner where the module docstring's rule allows it, else zero."""
+    n = z.size
+    total = float(upper.sum())
+    if not indefinite and abs(float(z @ upper)) <= n * np.finfo(float).eps * total:
+        weighted = upper * z
+        score = gram @ weighted
+        if total - 0.5 * float(weighted @ score) > 0.0:
+            return upper.copy(), score
+    return np.zeros(n), np.zeros(n)
+
+
 def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
-         config: TrainConfig) -> tuple[np.ndarray, bool]:
-    """Pairwise dual coordinate ascent on the dense Gram matrix; returns
-    the multipliers and whether the KKT conditions held within tolerance."""
+         config: TrainConfig, alpha: np.ndarray,
+         score: np.ndarray) -> tuple[np.ndarray, bool, int]:
+    """Pairwise dual coordinate ascent on the dense Gram matrix from alpha,
+    whose scores sum_j a_j z_j K(j, i) are ``score``; both are updated in
+    place. Returns the multipliers, whether the KKT conditions held within
+    tolerance, and the number of pair updates made.
+
+    A pair update changes two multipliers, so the per-index state that
+    follows from them (can alpha_i grow, can it shrink, is it free) is
+    kept in arrays and changed at those two indices only, and every
+    per-pass vector is formed in a buffer allocated once. Each state is
+    an offset added to a candidate value, 0 where the move is open and
+    -inf where it is blocked: for finite scores this orders the candidates
+    as masking by np.where does, at a fraction of a masked ufunc's cost.
+    So from alpha = 0 the updates are Platt's, as the loop kept in
+    tests/reference_smo.py makes them, bit for bit."""
     rng = np.random.default_rng(config.seed)
 
     n = z.size
-    alpha = np.zeros(n)
-    score = np.zeros(n)  # sum_j a_j z_j K(j, i); bias tracked separately
     b = 0.0
     tol = config.kkt_tolerance
     budget = config.max_passes * n
     updates = 0
     excluded: set[int] = set()
 
+    top = upper - snap
+    grow_off = np.where(alpha < top, 0.0, -np.inf)
+    shrink_off = np.where(alpha > snap, 0.0, -np.inf)
+    free_off = grow_off + shrink_off
+    n_free = int(np.count_nonzero(free_off == 0.0))
+    err, r, grow, viol, pick, gap, row1, row2 = (np.empty(n) for _ in range(8))
+    # take_step's scalars as Python floats: the same IEEE doubles as numpy
+    # scalars, without their per-operation cost
+    zs, caps, tops, snaps = z.tolist(), upper.tolist(), top.tolist(), snap.tolist()
+    diag = np.diagonal(gram).tolist()
+
     def take_step(i1: int, i2: int) -> bool:
-        nonlocal b, updates
+        nonlocal b, updates, n_free
         if i1 == i2:
             return False
-        a1, a2 = alpha[i1], alpha[i2]
-        z1, z2 = z[i1], z[i2]
-        c1, c2 = upper[i1], upper[i2]
-        e1 = score[i1] + b - z1
-        e2 = score[i2] + b - z2
+        a1, a2 = alpha.item(i1), alpha.item(i2)
+        z1, z2 = zs[i1], zs[i2]
+        c1, c2 = caps[i1], caps[i2]
+        e1 = score.item(i1) + b - z1
+        e2 = score.item(i2) + b - z2
         s = z1 * z2
         if s < 0:
             lo, hi = max(0.0, a2 - a1), min(c2, c1 + a2 - a1)
@@ -398,9 +452,9 @@ def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
             lo, hi = max(0.0, a1 + a2 - c1), min(c2, a1 + a2)
         if hi - lo < 1e-15:
             return False
-        k11 = gram[i1, i1]
-        k22 = gram[i2, i2]
-        k12 = gram[i2, i1]
+        k11 = diag[i1]
+        k22 = diag[i2]
+        k12 = gram.item(i2, i1)
         eta = k11 + k22 - 2.0 * k12
         if eta > 1e-300:
             a2_new = a2 + z2 * (e1 - e2) / eta
@@ -418,20 +472,20 @@ def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
         if eta <= 1e-300 and d2 * z2 * (e1 - e2) - 0.5 * d2 * d2 * eta <= 1e-15:
             return False
         a1_new = a1 + s * (a2 - a2_new)
-        if a1_new < snap[i1]:
+        if a1_new < snaps[i1]:
             a1_new = 0.0
-        elif a1_new > c1 - snap[i1]:
+        elif a1_new > tops[i1]:
             a1_new = c1
-        if a2_new < snap[i2]:
+        if a2_new < snaps[i2]:
             a2_new = 0.0
-        elif a2_new > c2 - snap[i2]:
+        elif a2_new > tops[i2]:
             a2_new = c2
         d1, d2 = a1_new - a1, a2_new - a2
         b1 = b - e1 - z1 * d1 * k11 - z2 * d2 * k12
         b2 = b - e2 - z1 * d1 * k12 - z2 * d2 * k22
-        if snap[i1] < a1_new < c1 - snap[i1]:
+        if snaps[i1] < a1_new < tops[i1]:
             b_new = b1
-        elif snap[i2] < a2_new < c2 - snap[i2]:
+        elif snaps[i2] < a2_new < tops[i2]:
             b_new = b2
         else:
             b_new = 0.5 * (b1 + b2)
@@ -440,17 +494,28 @@ def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
         # because kernel_matrix(x, x) is exactly symmetric (numpy computes
         # x @ x.T by syrk, which mirrors one triangle, and every later
         # step is elementwise and symmetric in the pair)
-        score[:] += z1 * d1 * gram[i1] + z2 * d2 * gram[i2]
+        np.multiply(gram[i1], z1 * d1, out=row1)
+        np.multiply(gram[i2], z2 * d2, out=row2)
+        np.add(row1, row2, out=row1)
+        np.add(score, row1, out=score)
         b = b_new
         updates += 1
+        for i, a in ((i1, a1_new), (i2, a2_new)):
+            grows, shrinks = a < tops[i], a > snaps[i]
+            n_free += (grows and shrinks) - (free_off.item(i) == 0.0)
+            grow_off[i] = 0.0 if grows else -np.inf
+            shrink_off[i] = 0.0 if shrinks else -np.inf
+            free_off[i] = 0.0 if grows and shrinks else -np.inf
         return True
 
-    def second_choice(i1: int, err: np.ndarray, in_bound: np.ndarray) -> bool:
-        cand = np.flatnonzero(in_bound)
-        if cand.size:
-            j = cand[int(np.argmax(np.abs(err[i1] - err[cand])))]
-            if take_step(i1, j):
+    def second_choice(i1: int) -> bool:
+        if n_free:
+            np.subtract(err.item(i1), err, out=gap)
+            np.abs(gap, out=gap)
+            np.add(gap, free_off, out=gap)
+            if take_step(i1, int(gap.argmax())):
                 return True
+            cand = np.flatnonzero(free_off == 0.0)
             start = int(rng.integers(cand.size))
             for off in range(cand.size):
                 if take_step(i1, int(cand[(start + off) % cand.size])):
@@ -475,55 +540,53 @@ def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
         score[:] = exact
         return True
 
-    def max_violation(bias_value: float) -> float:
-        r = z * (score + bias_value - z)
-        grow = np.where(alpha < upper - snap, -r, -np.inf)
-        shrink = np.where(alpha > snap, r, -np.inf)
-        return float(np.maximum(grow, shrink).max())
+    def violations(bias_value: float) -> np.ndarray:
+        """Each index's KKT violation under bias_value; err holds the errors."""
+        np.add(score, bias_value, out=err)
+        np.subtract(err, z, out=err)
+        np.multiply(z, err, out=r)
+        np.subtract(grow_off, r, out=grow)
+        np.add(r, shrink_off, out=r)
+        return np.maximum(grow, r, out=viol)
 
     while updates < budget:
-        err = score + b - z
-        r = z * err
-        grow = np.where(alpha < upper - snap, -r, -np.inf)
-        shrink = np.where(alpha > snap, r, -np.inf)
-        viol = np.maximum(grow, shrink)
-        if float(viol.max()) <= tol:
+        i1 = int(violations(b).argmax())
+        if viol[i1] <= tol:
             if refresh_scores():
                 continue
             # the stored model carries the averaged bias, so the verdict
             # must hold under that bias, not the running one
             b = _final_bias(alpha, z, score, upper, snap)
-            if max_violation(b) <= tol:
+            if violations(b).max() <= tol:
                 converged = True
                 break
             excluded.clear()
             continue
-        pick = viol.copy()
         if excluded:
+            np.copyto(pick, viol)
             pick[list(excluded)] = -np.inf
-        if float(pick.max()) <= tol:
-            if refresh_scores():
-                excluded.clear()
-                continue
-            # pair steps cannot repair a pure bias offset (it cancels in
-            # e1 - e2); re-derive b once before giving up on the stall
-            rule_b = _final_bias(alpha, z, score, upper, snap)
-            if rule_b != b:
-                b = rule_b
-                if max_violation(b) <= tol:
-                    converged = True
-                    break
-                excluded.clear()
-                continue
-            break  # every remaining violator already failed to move
-        i1 = int(np.argmax(pick))
-        in_bound = (alpha > snap) & (alpha < upper - snap)
-        if second_choice(i1, err, in_bound):
+            i1 = int(pick.argmax())
+            if pick[i1] <= tol:
+                if refresh_scores():
+                    excluded.clear()
+                    continue
+                # pair steps cannot repair a pure bias offset (it cancels in
+                # e1 - e2); re-derive b once before giving up on the stall
+                rule_b = _final_bias(alpha, z, score, upper, snap)
+                if rule_b != b:
+                    b = rule_b
+                    if violations(b).max() <= tol:
+                        converged = True
+                        break
+                    excluded.clear()
+                    continue
+                break  # every remaining violator already failed to move
+        if second_choice(i1):
             excluded.clear()
         else:
             excluded.add(i1)
 
-    return alpha, converged
+    return alpha, converged, updates
 
 
 def train(x, labels=None, kernel: KernelSpec = KernelSpec(),
@@ -543,10 +606,11 @@ def train(x, labels=None, kernel: KernelSpec = KernelSpec(),
 
     upper = _box_bounds(z, config)
     snap = 1e-12 * np.maximum(1.0, upper)
-    factor = _pivoted_cholesky(kernel, data)
+    factor, indefinite = _pivoted_cholesky(kernel, data)
     if factor is None:
         gram = kernel_matrix(kernel, data, data)
-        alpha, solved = _smo(gram, z, upper, snap, config)
+        alpha, solved, _ = _smo(gram, z, upper, snap, config,
+                                *_smo_start(gram, z, upper, indefinite))
         final_scores = gram @ (alpha * z)
     else:
         iterate, solved = _interior_point(factor * z[:, None], z, upper, config.max_passes)
