@@ -7,6 +7,9 @@ to reproduce every byte. Only artifacts that do not depend on BLAS
 summation order are compared: the model bytes follow the BLAS thread
 count, so model.txt and the lines of train_report.txt after the feature
 list stay out; of the gate output, the ids and doses are compared.
+A second train on the same cohort runs 3-fold cross-validation over
+three C values; its report lines from cv_folds through selected_c are
+compared too, and read the same at one BLAS thread and at several.
 """
 
 import hashlib
@@ -32,6 +35,8 @@ GOLDEN = {
     "run/test.tsv": "0b061ea20e14fce3f3912c67f42dfa52e584258a40d008c151080fd18f19b468",
     "train_report head": "f8e5ed62a083016c52cfe250c6413d0c732beb3842839530d1b97eb3474b67af",
     "gate id/dose": "04e9669be849224b04a6d46aa39506a010ae5a7c6d576684adc236ef73fd7718",
+    "cv train_report cv lines":
+        "46754e70c94a9762d0a5248a38be156451924fe2093a67de266239f3b8cfbb5a",
 }
 # `synth --n 4237 --seed 7`: the paper-scale cohort the benchmark builds on
 PAPER_SYNTH_COHORT = "efa09c1cd2693f007a196a9afcd3fcf8a19417de4b0e5e0d60aab1d2eaaf95f1"
@@ -49,11 +54,17 @@ def test_end_to_end_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys
     capsys.readouterr()
     assert main(["gate", "--run-dir", "run", "--jsonl"]) == 0
     gate_lines = capsys.readouterr().out.splitlines()
+    assert main(["train", "--input", "ingest/cohort.tsv", "--out-dir", "cv",
+                 "--seed", "3", "--c-grid", "0.1,1,10", "--cv-k", "3"]) == 0
 
     digests = {name: _sha(Path(name).read_bytes())
                for name in GOLDEN if "/" in name and " " not in name}
     report = Path("run/train_report.txt").read_text().splitlines()
     digests["train_report head"] = _sha("\n".join(report[:5]).encode())
+    cv_report = Path("cv/train_report.txt").read_text().splitlines()
+    first = cv_report.index("cv_folds 3")
+    last = next(i for i, line in enumerate(cv_report) if line.startswith("selected_c "))
+    digests["cv train_report cv lines"] = _sha("\n".join(cv_report[first:last + 1]).encode())
     payloads = [json.loads(line) for line in gate_lines]
     digests["gate id/dose"] = _sha("\n".join(
         f"{p['id']} {p['predicted_dose_mg_week']!r}" for p in payloads).encode())
