@@ -345,9 +345,9 @@ def _evaluation_text(report, gate_mode: str) -> str:
         f"gate_mode {gate_mode}",
         "",
         "classifier (HighRisk positive)",
-        f"  accuracy    {fmt_metric(report.accuracy, percent=True)}",
-        f"  sensitivity {fmt_metric(report.sensitivity, percent=True)}",
-        f"  specificity {fmt_metric(report.specificity, percent=True)}",
+        f"  accuracy    {fmt_metric(report.accuracy)}",
+        f"  sensitivity {fmt_metric(report.sensitivity)}",
+        f"  specificity {fmt_metric(report.specificity)}",
         f"  confusion   tp={report.confusion.tp} fp={report.confusion.fp} "
         f"tn={report.confusion.tn} fn={report.confusion.fn}",
         "",
@@ -543,9 +543,9 @@ def cmd_report(config: dict, args) -> int:
     acc = payload["accuracy"]
     sens = payload["sensitivity"]
     spec = payload["specificity"]
-    print(f"accuracy {fmt_metric(acc, percent=True)}  "
-          f"sensitivity {fmt_metric(sens, percent=True)}  "
-          f"specificity {fmt_metric(spec, percent=True)}")
+    print(f"accuracy {fmt_metric(acc)}  "
+          f"sensitivity {fmt_metric(sens)}  "
+          f"specificity {fmt_metric(spec)}")
     print(f"rmse {payload['rmse_original']:.3f} -> {payload['rmse_shrunken']:.3f}  "
           f"mae {payload['mae_original']:.3f} -> {payload['mae_shrunken']:.3f}  "
           f"retained {payload['shrink_ratio']:.3f}")

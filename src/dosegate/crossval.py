@@ -19,9 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateLabelsError, DomainError, NumericalError
-from .features import FeatureMatrix
 from .kernels import KernelSpec
-from .metrics import confusion, metrics
 from .svm import TrainConfig, decision_values, score_signs, train
 
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -29,14 +27,8 @@ DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
 
 @dataclass(frozen=True)
 class FoldOutcome:
-    fold: int
-    n_validation: int
-    accuracy: float | None = None
-    sensitivity: float | None = None
-    specificity: float | None = None
-    skipped: bool = False
-    reason: str = ""
-    converged: bool | None = None  # None for a skipped fold
+    accuracy: float | None  # None for a skipped fold
+    converged: bool | None  # None for a skipped fold
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,7 @@ class CvResult:
 
     @property
     def n_skipped(self) -> int:
-        return sum(1 for f in self.folds if f.skipped)
+        return sum(1 for f in self.folds if f.accuracy is None)
 
     @property
     def n_trained(self) -> int:
@@ -58,9 +50,14 @@ class CvResult:
         return sum(1 for f in self.folds if f.converged)
 
 
-def _fold_assignment(labels: np.ndarray, k: int, seed: int) -> list:
-    """Deal indices round-robin, ordered class-first so every fold sees
-    both classes in near-cohort proportion."""
+def _folds(labels: np.ndarray, k: int, seed: int) -> list:
+    """The validation indices of each of ``k`` folds: indices dealt
+    round-robin, ordered class-first so every fold sees both classes in
+    near-cohort proportion."""
+    if k < 2:
+        raise DomainError("k must be at least 2")
+    if k > labels.size:
+        raise DomainError(f"k={k} exceeds the {labels.size} available rows")
     rng = np.random.default_rng(seed)
     neg = rng.permutation(np.flatnonzero(labels < 0))
     pos = rng.permutation(np.flatnonzero(labels > 0))
@@ -68,43 +65,25 @@ def _fold_assignment(labels: np.ndarray, k: int, seed: int) -> list:
     return [ordered[f::k] for f in range(k)]
 
 
-def _folds(features: FeatureMatrix, k: int, seed: int) -> list:
-    """The validation indices of each of ``k`` folds, after checking
-    that the rows are labeled and can fill them."""
-    if features.labels is None:
-        raise DegenerateLabelsError("cross-validation needs labeled features")
-    n = features.n_rows
-    if k < 2:
-        raise DomainError("k must be at least 2")
-    if k > n:
-        raise DomainError(f"k={k} exceeds the {n} available rows")
-    return _fold_assignment(features.labels, k, seed)
-
-
-def _fold_outcome(features: FeatureMatrix, kernel: KernelSpec, folds: list,
+def _fold_outcome(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec, folds: list,
                   config: TrainConfig, f: int) -> FoldOutcome:
     """Fit on every fold but ``f`` and score the fit on fold ``f``. A fold
-    whose training side is single-class is skipped with a recorded
-    reason rather than failing the whole run."""
+    whose training side is single-class is skipped rather than failing
+    the whole run."""
     val_idx = folds[f]
-    mask = np.ones(features.n_rows, dtype=bool)
+    mask = np.ones(labels.size, dtype=bool)
     mask[val_idx] = False
-    train_labels = features.labels[mask]
+    train_labels = labels[mask]
     if np.all(train_labels == train_labels[0]):
-        return FoldOutcome(fold=f, n_validation=val_idx.size, skipped=True,
-                           reason="training side is single-class")
-    model = train(features.x[mask], train_labels, kernel, config)
-    predicted = score_signs(decision_values(model, features.x[val_idx]))
-    summary = metrics(confusion(features.labels[val_idx].astype(int), predicted))
-    return FoldOutcome(
-        fold=f, n_validation=val_idx.size, accuracy=summary.accuracy,
-        sensitivity=summary.sensitivity, specificity=summary.specificity,
-        converged=bool(model.converged),
-    )
+        return FoldOutcome(accuracy=None, converged=None)
+    model = train(x[mask], train_labels, kernel, config)
+    predicted = score_signs(decision_values(model, x[val_idx]))
+    agreeing = int(np.count_nonzero(predicted == labels[val_idx]))
+    return FoldOutcome(accuracy=agreeing / val_idx.size, converged=bool(model.converged))
 
 
 def _cv_result(outcomes: list) -> CvResult:
-    scored = [o.accuracy for o in outcomes if not o.skipped]
+    scored = [o.accuracy for o in outcomes if o.accuracy is not None]
     if not scored:
         raise DegenerateLabelsError("every fold was skipped; labels too degenerate")
     return CvResult(
@@ -112,18 +91,6 @@ def _cv_result(outcomes: list) -> CvResult:
         mean_accuracy=float(np.mean(scored)),
         std_accuracy=float(np.std(scored)),
     )
-
-
-def kfold_cv(features: FeatureMatrix, kernel: KernelSpec,
-             config: TrainConfig = TrainConfig(), k: int = 10, seed: int = 0) -> CvResult:
-    """Cross-validate the trainer with this kernel and configuration, in
-    this process.
-
-    Every record validates exactly once; fold sizes differ by at most
-    one. A fold whose training side is single-class is skipped.
-    """
-    folds = _folds(features, k, seed)
-    return _cv_result([_fold_outcome(features, kernel, folds, config, f) for f in range(k)])
 
 
 def _available_cpus() -> int:
@@ -147,15 +114,15 @@ def _available_cpus() -> int:
     return 1
 
 
-# What a worker's fits read: (features, kernel, folds), set by _share
+# What a worker's fits read: (x, labels, kernel, folds), set by _share
 # when the worker starts. Only workers set it; they inherit the arrays
 # through fork, so no array is pickled.
 _shared = None
 
 
-def _share(features: FeatureMatrix, kernel: KernelSpec, folds: list) -> None:
+def _share(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec, folds: list) -> None:
     global _shared
-    _shared = (features, kernel, folds)
+    _shared = (x, labels, kernel, folds)
 
 
 def _shared_fold_outcome(task: tuple) -> FoldOutcome:
@@ -163,7 +130,7 @@ def _shared_fold_outcome(task: tuple) -> FoldOutcome:
     return _fold_outcome(*_shared, config, f)
 
 
-def _fold_outcomes(features: FeatureMatrix, kernel: KernelSpec, folds: list,
+def _fold_outcomes(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec, folds: list,
                    tasks: list) -> list:
     """The FoldOutcome of each (config, fold index) task, in task order.
 
@@ -173,7 +140,7 @@ def _fold_outcomes(features: FeatureMatrix, kernel: KernelSpec, folds: list,
     """
     workers = min(_available_cpus(), len(tasks))
     if workers <= 1:
-        return [_fold_outcome(features, kernel, folds, config, f) for config, f in tasks]
+        return [_fold_outcome(x, labels, kernel, folds, config, f) for config, f in tasks]
     # imported here: importing them would add 16-22 ms to every CLI start
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -183,7 +150,7 @@ def _fold_outcomes(features: FeatureMatrix, kernel: KernelSpec, folds: list,
     # than a cross-validation fit at the paper's size
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_share,
-                             initargs=(features, kernel, folds)) as pool:
+                             initargs=(x, labels, kernel, folds)) as pool:
         # map cancels the tasks not yet started when a result raises
         return list(pool.map(_shared_fold_outcome, tasks))
 
@@ -194,10 +161,14 @@ class CSelection:
     results: dict  # C -> CvResult
 
 
-def select_c(features: FeatureMatrix, kernel: KernelSpec,
+def select_c(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
              c_grid=DEFAULT_C_GRID, k: int = 10, seed: int = 0,
              base_config: TrainConfig = TrainConfig()) -> CSelection:
-    """Pick C by mean CV accuracy; ties go to the smaller (safer) C.
+    """Pick C by mean ``k``-fold CV accuracy on standardized rows ``x``
+    and their -1/+1 labels; ties go to the smaller (safer) C.
+
+    Every row validates exactly once and fold sizes differ by at most
+    one. A fold whose training side is single-class is skipped.
 
     A C with a fold whose fit did not converge is not a candidate: its
     accuracy describes a model short of the optimum. When no C is left
@@ -205,9 +176,11 @@ def select_c(features: FeatureMatrix, kernel: KernelSpec,
     """
     if not c_grid:
         raise DomainError("the C grid must be non-empty")
+    if labels.shape != (len(x),):
+        raise DomainError("one label per row is required")
     configs = [replace(base_config, c_regularization=float(c)) for c in c_grid]
-    folds = _folds(features, k, seed)
-    outcomes = _fold_outcomes(features, kernel, folds,
+    folds = _folds(labels, k, seed)
+    outcomes = _fold_outcomes(x, labels, kernel, folds,
                               [(config, f) for config in configs for f in range(k)])
     results = {config.c_regularization: _cv_result(outcomes[i * k:(i + 1) * k])
                for i, config in enumerate(configs)}

@@ -44,7 +44,6 @@ class FeatureMatrix:
     x: np.ndarray  # (n, d) after scaling
     means: np.ndarray  # (d,)
     scales: np.ndarray  # (d,)
-    labels: np.ndarray | None = None  # (n,) in {-1,+1} when present
 
     def __post_init__(self):
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -61,17 +60,6 @@ class FeatureMatrix:
             raise DomainError("scaler length does not match feature count")
         if not np.all(scales > 0):
             raise DomainError("scaler scales must be positive")
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=float)
-            object.__setattr__(self, "labels", labels)
-            if labels.shape != (x.shape[0],):
-                raise DomainError("one label per row is required")
-            if not np.all(np.isin(labels, (-1.0, 1.0))):
-                raise DomainError("labels must be -1 or +1")
-
-    @property
-    def n_rows(self) -> int:
-        return self.x.shape[0]
 
 
 def default_feature_names(cohort: Cohort) -> tuple:
@@ -114,7 +102,7 @@ def feature_rows(cohort: Cohort, feature_names) -> np.ndarray:
     return np.ascontiguousarray(raw.T)
 
 
-def encode_features(cohort: Cohort, feature_names, labels=None) -> FeatureMatrix:
+def encode_features(cohort: Cohort, feature_names) -> FeatureMatrix:
     """Build the standardized matrix, with a scaler fit on these rows
     (population sigma; constant columns keep scale 1)."""
     names = tuple(feature_names)
@@ -127,4 +115,4 @@ def encode_features(cohort: Cohort, feature_names, labels=None) -> FeatureMatrix
             sigma = float(np.std(raw[:, j]))  # population, divide by n
             scales[j] = sigma if sigma > 0 else 1.0
     x = (raw - means) / scales
-    return FeatureMatrix(feature_names=names, x=x, means=means, scales=scales, labels=labels)
+    return FeatureMatrix(feature_names=names, x=x, means=means, scales=scales)

@@ -59,9 +59,6 @@ class CohortLabels:
     n_safe: int
     doses: np.ndarray
 
-    def signs(self) -> np.ndarray:
-        return self.labels.astype(float)
-
 
 def label_cohort(cohort: Cohort, coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS,
                  config: GateConfig = GateConfig()) -> CohortLabels:
@@ -150,14 +147,17 @@ def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv
         raise DegenerateLabelsError(
             "training labels are single-class; nothing to train the gate on")
     feature_names = default_feature_names(train_cohort)
-    features = encode_features(imputed, feature_names, labels=labels.signs())
+    features = encode_features(imputed, feature_names)
     selection = None
     c = float(c_grid[0])
     if len(c_grid) > 1:
-        selection = select_c(features, kernel, c_grid, k=cv_k, seed=train_config.seed,
-                             base_config=train_config)
+        selection = select_c(features.x, labels.labels, kernel, c_grid, k=cv_k,
+                             seed=train_config.seed, base_config=train_config)
         c = selection.best_c
-    model = train(features, kernel=kernel, config=replace(train_config, c_regularization=c))
+    model = replace(train(features.x, labels.labels, kernel,
+                          replace(train_config, c_regularization=c)),
+                    feature_names=feature_names, scaler_means=features.means,
+                    scaler_scales=features.scales)
     return FittedGate(plan=plan, feature_names=feature_names, labels=labels,
                       selection=selection, model=model)
 
@@ -175,7 +175,7 @@ def evaluate_gate(model: SvmModel | None, plan: ImputationPlan, test_cohort: Coh
         raise DomainError(f"gate_mode must be one of {GATE_MODES}")
     imputed = apply_imputation(plan, test_cohort)
     labels = label_cohort(imputed, coeffs, gate_config)
-    truth = labels.signs().astype(int)
+    truth = labels.labels
     if gate_mode == "trained":
         _, predicted = classify_records(model, imputed)
     elif gate_mode == "oracle":

@@ -38,11 +38,6 @@ class MetricSummary:
     sensitivity: float | None
     specificity: float | None
 
-    def __iter__(self):
-        yield self.accuracy
-        yield self.sensitivity
-        yield self.specificity
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -58,7 +53,6 @@ class EvalReport:
     mae_shrunken: float
     shrink_ratio: float
     confusion: ConfusionMatrix | None = None
-    folds: tuple | None = None
 
     def __post_init__(self):
         if not 0.0 < self.shrink_ratio <= 1.0:
@@ -67,12 +61,12 @@ class EvalReport:
 
 
 def _label_signs(labels) -> np.ndarray:
-    signs = np.asarray([int(v) for v in labels], dtype=int)
-    if signs.size == 0:
-        raise DomainError("label lists must be non-empty")
-    if not np.all(np.isin(signs, (-1, 1))):
+    signs = np.asarray(labels)
+    if signs.ndim != 1 or signs.size == 0:
+        raise DomainError("labels must be a non-empty list")
+    if signs.dtype.kind not in "iuf" or not np.all((signs == 1) | (signs == -1)):
         raise DomainError("labels must be -1 (safe) or +1 (high risk)")
-    return signs
+    return signs.astype(int)
 
 
 def confusion(truth, predicted) -> ConfusionMatrix:
@@ -120,8 +114,6 @@ def mae(actual, predicted) -> float:
     return float(np.mean(np.abs(a - p)))
 
 
-def fmt_metric(value, percent: bool = False) -> str:
-    """Human rendering: percentages for tables, a dash for undefined."""
-    if value is None:
-        return "—"
-    return f"{100.0 * value:.2f}" if percent else f"{value:.4f}"
+def fmt_metric(value) -> str:
+    """Human rendering: a percentage, or a dash for undefined."""
+    return "—" if value is None else f"{100.0 * value:.2f}"

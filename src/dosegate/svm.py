@@ -118,31 +118,6 @@ class SvmModel:
     dual_objective: float
 
 
-def _unpack_training(x, labels):
-    if hasattr(x, "feature_names") and hasattr(x, "x"):
-        data = np.asarray(x.x, dtype=float)
-        lab = x.labels if labels is None else labels
-        names = tuple(x.feature_names)
-        means = np.asarray(x.means, dtype=float)
-        scales = np.asarray(x.scales, dtype=float)
-    else:
-        data = np.atleast_2d(np.asarray(x, dtype=float))
-        lab = labels
-        names = tuple(f"f{i}" for i in range(data.shape[1]))
-        means = np.zeros(data.shape[1])
-        scales = np.ones(data.shape[1])
-    if lab is None:
-        raise DegenerateLabelsError("training labels are required")
-    z = np.asarray(lab, dtype=float)
-    if z.shape != (data.shape[0],):
-        raise DomainError("one label per training row is required")
-    if not np.all(np.isin(z, (-1.0, 1.0))):
-        raise DomainError("labels must be -1 or +1")
-    if not np.all(np.isfinite(data)):
-        raise DomainError("training features must be finite")
-    return data, z, names, means, scales
-
-
 def _box_bounds(z: np.ndarray, config: TrainConfig) -> np.ndarray:
     if config.balance_classes:
         n = z.size
@@ -589,18 +564,28 @@ def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
     return alpha, converged, updates
 
 
-def train(x, labels=None, kernel: KernelSpec = KernelSpec(),
+def train(x, labels, kernel: KernelSpec = KernelSpec(),
           config: TrainConfig = TrainConfig()) -> SvmModel:
-    """Fit the classifier. ``x`` is a feature matrix (standardized rows
-    plus scaler metadata) or a plain array treated as already scaled.
+    """Fit the classifier on standardized rows ``x`` and their -1/+1
+    ``labels``. The model gets generic feature names and an identity
+    scaler; ``fit_gate`` puts the real ones on.
 
     The kernel is factored first; a positive semidefinite kernel of rank
     at most LOW_RANK_CAP is solved by the interior-point method on that
     factor, any other by SMO on the dense Gram matrix. Either way the
     bias, the KKT verdict and the dual objective come from exact kernel
     values."""
-    data, z, names, means, scales = _unpack_training(x, labels)
-    n = data.shape[0]
+    if labels is None:
+        raise DegenerateLabelsError("training labels are required")
+    data = np.atleast_2d(np.asarray(x, dtype=float))
+    z = np.asarray(labels, dtype=float)
+    if z.shape != (data.shape[0],):
+        raise DomainError("one label per training row is required")
+    if not np.all(np.isin(z, (-1.0, 1.0))):
+        raise DomainError("labels must be -1 or +1")
+    if not np.all(np.isfinite(data)):
+        raise DomainError("training features must be finite")
+    n, d = data.shape
     if n < 2 or np.all(z == z[0]):
         raise DegenerateLabelsError("training needs at least one example of each class")
 
@@ -637,9 +622,9 @@ def train(x, labels=None, kernel: KernelSpec = KernelSpec(),
         alphas=alpha[keep].copy(),
         sv_labels=z[keep].copy(),
         bias=bias,
-        feature_names=names,
-        scaler_means=means,
-        scaler_scales=scales,
+        feature_names=tuple(f"f{i}" for i in range(d)),
+        scaler_means=np.zeros(d),
+        scaler_scales=np.ones(d),
         converged=solved and max_viol <= config.kkt_tolerance,
         max_kkt_violation=max_viol,
         dual_objective=objective,

@@ -29,8 +29,7 @@ AGE_MISSING = 14
 
 RACE_COUNTS = {Race.WHITE: 2663, Race.AFRICAN_AMERICAN: 656, Race.ASIAN: 918}
 
-GENDER_ONES = 2415  # male
-GENDER_MISSING = 0
+GENDER_ONES = 2415  # male; no gender is missing
 
 # covariate -> (count of 0, count of 1, count missing), summing to 4237
 COVARIATE_TABLE = {

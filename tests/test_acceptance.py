@@ -237,7 +237,7 @@ def test_oracle_gate_monotonicity_and_identity_control():
         plan = fit_imputation(train_recs)
         oracle, test_labels = evaluate_gate(None, plan, test_recs, gate_mode="oracle")
         assert oracle.rmse_shrunken <= oracle.rmse_original
-        kept = np.flatnonzero(test_labels.signs() < 0)
+        kept = np.flatnonzero(test_labels.labels < 0)
         imputed = apply_imputation(plan, test_recs)
         for i in kept:
             actual = test_recs["therapeutic_dose_mg_week"][i]

@@ -13,31 +13,35 @@ from helpers import separable_blobs
 
 from dosegate import crossval
 from dosegate.cli import main
-from dosegate.crossval import kfold_cv, select_c
+from dosegate.crossval import _folds, select_c
 from dosegate.errors import DegenerateLabelsError, DomainError, NumericalError
-from dosegate.features import FeatureMatrix
 from dosegate.kernels import KernelSpec
 from dosegate.svm import TrainConfig
 
 LINEAR = KernelSpec(variant="linear")
 
 
-def _labeled_matrix(rng, n=40, signal=True):
+def _labeled_rows(rng, n=40, signal=True):
     x, labels = separable_blobs(rng, n_per_class=n // 2)
     if not signal:
         labels = rng.permutation(labels)
-    return FeatureMatrix(feature_names=("f0", "f1"), x=x,
-                         means=np.zeros(2), scales=np.ones(2), labels=labels)
+    return x, labels
 
 
 CONFIG = TrainConfig(c_regularization=10.0, balance_classes=False)
 
 
+def _cv(x, labels, k, seed=0):
+    """The cross-validation of CONFIG's C alone: select_c on a one-value grid."""
+    selection = select_c(x, labels, LINEAR, (CONFIG.c_regularization,), k=k, seed=seed,
+                         base_config=CONFIG)
+    return selection.results[CONFIG.c_regularization]
+
+
 def test_fold_sizes_at_paper_cohort_size():
     rng = np.random.default_rng(0)
     labels = np.where(rng.random(4237) < 0.77, 1.0, -1.0)
-    from dosegate.crossval import _fold_assignment
-    folds = _fold_assignment(labels, 10, seed=0)
+    folds = _folds(labels, 10, seed=0)
     sizes = sorted(len(f) for f in folds)
     assert set(sizes) <= {423, 424}
     assert sum(sizes) == 4237
@@ -47,78 +51,78 @@ def test_fold_sizes_at_paper_cohort_size():
 
 def test_leave_one_out_boundary():
     rng = np.random.default_rng(1)
-    fm = _labeled_matrix(rng, n=10)
-    result = kfold_cv(fm, LINEAR, CONFIG, k=10, seed=3)
+    x, labels = _labeled_rows(rng, n=10)
+    result = _cv(x, labels, k=10, seed=3)
     assert len(result.folds) == 10
-    validated = sorted(f.fold for f in result.folds)
-    assert validated == list(range(10))
-    assert all(f.n_validation == 1 for f in result.folds)
+    folds = _folds(labels, 10, seed=3)
+    assert sorted(np.concatenate(folds).tolist()) == list(range(10))
+    assert all(f.size == 1 for f in folds)
+    assert all(f.accuracy in (0.0, 1.0) for f in result.folds)  # one row each
 
 
 def test_k_of_one_rejected():
     rng = np.random.default_rng(2)
     with pytest.raises(DomainError):
-        kfold_cv(_labeled_matrix(rng), LINEAR, CONFIG, k=1)
+        _cv(*_labeled_rows(rng), k=1)
 
 
 def test_k_exceeding_n_rejected():
     rng = np.random.default_rng(3)
     with pytest.raises(DomainError):
-        kfold_cv(_labeled_matrix(rng, n=6), LINEAR, CONFIG, k=7)
+        _cv(*_labeled_rows(rng, n=6), k=7)
 
 
-def test_unlabeled_matrix_rejected():
-    fm = FeatureMatrix(feature_names=("f0",), x=np.zeros((8, 1)),
-                       means=np.zeros(1), scales=np.ones(1))
+def test_labels_of_another_length_rejected():
+    x, labels = _labeled_rows(np.random.default_rng(9), n=10)
+    for wrong in (labels[:-1], np.append(labels, 1.0)):
+        with pytest.raises(DomainError, match="one label per row"):
+            _cv(x, wrong, k=2)
+
+
+def test_single_class_labels_rejected():
+    # every fold's training side is single-class, so no fold is scored
     with pytest.raises(DegenerateLabelsError):
-        kfold_cv(fm, LINEAR, CONFIG, k=2)
+        _cv(np.zeros((8, 1)), np.full(8, -1.0), k=2)
 
 
 def test_cv_is_seed_deterministic():
     rng = np.random.default_rng(4)
-    fm = _labeled_matrix(rng)
-    a = kfold_cv(fm, LINEAR, CONFIG, k=5, seed=11)
-    b = kfold_cv(fm, LINEAR, CONFIG, k=5, seed=11)
+    x, labels = _labeled_rows(rng)
+    a = _cv(x, labels, k=5, seed=11)
+    b = _cv(x, labels, k=5, seed=11)
     assert a.mean_accuracy == b.mean_accuracy
     assert [f.accuracy for f in a.folds] == [f.accuracy for f in b.folds]
 
 
 def test_cv_separable_data_scores_high():
     rng = np.random.default_rng(5)
-    fm = _labeled_matrix(rng, n=60)
-    result = kfold_cv(fm, LINEAR, CONFIG, k=6, seed=2)
+    result = _cv(*_labeled_rows(rng, n=60), k=6, seed=2)
     assert result.mean_accuracy >= 0.95
     assert result.n_skipped == 0
 
 
 def test_stratified_folds_keep_minority_presence():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(50, 2))
     labels = np.array([1.0] * 10 + [-1.0] * 40)
-    fm = FeatureMatrix(feature_names=("f0", "f1"), x=x,
-                       means=np.zeros(2), scales=np.ones(2), labels=labels)
-    from dosegate.crossval import _fold_assignment
-    folds = _fold_assignment(labels, 5, seed=1)
+    folds = _folds(labels, 5, seed=1)
     for fold in folds:
         assert (labels[fold] > 0).sum() == 2  # 10 positives dealt evenly
 
 
-def test_single_class_folds_are_skipped_with_reason():
+def test_single_class_folds_are_skipped():
     x = np.vstack([np.zeros((9, 2)), np.ones((1, 2))])
     labels = np.array([-1.0] * 9 + [1.0])
-    fm = FeatureMatrix(feature_names=("f0", "f1"), x=x,
-                       means=np.zeros(2), scales=np.ones(2), labels=labels)
     # leave-one-out: removing the single positive leaves one-class training
-    result = kfold_cv(fm, LINEAR, CONFIG, k=10, seed=0)
-    skipped = [f for f in result.folds if f.skipped]
+    result = _cv(x, labels, k=10, seed=0)
+    skipped = [f for f in result.folds if f.accuracy is None]
     assert len(skipped) == 1
-    assert skipped[0].reason
+    assert skipped[0].converged is None
+    assert result.n_skipped == 1 and result.n_trained == 9
 
 
 def test_select_c_prefers_smaller_on_tie():
     rng = np.random.default_rng(7)
-    fm = _labeled_matrix(rng, n=40)  # separable: every C reaches 100%
-    selection = select_c(fm, LINEAR, (0.5, 5.0, 50.0), k=4, seed=0,
+    x, labels = _labeled_rows(rng, n=40)  # separable: every C reaches 100%
+    selection = select_c(x, labels, LINEAR, (0.5, 5.0, 50.0), k=4, seed=0,
                          base_config=TrainConfig(balance_classes=False))
     accs = {c: r.mean_accuracy for c, r in selection.results.items()}
     if len(set(accs.values())) == 1:
@@ -132,18 +136,17 @@ def test_select_c_skips_c_whose_folds_did_not_converge():
     # and one pass leaves some of the large-C fits short of the optimum
     rng = np.random.default_rng(1)
     x, labels = separable_blobs(rng, n_per_class=20, gap=1.0)
-    fm = FeatureMatrix(feature_names=("f0", "f1"), x=0.5 * x,
-                       means=np.zeros(2), scales=np.ones(2), labels=labels)
+    x = 0.5 * x
     sigmoid = KernelSpec(variant="sigmoid", theta=0.0)
     config = TrainConfig(balance_classes=False, max_passes=1)
-    selection = select_c(fm, sigmoid, (0.01, 100.0), k=4, seed=0, base_config=config)
+    selection = select_c(x, labels, sigmoid, (0.01, 100.0), k=4, seed=0, base_config=config)
     early, settled = selection.results[100.0], selection.results[0.01]
     assert early.n_converged < early.n_trained
     assert settled.n_converged == settled.n_trained == 4
     assert early.mean_accuracy > settled.mean_accuracy
     assert selection.best_c == 0.01
     with pytest.raises(NumericalError):
-        select_c(fm, sigmoid, (100.0,), k=4, seed=0, base_config=config)
+        select_c(x, labels, sigmoid, (100.0,), k=4, seed=0, base_config=config)
 
 
 # select_c's fits in this process (1) and in two forked workers (2)
@@ -163,33 +166,29 @@ def set_workers(monkeypatch):
 def _non_converging_case():
     rng = np.random.default_rng(1)
     x, labels = separable_blobs(rng, n_per_class=20, gap=1.0)
-    fm = FeatureMatrix(feature_names=("f0", "f1"), x=0.5 * x,
-                       means=np.zeros(2), scales=np.ones(2), labels=labels)
-    return (fm, KernelSpec(variant="sigmoid", theta=0.0), (0.01, 100.0), 4,
+    return (0.5 * x, labels, KernelSpec(variant="sigmoid", theta=0.0), (0.01, 100.0), 4,
             TrainConfig(balance_classes=False, max_passes=1))
 
 
 def _single_class_fold_case():
     x = np.vstack([np.zeros((9, 2)), np.ones((1, 2))])
     labels = np.array([-1.0] * 9 + [1.0])
-    fm = FeatureMatrix(feature_names=("f0", "f1"), x=x,
-                       means=np.zeros(2), scales=np.ones(2), labels=labels)
-    return fm, LINEAR, (0.5, 5.0), 10, CONFIG
+    return x, labels, LINEAR, (0.5, 5.0), 10, CONFIG
 
 
 def _linear_case():
-    fm = _labeled_matrix(np.random.default_rng(8), n=60, signal=False)
-    return fm, LINEAR, (0.1, 1.0, 10.0, 100.0), 5, TrainConfig(balance_classes=False)
+    x, labels = _labeled_rows(np.random.default_rng(8), n=60, signal=False)
+    return x, labels, LINEAR, (0.1, 1.0, 10.0, 100.0), 5, TrainConfig(balance_classes=False)
 
 
 @pytest.mark.parametrize("case", [_linear_case, _non_converging_case, _single_class_fold_case],
                          ids=["linear", "non-converging", "single-class-fold"])
 def test_select_c_is_the_same_at_every_worker_count(set_workers, case):
-    fm, kernel, grid, k, config = case()
+    x, labels, kernel, grid, k, config = case()
     selections = []
     for count in WORKER_COUNTS:
         set_workers(count)
-        selections.append(repr(select_c(fm, kernel, grid, k=k, seed=0, base_config=config)))
+        selections.append(repr(select_c(x, labels, kernel, grid, k=k, seed=0, base_config=config)))
         assert multiprocessing.active_children() == []
     assert selections[0] == selections[1]
 

@@ -1,7 +1,5 @@
 """Feature encoding: z-scores, indicator columns, the fitted scaler."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -78,17 +76,6 @@ def test_default_features_drop_enzyme_and_rare():
     assert "age_decade" in names and "race_asian" in names
     # observed inr and the dose target are never features
     assert "inr" not in names and "therapeutic_dose_mg_week" not in names
-
-
-def test_labels_attach_and_validate():
-    fm = encode_features(stack([make_patient(), make_patient(height_cm=160.0)]),
-                         ("height_cm",))
-    labeled = replace(fm, labels=np.array([-1.0, 1.0]))
-    assert labeled.labels is not None
-    with pytest.raises(DataError):
-        replace(fm, labels=np.array([0.0, 2.0]))
-    with pytest.raises(DataError):
-        replace(fm, labels=np.array([1.0]))
 
 
 def test_matrix_shape_validation():

@@ -39,6 +39,21 @@ def test_length_mismatch_rejected():
         confusion([H, S], [H])
 
 
+def test_labels_must_be_exactly_minus_one_or_plus_one():
+    # each of these was once read through int(), which truncates 1.5 to
+    # 1 and parses "1", or failed with a TypeError
+    for bad in ([1.5, -1.9], ["1", "-1"], [True, True], [0, 1], [1, None],
+                [1.0, float("nan")], [[H, S]]):
+        with pytest.raises(DomainError):
+            confusion(bad, [H, S])
+        with pytest.raises(DomainError):
+            confusion([H, S], bad)
+    with pytest.raises(DomainError):
+        confusion([], [])
+    cm = confusion(np.array([1.0, -1.0, -1.0]), np.array([1, -1, 1]))
+    assert (cm.tp, cm.fp, cm.tn, cm.fn) == (1, 1, 1, 0)
+
+
 def test_metrics_paper_shaped_example():
     got = metrics(ConfusionMatrix(tp=76, fn=24, tn=27, fp=73))
     assert got.sensitivity == pytest.approx(0.76)
@@ -135,6 +150,6 @@ def test_report_requires_positive_shrink_ratio():
 
 
 def test_fmt_metric_rendering():
-    assert fmt_metric(0.7607, percent=True) == "76.07"
-    assert fmt_metric(0.5) == "0.5000"
+    assert fmt_metric(0.7607) == "76.07"
+    assert fmt_metric(0.5) == "50.00"
     assert fmt_metric(None) == "—"

@@ -1,10 +1,11 @@
 """Model text format: bit-exact round trips and tamper rejection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dosegate.errors import SchemaError
-from dosegate.features import FeatureMatrix
 from dosegate.kernels import KernelSpec
 from dosegate.model_io import load_model, model_from_text, model_to_text, save_model
 from dosegate.svm import SvmModel, TrainConfig, decision_values, train
@@ -17,11 +18,11 @@ def _fitted_model(seed=0):
     if abs(labels.sum()) == 30:
         labels[0] = -labels[0]
     means, scales = raw.mean(axis=0), raw.std(axis=0)
-    fm = FeatureMatrix(feature_names=("a", "b", "c"),
-                       x=(raw - means) / scales, means=means, scales=scales,
-                       labels=labels)
     kernel = KernelSpec(variant="rbf", delta=1.3)
-    return train(fm, kernel=kernel, config=TrainConfig(seed=seed)), raw
+    model = train((raw - means) / scales, labels, kernel=kernel, config=TrainConfig(seed=seed))
+    # the feature names and scaler that fit_gate puts on its model
+    return replace(model, feature_names=("a", "b", "c"), scaler_means=means,
+                   scaler_scales=scales), raw
 
 
 def test_round_trip_bit_exact_decision_values():

@@ -5,9 +5,10 @@ import pytest
 
 from helpers import make_patient, separable_blobs
 
-from dosegate.errors import DegenerateLabelsError, DomainError, SchemaError
-from dosegate.features import FeatureMatrix
-from dosegate.gate import classify_records
+from dosegate.cohort import apply_imputation, split_cohort
+from dosegate.errors import DataError, DegenerateLabelsError, DomainError, SchemaError
+from dosegate.features import encode_features, feature_rows
+from dosegate.gate import classify_records, fit_gate
 from dosegate.kernels import KernelSpec, kernel_matrix
 from dosegate.svm import (
     SCORE_BLOCK_ROWS,
@@ -17,6 +18,7 @@ from dosegate.svm import (
     score_signs,
     train,
 )
+from dosegate.synth import generate_synthetic_cohort
 
 LINEAR = KernelSpec(variant="linear")
 POLY21 = KernelSpec(variant="polynomial", degree=2, offset=1.0)
@@ -164,23 +166,26 @@ def test_class_weighted_box_bounds():
 
 
 def test_feature_matrix_metadata_flows_into_model():
-    rng = np.random.default_rng(33)
-    raw = rng.normal(loc=10.0, scale=3.0, size=(24, 2))
-    labels = np.where(raw[:, 0] > 10.0, 1.0, -1.0)
-    if abs(labels.sum()) == 24:
-        labels[0] = -labels[0]
-    means = raw.mean(axis=0)
-    scales = raw.std(axis=0)
-    fm = FeatureMatrix(feature_names=("height_cm", "weight_kg"),
-                       x=(raw - means) / scales,
-                       means=means, scales=scales, labels=labels)
-    model = train(fm, kernel=LINEAR, config=TrainConfig())
-    assert model.feature_names == ("height_cm", "weight_kg")
+    train_rows, _ = split_cohort(generate_synthetic_cohort(200, 3), 0.5, 3)
+    fitted = fit_gate(train_rows, LINEAR, c_grid=(1.0,))
+    imputed = apply_imputation(fitted.plan, train_rows)
+    fm = encode_features(imputed, fitted.feature_names)
+    model = fitted.model
+    assert model.feature_names == fm.feature_names == fitted.feature_names
+    assert np.array_equal(model.scaler_means, fm.means)
+    assert np.array_equal(model.scaler_scales, fm.scales)
     # decision_values takes RAW rows and must scale internally
-    direct = decision_values(model, raw)
+    direct = decision_values(model, feature_rows(imputed, fitted.feature_names))
     via_matrix = (kernel_matrix(LINEAR, fm.x, model.support_vectors)
                   @ (model.alphas * model.sv_labels) + model.bias)
     assert np.allclose(direct, via_matrix, atol=1e-12)
+
+
+def test_train_validates_labels():
+    with pytest.raises(DataError):
+        train(TWO_POINTS, np.array([0.0, 2.0]), kernel=LINEAR)
+    with pytest.raises(DataError):
+        train(TWO_POINTS, np.array([1.0]), kernel=LINEAR)
 
 
 def test_plain_array_gets_identity_scaler():
@@ -196,9 +201,7 @@ def test_matrix_schema_mismatch_rejected():
     labels = np.where(x[:, 0] > 0, 1.0, -1.0)
     if abs(labels.sum()) == 20:
         labels[0] = -labels[0]
-    fm = FeatureMatrix(feature_names=("a", "b"), x=x,
-                       means=np.zeros(2), scales=np.ones(2), labels=labels)
-    model = train(fm, kernel=LINEAR, config=TrainConfig())
+    model = train(x, labels, kernel=LINEAR, config=TrainConfig())
     # a cohort has no features named like the model's; rows of another
     # width cannot be scaled by the model's scaler
     with pytest.raises(SchemaError):
