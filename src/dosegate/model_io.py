@@ -29,6 +29,15 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+def _format_column(column) -> list:
+    # each distinct value is formatted once, keyed on its bit pattern:
+    # np.unique on the values would merge -0.0, written "-0", into 0.0
+    bits, rows = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
+                           return_inverse=True)
+    texts = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[rows].tolist()
+
+
 def model_to_text(model: SvmModel) -> str:
     for name in model.feature_names:
         if not name or any(ch.isspace() for ch in name):
@@ -45,9 +54,10 @@ def model_to_text(model: SvmModel) -> str:
         f"dual_objective {_fmt(model.dual_objective)}",
         f"support_vectors {model.alphas.size}",
     ]
-    for label, alpha, row in zip(model.sv_labels, model.alphas, model.support_vectors):
-        vec = " ".join(_fmt(v) for v in row)
-        lines.append(f"{int(label):+d} {_fmt(alpha)} {vec}".rstrip())
+    columns = [[f"{int(label):+d}" for label in model.sv_labels],
+               _format_column(model.alphas),
+               *map(_format_column, np.asarray(model.support_vectors).T)]
+    lines.extend(map(" ".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -232,6 +232,7 @@ def test_train_cv_accuracy_beats_majority_class(tmp_path):
     pytest.param(["train", "--cv-k", "1"], id="cv-k 1"),
     pytest.param(["train", "--train-fraction", "1.5"], id="train-fraction 1.5"),
     pytest.param(["train", "--kernel", "bogus"], id="kernel bogus"),
+    pytest.param(["train", "--kernel", "anova n_dims=0"], id="kernel anova n_dims=0"),
     pytest.param(["synth", "--n", "0"], id="synth n 0"),
     pytest.param(["synth", "--n", "-5"], id="synth n -5"),
 ])

@@ -189,3 +189,56 @@ def test_loaded_model_arrays_are_read_only(tmp_path):
         with pytest.raises(ValueError):
             getattr(loaded, name)[0] = 1.0
     assert np.array_equal(load_model(path).alphas, model.alphas)
+
+
+def _reference_model_text(model):
+    # the writer formats every value on its own: the reference for the
+    # per-value-once writer in model_io
+    def fmt(value):
+        return f"{float(value):.17g}"
+
+    lines = [
+        "dosegate-svm 1",
+        f"kernel {model.kernel.to_text()}",
+        "features " + " ".join(model.feature_names),
+        "means " + " ".join(fmt(v) for v in model.scaler_means),
+        "scales " + " ".join(fmt(v) for v in model.scaler_scales),
+        f"bias {fmt(model.bias)}",
+        f"converged {1 if model.converged else 0}",
+        f"max_kkt_violation {fmt(model.max_kkt_violation)}",
+        f"dual_objective {fmt(model.dual_objective)}",
+        f"support_vectors {model.alphas.size}",
+    ]
+    for label, alpha, row in zip(model.sv_labels, model.alphas, model.support_vectors):
+        vec = " ".join(fmt(v) for v in row)
+        lines.append(f"{int(label):+d} {fmt(alpha)} {vec}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def test_writer_matches_per_value_reference_and_keeps_negative_zero():
+    model, _ = _fitted_model(seed=3)
+    rows = model.alphas.size
+    assert rows >= 6
+    vectors = model.support_vectors.copy()
+    vectors[:, 0] = np.resize([0.0, -0.0, 1.0], rows)  # 0.0 next to -0.0
+    vectors[:, 1] = np.resize([0.1, 2.0 / 3.0, 0.1], rows)  # repeated 17-digit values
+    alphas = model.alphas.copy()
+    alphas[: rows // 2] = model.alphas[0]  # repeated multipliers
+    model = replace(model, support_vectors=vectors, alphas=alphas)
+    text = model_to_text(model)
+    assert text == _reference_model_text(model)
+    assert " -0 " in text and "0.66666666666666663" in text
+    restored = model_from_text(text)
+    assert np.array_equal(np.signbit(restored.support_vectors), np.signbit(vectors))
+    assert np.array_equal(restored.support_vectors.view(np.int64), vectors.view(np.int64))
+    assert model_to_text(restored) == text
+
+
+def test_writer_matches_reference_on_trained_models():
+    for seed in range(3):
+        model, _ = _fitted_model(seed=seed)
+        assert model_to_text(model) == _reference_model_text(model)
+    stub = model_from_text("dosegate-svm 1\nkernel linear\nfeatures\nmeans\nscales\nbias 0\n"
+                           "converged 1\nmax_kkt_violation 0\ndual_objective 0\n"
+                           "support_vectors 1\n+1 0.5\n")
+    assert model_to_text(stub) == _reference_model_text(stub)
