@@ -4,6 +4,10 @@ Folds are stratified by gate label (the HighRisk/Safe split is roughly
 77/23, so plain random folds can starve the minority class). Everything
 is seeded and deterministic, and fold evaluation order is fixed by index.
 
+Every (C, fold) fit solves on its rows of one factor of the kernel on
+all rows, when the caller passes one, rather than factoring its own
+rows: the factor depends only on the rows, not on C or the fold.
+
 select_c's (C, fold) fits are independent, so they run in forked worker
 processes, one per CPU this process may use for each BLAS thread, and
 in this process when that leaves one. Outcomes are put back in
@@ -65,18 +69,21 @@ def _folds(labels: np.ndarray, k: int, seed: int) -> list:
     return [ordered[f::k] for f in range(k)]
 
 
-def _fold_outcome(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec, folds: list,
-                  config: TrainConfig, f: int) -> FoldOutcome:
-    """Fit on every fold but ``f`` and score the fit on fold ``f``. A fold
-    whose training side is single-class is skipped rather than failing
-    the whole run."""
+def _fold_outcome(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
+                  factor: np.ndarray | None, folds: list, config: TrainConfig,
+                  f: int) -> FoldOutcome:
+    """Fit on every fold but ``f`` and score the fit on fold ``f``, on the
+    fold's rows of ``factor`` or, when it is None, on a factor of its own
+    rows. A fold whose training side is single-class is skipped rather
+    than failing the whole run."""
     val_idx = folds[f]
     mask = np.ones(labels.size, dtype=bool)
     mask[val_idx] = False
     train_labels = labels[mask]
     if np.all(train_labels == train_labels[0]):
         return FoldOutcome(accuracy=None, converged=None)
-    model = train(x[mask], train_labels, kernel, config)
+    model = train(x[mask], train_labels, kernel, config,
+                  None if factor is None else (factor[mask], False))
     predicted = score_signs(decision_values(model, x[val_idx]))
     agreeing = int(np.count_nonzero(predicted == labels[val_idx]))
     return FoldOutcome(accuracy=agreeing / val_idx.size, converged=bool(model.converged))
@@ -114,15 +121,16 @@ def _available_cpus() -> int:
     return 1
 
 
-# What a worker's fits read: (x, labels, kernel, folds), set by _share
-# when the worker starts. Only workers set it; they inherit the arrays
-# through fork, so no array is pickled.
+# What a worker's fits read: (x, labels, kernel, factor, folds), set by
+# _share when the worker starts. Only workers set it; they inherit the
+# arrays through fork, so no array is pickled.
 _shared = None
 
 
-def _share(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec, folds: list) -> None:
+def _share(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
+           factor: np.ndarray | None, folds: list) -> None:
     global _shared
-    _shared = (x, labels, kernel, folds)
+    _shared = (x, labels, kernel, factor, folds)
 
 
 def _shared_fold_outcome(task: tuple) -> FoldOutcome:
@@ -130,8 +138,8 @@ def _shared_fold_outcome(task: tuple) -> FoldOutcome:
     return _fold_outcome(*_shared, config, f)
 
 
-def _fold_outcomes(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec, folds: list,
-                   tasks: list) -> list:
+def _fold_outcomes(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
+                   factor: np.ndarray | None, folds: list, tasks: list) -> list:
     """The FoldOutcome of each (config, fold index) task, in task order.
 
     The fits run in up to _available_cpus() workers. A fit that
@@ -140,7 +148,8 @@ def _fold_outcomes(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec, folds:
     """
     workers = min(_available_cpus(), len(tasks))
     if workers <= 1:
-        return [_fold_outcome(x, labels, kernel, folds, config, f) for config, f in tasks]
+        return [_fold_outcome(x, labels, kernel, factor, folds, config, f)
+                for config, f in tasks]
     # imported here: importing them would add 16-22 ms to every CLI start
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -150,7 +159,7 @@ def _fold_outcomes(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec, folds:
     # than a cross-validation fit at the paper's size
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_share,
-                             initargs=(x, labels, kernel, folds)) as pool:
+                             initargs=(x, labels, kernel, factor, folds)) as pool:
         # map cancels the tasks not yet started when a result raises
         return list(pool.map(_shared_fold_outcome, tasks))
 
@@ -163,9 +172,14 @@ class CSelection:
 
 def select_c(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
              c_grid=DEFAULT_C_GRID, k: int = 10, seed: int = 0,
-             base_config: TrainConfig = TrainConfig()) -> CSelection:
+             base_config: TrainConfig = TrainConfig(),
+             factor: np.ndarray | None = None) -> CSelection:
     """Pick C by mean ``k``-fold CV accuracy on standardized rows ``x``
     and their -1/+1 labels; ties go to the smaller (safer) C.
+
+    ``factor`` is a factor V of the kernel on ``x`` from
+    svm.pivoted_cholesky; each fit uses its rows of V. When it is None,
+    each fit factors its own rows.
 
     Every row validates exactly once and fold sizes differ by at most
     one. A fold whose training side is single-class is skipped.
@@ -180,7 +194,7 @@ def select_c(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
         raise DomainError("one label per row is required")
     configs = [replace(base_config, c_regularization=float(c)) for c in c_grid]
     folds = _folds(labels, k, seed)
-    outcomes = _fold_outcomes(x, labels, kernel, folds,
+    outcomes = _fold_outcomes(x, labels, kernel, factor, folds,
                               [(config, f) for config in configs for f in range(k)])
     results = {config.c_regularization: _cv_result(outcomes[i * k:(i + 1) * k])
                for i, config in enumerate(configs)}

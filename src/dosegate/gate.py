@@ -26,7 +26,7 @@ from .iwpc import DEFAULT_COEFFICIENTS, IwpcCoefficients, weekly_doses
 from .kernels import KernelSpec
 from .metrics import EvalReport, confusion, mae, metrics, rmse
 from .records import Cohort
-from .svm import SvmModel, TrainConfig, decision_values, score_signs, train
+from .svm import SvmModel, TrainConfig, decision_values, pivoted_cholesky, score_signs, train
 
 # trained: the classifier decides; identity keeps every test row (the
 # control); oracle keeps the rows whose true label is Safe (the upper bound)
@@ -136,7 +136,8 @@ def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv
     The imputation plan and the scaler come from these rows only. C is
     picked by ``cv_k``-fold cross-validation seeded with
     ``train_config.seed`` when the grid has more than one value, and the
-    final model is fit on every row at that C.
+    final model is fit on every row at that C. The kernel on the rows is
+    factored once, and every fit that can solves on that factor.
     """
     if not c_grid:
         raise DomainError("the C grid must be non-empty")
@@ -148,14 +149,16 @@ def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv
             "training labels are single-class; nothing to train the gate on")
     feature_names = default_feature_names(train_cohort)
     features = encode_features(imputed, feature_names)
+    factor = pivoted_cholesky(kernel, features.x)
     selection = None
     c = float(c_grid[0])
     if len(c_grid) > 1:
         selection = select_c(features.x, labels.labels, kernel, c_grid, k=cv_k,
-                             seed=train_config.seed, base_config=train_config)
+                             seed=train_config.seed, base_config=train_config,
+                             factor=factor[0])
         c = selection.best_c
     model = replace(train(features.x, labels.labels, kernel,
-                          replace(train_config, c_regularization=c)),
+                          replace(train_config, c_regularization=c), factor),
                     feature_names=feature_names, scaler_means=features.means,
                     scaler_scales=features.scales)
     return FittedGate(plan=plan, feature_names=feature_names, labels=labels,

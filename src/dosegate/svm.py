@@ -159,7 +159,7 @@ def _kernel_diagonal(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diagonal(kernel_matrix(spec, blk, blk)) for blk in blocks])
 
 
-def _pivoted_cholesky(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray | None, bool]:
+def pivoted_cholesky(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray | None, bool]:
     """Greedy pivoted Cholesky factor V (n x rank) with K ~ V V^T.
 
     Each step pivots on the largest residual diagonal and computes that
@@ -174,7 +174,7 @@ def _pivoted_cholesky(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray | Non
         # the kernel on some rows has no more rank than on all of them and
         # is indefinite only if it is on all of them, so the first rows
         # turn a full-rank kernel away at a fraction of the full cost
-        head, indefinite = _pivoted_cholesky(spec, x[:probe])
+        head, indefinite = pivoted_cholesky(spec, x[:probe])
         if head is None:
             return None, indefinite
     residual = _kernel_diagonal(spec, x)
@@ -565,7 +565,7 @@ def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
 
 
 def train(x, labels, kernel: KernelSpec = KernelSpec(),
-          config: TrainConfig = TrainConfig()) -> SvmModel:
+          config: TrainConfig = TrainConfig(), factor: tuple | None = None) -> SvmModel:
     """Fit the classifier on standardized rows ``x`` and their -1/+1
     ``labels``. The model gets generic feature names and an identity
     scaler; ``fit_gate`` puts the real ones on.
@@ -574,7 +574,14 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
     at most LOW_RANK_CAP is solved by the interior-point method on that
     factor, any other by SMO on the dense Gram matrix. Either way the
     bias, the KKT verdict and the dual objective come from exact kernel
-    values."""
+    values.
+
+    ``factor``, when given, stands in for pivoted_cholesky(kernel, x):
+    it is that result, or (V[S], False) for the rows S of a larger set
+    whose factor is V. Either V is a factor of these rows' kernel, since
+    K[S, S] - V[S] V[S]^T is a principal submatrix of the positive
+    semidefinite residual K - V V^T, so its diagonal keeps the bound the
+    factor stopped at."""
     if labels is None:
         raise DegenerateLabelsError("training labels are required")
     data = np.atleast_2d(np.asarray(x, dtype=float))
@@ -591,7 +598,7 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
 
     upper = _box_bounds(z, config)
     snap = 1e-12 * np.maximum(1.0, upper)
-    factor, indefinite = _pivoted_cholesky(kernel, data)
+    factor, indefinite = pivoted_cholesky(kernel, data) if factor is None else factor
     if factor is None:
         gram = kernel_matrix(kernel, data, data)
         alpha, solved, _ = _smo(gram, z, upper, snap, config,

@@ -219,10 +219,10 @@ def test_fit_error_in_a_worker_matches_the_in_process_error(tmp_path, monkeypatc
                                                             set_workers):
     real_train = crossval.train
 
-    def failing_train(x, labels, kernel, config):
+    def failing_train(x, labels, kernel, config, factor=None):
         if config.c_regularization == 10.0:  # the sum tells the folds apart
             raise NumericalError(f"forced failure at C=10 on rows summing to {x.sum()!r}")
-        return real_train(x, labels, kernel, config)
+        return real_train(x, labels, kernel, config, factor)
 
     monkeypatch.setattr(crossval, "train", failing_train)
     outcomes = []

@@ -20,9 +20,9 @@ from dosegate.svm import (
     SUPPORT_EPSILON,
     TrainConfig,
     _box_bounds,
-    _pivoted_cholesky,
     _smo,
     _smo_start,
+    pivoted_cholesky,
     train,
 )
 from dosegate.synth import generate_synthetic_cohort
@@ -151,7 +151,7 @@ def test_corner_start_converges_with_fewer_updates(gate_rows):
     x, z = gate_rows
     config = TrainConfig(c_regularization=1.0, seed=5)
     gram, upper, snap = _problem(RBF, x, z, config)
-    factor, indefinite = _pivoted_cholesky(RBF, x)
+    factor, indefinite = pivoted_cholesky(RBF, x)
     assert factor is None and not indefinite
     alpha0, score0 = _smo_start(gram, z, upper, indefinite)
     assert alpha0.tobytes() == upper.tobytes()
@@ -188,7 +188,7 @@ def test_zero_start_kept_where_the_corner_is_refused(gate_rows, kernel, c, refus
     x, z = gate_rows
     config = TrainConfig(c_regularization=c, seed=6)
     gram, upper, snap = _problem(kernel, x, z, config)
-    _, indefinite = _pivoted_cholesky(kernel, x)
+    _, indefinite = pivoted_cholesky(kernel, x)
     # each case fails exactly one of the corner's conditions
     assert indefinite == (refused_by == "a negative pivot")
     assert (_objective(gram, z, upper) > 0.0) == indefinite
@@ -200,11 +200,11 @@ def test_zero_start_kept_where_the_corner_is_refused(gate_rows, kernel, c, refus
 
 def test_factor_tells_indefinite_from_full_rank(gate_rows):
     x, _ = gate_rows
-    factor, indefinite = _pivoted_cholesky(KernelSpec(variant="polynomial", degree=2,
+    factor, indefinite = pivoted_cholesky(KernelSpec(variant="polynomial", degree=2,
                                                       offset=1.0), x)
     assert factor is not None and factor.shape[0] == x.shape[0] and not indefinite
-    assert _pivoted_cholesky(RBF, x) == (None, False)
-    assert _pivoted_cholesky(SIGMOID, x) == (None, True)
+    assert pivoted_cholesky(RBF, x) == (None, False)
+    assert pivoted_cholesky(SIGMOID, x) == (None, True)
 
 
 @pytest.mark.parametrize("field, value", [
