@@ -61,6 +61,9 @@ PIVOT_TOLERANCE = 1e-12
 IPM_TOLERANCE = 1e-9  # dual residual in margin units; primal residuals and gap relative
 STEP_FRACTION = 0.995  # of the step to the boundary of the positive orthant
 SUPPORT_EPSILON = 1e-12  # a multiplier above this makes its row a support vector
+# _lower_inverse inverts blocks of at most this many rows by np.linalg.inv;
+# so a factor of rank up to it (linear: 13-14) is inverted as one block
+INVERSE_LEAF_ROWS = 32
 # Scoring evaluates the kernel against the support vectors this many rows
 # at a time: at 1,288 support vectors a block is 2.6 MB, where a
 # 4,237-row cohort in one product was 43.7 MB. A fresh-process `gate
@@ -204,6 +207,27 @@ def _step_to_boundary(*pairs) -> float:
     return limit
 
 
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular matrix by halving, the blocked form
+    of LAPACK's trtri (Du Croz & Higham, IMA J. Numer. Anal. 1992):
+
+        [A 0]^-1   [     A^-1      0  ]
+        [C B]    = [-B^-1 C A^-1  B^-1]
+
+    numpy has no triangular inverse, and np.linalg.inv's general LU
+    costs about twice as much at the factor's ranks.
+    """
+    n = lower.shape[0]
+    if n <= INVERSE_LEAF_ROWS:
+        return np.linalg.inv(lower)
+    h = n // 2
+    inverse = np.zeros_like(lower)
+    inverse[:h, :h] = _lower_inverse(lower[:h, :h])
+    inverse[h:, h:] = _lower_inverse(lower[h:, h:])
+    inverse[h:, :h] = -inverse[h:, h:] @ (lower[h:, :h] @ inverse[:h, :h])
+    return inverse
+
+
 def _interior_point(w: np.ndarray, z: np.ndarray, upper: np.ndarray,
                     max_iterations: int) -> tuple[tuple, bool]:
     """Mehrotra predictor-corrector method for the dual with Q = W W^T.
@@ -251,7 +275,7 @@ def _interior_point(w: np.ndarray, z: np.ndarray, upper: np.ndarray,
         wd = w / d[:, None]
         try:
             # I + W^T D^-1 W = L L^T; the triangular inverse is applied twice
-            l_inverse = np.linalg.inv(np.linalg.cholesky(np.eye(rank) + w.T @ wd))
+            l_inverse = _lower_inverse(np.linalg.cholesky(np.eye(rank) + w.T @ wd))
         except np.linalg.LinAlgError:
             break  # rounding has overrun the iterate; keep the best one
 
