@@ -55,7 +55,7 @@ from .kernels import KernelSpec
 from .metrics import fmt_metric
 from .model_io import load_model, save_model
 from .records import BINARY_COVARIATES, CANONICAL_COLUMNS, Cohort
-from .svm import TrainConfig
+from .svm import LOW_RANK_CAP, TrainConfig
 
 
 class _Option(NamedTuple):
@@ -299,6 +299,12 @@ def cmd_train(config: dict, args) -> int:
     else:
         best_c = fitted.selection.best_c
         report_lines.extend(_cv_report_lines(fitted.selection, config["cv_k"]))
+    factor, indefinite = fitted.factor
+    if factor is not None:
+        report_lines.append(f"factor rank {factor.shape[1]}")
+    else:
+        why = "indefinite" if indefinite else f"rank above {LOW_RANK_CAP}"
+        report_lines.append(f"factor none ({why})")
     report_lines.extend([
         f"support_vectors {model.alphas.size}",
         f"converged {1 if model.converged else 0}",

@@ -118,13 +118,16 @@ def evaluation_report(truth, predicted, actual_dose, model_dose) -> EvalReport:
 @dataclass(frozen=True)
 class FittedGate:
     """What fitting the gate produced; selection is None for a one-value
-    C grid, which needs no cross-validation."""
+    C grid, which needs no cross-validation. factor is svm.pivoted_cholesky
+    of the training rows: (V, False), or (None, indefinite) when the fits
+    went without one."""
 
     plan: ImputationPlan
     feature_names: tuple
     labels: CohortLabels
     selection: CSelection | None
     model: SvmModel
+    factor: tuple
 
 
 def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv_k: int = 10,
@@ -162,7 +165,7 @@ def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv
                     feature_names=feature_names, scaler_means=features.means,
                     scaler_scales=features.scales)
     return FittedGate(plan=plan, feature_names=feature_names, labels=labels,
-                      selection=selection, model=model)
+                      selection=selection, model=model, factor=factor)
 
 
 def evaluate_gate(model: SvmModel | None, plan: ImputationPlan, test_cohort: Cohort,

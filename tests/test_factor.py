@@ -1,16 +1,24 @@
 """The kernel factor that the interior point solves on: built once per
-fit_gate, and valid on the rows of every cross-validation fold; and the
-triangular inverse the interior point applies in its Newton systems."""
+fit_gate, valid on the rows of every cross-validation fold, and named in
+train_report.txt; and the triangular inverse the interior point applies
+in its Newton systems."""
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from dosegate import crossval, gate, svm
+from dosegate.cli import main
 from dosegate.cohort import split_cohort
 from dosegate.gate import fit_gate
 from dosegate.kernels import KernelSpec, kernel_matrix
-from dosegate.svm import INVERSE_LEAF_ROWS, PIVOT_TOLERANCE, _lower_inverse, pivoted_cholesky
+from dosegate.svm import (
+    INVERSE_LEAF_ROWS,
+    LOW_RANK_CAP,
+    PIVOT_TOLERANCE,
+    _lower_inverse,
+    pivoted_cholesky,
+)
 from dosegate.synth import generate_synthetic_cohort
 
 POLYNOMIAL = KernelSpec(variant="polynomial", degree=2, offset=1.0)
@@ -109,3 +117,21 @@ def test_lower_inverse_matches_a_triangular_solve(rank, rows, spread):
     assert _residual(inverse, lower) <= 4 * max(_residual(np.linalg.inv(lower), lower), floor)
     if rank <= INVERSE_LEAF_ROWS:
         assert inverse.tobytes() == np.linalg.inv(lower).tobytes()
+
+
+@pytest.mark.parametrize("kernel, line", [
+    ("polynomial degree=2 offset=1", "factor rank "),
+    ("rbf delta=1", "factor none (rank above 200)"),
+    ("sigmoid theta=0", "factor none (indefinite)"),
+], ids=["polynomial", "rbf", "sigmoid"])
+def test_train_report_says_what_the_fits_solved_on(tmp_path, capsys, kernel, line):
+    assert main(["synth", "--n", "600", "--seed", "2", "--out-dir", str(tmp_path / "s")]) == 0
+    assert main(["train", "--input", str(tmp_path / "s" / "cohort.tsv"), "--out-dir",
+                 str(tmp_path / "run"), "--seed", "2", "--c-grid", "0.1",
+                 "--kernel", kernel]) == 0
+    capsys.readouterr()
+    report = (tmp_path / "run" / "train_report.txt").read_text().splitlines()
+    selected = next(i for i, text in enumerate(report) if text.startswith("selected_c "))
+    assert report[selected + 1].startswith(line)
+    if line == "factor rank ":
+        assert 0 < int(report[selected + 1].split()[2]) <= LOW_RANK_CAP
