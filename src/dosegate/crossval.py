@@ -4,10 +4,6 @@ Folds are stratified by gate label (the HighRisk/Safe split is roughly
 77/23, so plain random folds can starve the minority class). Everything
 is seeded and deterministic, and fold evaluation order is fixed by index.
 
-Every (C, fold) fit solves on its rows of one factor of the kernel on
-all rows, when the caller passes one, rather than factoring its own
-rows: the factor depends only on the rows, not on C or the fold.
-
 select_c's (C, fold) fits are independent, so they run in forked worker
 processes, one per CPU this process may use for each BLAS thread, and
 in this process when that leaves one. Outcomes are put back in

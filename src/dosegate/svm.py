@@ -12,11 +12,15 @@ of low rank (linear, polynomial and anova on these features) is solved
 on that factor by a Mehrotra predictor-corrector interior-point method
 whose Newton systems cost O(n rank^2) through the Sherman-Morrison-
 Woodbury identity (Fine & Scheinberg, JMLR 2001; Ferris & Munson, SIAM
-J. Optim. 2002). A kernel the factor shows indefinite (sigmoid) or of
-rank above LOW_RANK_CAP (RBF) is solved by SMO on the dense Gram matrix:
-pick a maximal KKT violator, pair it with the index of largest error
-difference, and update the pair analytically. Either way the bias, the
-KKT verdict and the dual objective come from exact kernel values.
+J. Optim. 2002); the triangular factor of its rank x rank matrix is
+inverted by halving. The factor depends only on the rows, so a caller
+that fits many subsets of one set of rows (cross-validation) factors
+the set once and gives each fit its rows of the factor. A kernel the
+factor shows indefinite (sigmoid) or of rank above LOW_RANK_CAP (RBF)
+is solved by SMO on the dense Gram matrix: pick a maximal KKT violator,
+pair it with the index of largest error difference, and update the
+pair analytically. Either way the bias, the KKT verdict and the dual
+objective come from exact kernel values.
 
 SMO starts at zero, or at the upper corner a = C (alpha seeding, DeCoste
 & Wagstaff, KDD 2000) when three things hold: the factor saw no negative
@@ -61,7 +65,7 @@ PIVOT_TOLERANCE = 1e-12
 IPM_TOLERANCE = 1e-9  # dual residual in margin units; primal residuals and gap relative
 STEP_FRACTION = 0.995  # of the step to the boundary of the positive orthant
 SUPPORT_EPSILON = 1e-12  # a multiplier above this makes its row a support vector
-# _lower_inverse inverts blocks of at most this many rows by np.linalg.inv;
+# _lower_inverse leaves blocks of at most this many rows to np.linalg.inv,
 # so a factor of rank up to it (linear: 13-14) is inverted as one block
 INVERSE_LEAF_ROWS = 32
 # Scoring evaluates the kernel against the support vectors this many rows
@@ -215,7 +219,7 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
         [C B]    = [-B^-1 C A^-1  B^-1]
 
     numpy has no triangular inverse, and np.linalg.inv's general LU
-    costs about twice as much at the factor's ranks.
+    took 0.58 ms against 0.24 ms at rank 109 (one BLAS thread).
     """
     n = lower.shape[0]
     if n <= INVERSE_LEAF_ROWS:
@@ -602,10 +606,10 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
 
     ``factor``, when given, stands in for pivoted_cholesky(kernel, x):
     it is that result, or (V[S], False) for the rows S of a larger set
-    whose factor is V. Either V is a factor of these rows' kernel, since
-    K[S, S] - V[S] V[S]^T is a principal submatrix of the positive
-    semidefinite residual K - V V^T, so its diagonal keeps the bound the
-    factor stopped at."""
+    whose factor is V. V[S] factors these rows' kernel as well as V
+    factors the set's: K[S, S] - V[S] V[S]^T is a principal submatrix of
+    the positive semidefinite residual K - V V^T, so its diagonal keeps
+    the bound the factor stopped at."""
     if labels is None:
         raise DegenerateLabelsError("training labels are required")
     data = np.atleast_2d(np.asarray(x, dtype=float))
