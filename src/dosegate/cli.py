@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -291,7 +292,7 @@ def cmd_train(config: dict, args) -> int:
         f"test_rows {len(test_rows)}",
         f"train_high_risk {fitted.labels.n_high_risk}",
         f"train_safe {fitted.labels.n_safe}",
-        "features " + " ".join(fitted.feature_names),
+        "features " + " ".join(model.feature_names),
     ]
     if fitted.selection is None:
         best_c = grid[0]
@@ -329,21 +330,10 @@ def cmd_train(config: dict, args) -> int:
 
 
 def _evaluation_payload(report, gate_mode: str) -> dict:
-    return {
-        "gate_mode": gate_mode,
-        "accuracy": report.accuracy,
-        "sensitivity": report.sensitivity,
-        "specificity": report.specificity,
-        "tp": report.confusion.tp,
-        "fp": report.confusion.fp,
-        "tn": report.confusion.tn,
-        "fn": report.confusion.fn,
-        "rmse_original": report.rmse_original,
-        "rmse_shrunken": report.rmse_shrunken,
-        "mae_original": report.mae_original,
-        "mae_shrunken": report.mae_shrunken,
-        "shrink_ratio": report.shrink_ratio,
-    }
+    """evaluation.json's object: the report's fields, with the confusion
+    counts among them."""
+    fields = asdict(report)
+    return {"gate_mode": gate_mode, **fields.pop("confusion"), **fields}
 
 
 def _evaluation_text(report, gate_mode: str) -> str:

@@ -211,7 +211,6 @@ def _bounded(column: np.ndarray, bounds) -> np.ndarray:
 def schema_from_text(text: str) -> dict:
     """Read key=value schema lines mapping input columns to fields."""
     mapping = {}
-    seen_fields = set()
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -222,9 +221,10 @@ def schema_from_text(text: str) -> dict:
         column, target = column.strip(), target.strip()
         if target not in CANONICAL_COLUMNS:
             raise SchemaError(f"schema maps {column!r} to unknown field {target!r}")
-        if target in seen_fields:
+        if target in mapping.values():
             raise SchemaError(f"field {target!r} mapped by more than one column")
-        seen_fields.add(target)
+        if column in mapping:
+            raise SchemaError(f"column {column!r} mapped more than once")
         mapping[column] = target
     if not mapping:
         raise SchemaError("schema maps no columns")

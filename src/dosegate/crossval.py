@@ -167,11 +167,12 @@ class CSelection:
 
 
 def select_c(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
-             c_grid=DEFAULT_C_GRID, k: int = 10, seed: int = 0,
+             c_grid=DEFAULT_C_GRID, k: int = 10,
              base_config: TrainConfig = TrainConfig(),
              factor: np.ndarray | None = None) -> CSelection:
     """Pick C by mean ``k``-fold CV accuracy on standardized rows ``x``
-    and their -1/+1 labels; ties go to the smaller (safer) C.
+    and their -1/+1 labels; ties go to the smaller (safer) C. The folds
+    are dealt with ``base_config.seed``.
 
     ``factor`` is a factor V of the kernel on ``x`` from
     svm.pivoted_cholesky; each fit uses its rows of V. When it is None,
@@ -189,7 +190,7 @@ def select_c(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
     if labels.shape != (len(x),):
         raise DomainError("one label per row is required")
     configs = [replace(base_config, c_regularization=float(c)) for c in c_grid]
-    folds = _folds(labels, k, seed)
+    folds = _folds(labels, k, base_config.seed)
     outcomes = _fold_outcomes(x, labels, kernel, factor, folds,
                               [(config, f) for config in configs for f in range(k)])
     results = {config.c_regularization: _cv_result(outcomes[i * k:(i + 1) * k])

@@ -13,12 +13,10 @@ unknown at prescribing time and the second is the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cohort import filter_unbalanced
-from .errors import DataError, DomainError, SchemaError
+from .errors import DataError, SchemaError
 from .records import BINARY_COVARIATES, COLUMN_INDEX, Cohort, Race
 
 RACE_INDICATORS = ("race_african_american", "race_asian")
@@ -34,32 +32,6 @@ FEATURE_CANDIDATES = (
     "target_inr",
     *BINARY_COVARIATES,
 )
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Standardized rows plus the scaler that produced them."""
-
-    feature_names: tuple
-    x: np.ndarray  # (n, d) after scaling
-    means: np.ndarray  # (d,)
-    scales: np.ndarray  # (d,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "x", x)
-        means = np.asarray(self.means, dtype=float)
-        scales = np.asarray(self.scales, dtype=float)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "scales", scales)
-        d = len(self.feature_names)
-        if x.ndim != 2 or x.shape[1] != d:
-            raise DomainError(f"matrix has {x.shape} shape for {d} feature names")
-        if means.shape != (d,) or scales.shape != (d,):
-            raise DomainError("scaler length does not match feature count")
-        if not np.all(scales > 0):
-            raise DomainError("scaler scales must be positive")
 
 
 def default_feature_names(cohort: Cohort) -> tuple:
@@ -102,9 +74,10 @@ def feature_rows(cohort: Cohort, feature_names) -> np.ndarray:
     return np.ascontiguousarray(raw.T)
 
 
-def encode_features(cohort: Cohort, feature_names) -> FeatureMatrix:
-    """Build the standardized matrix, with a scaler fit on these rows
-    (population sigma; constant columns keep scale 1)."""
+def encode_features(cohort: Cohort, feature_names) -> tuple:
+    """The standardized rows ``x`` and the scaler ``(means, scales)`` fit
+    on them, as ``(x, means, scales)`` (population sigma; constant
+    columns keep scale 1)."""
     names = tuple(feature_names)
     raw = feature_rows(cohort, names)
     means = np.zeros(len(names))
@@ -114,5 +87,4 @@ def encode_features(cohort: Cohort, feature_names) -> FeatureMatrix:
             means[j] = float(np.mean(raw[:, j]))
             sigma = float(np.std(raw[:, j]))  # population, divide by n
             scales[j] = sigma if sigma > 0 else 1.0
-    x = (raw - means) / scales
-    return FeatureMatrix(feature_names=names, x=x, means=means, scales=scales)
+    return (raw - means) / scales, means, scales

@@ -123,7 +123,6 @@ class FittedGate:
     went without one."""
 
     plan: ImputationPlan
-    feature_names: tuple
     labels: CohortLabels
     selection: CSelection | None
     model: SvmModel
@@ -151,21 +150,19 @@ def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv
         raise DegenerateLabelsError(
             "training labels are single-class; nothing to train the gate on")
     feature_names = default_feature_names(train_cohort)
-    features = encode_features(imputed, feature_names)
-    factor = pivoted_cholesky(kernel, features.x)
+    x, means, scales = encode_features(imputed, feature_names)
+    factor = pivoted_cholesky(kernel, x)
     selection = None
     c = float(c_grid[0])
     if len(c_grid) > 1:
-        selection = select_c(features.x, labels.labels, kernel, c_grid, k=cv_k,
-                             seed=train_config.seed, base_config=train_config,
-                             factor=factor[0])
+        selection = select_c(x, labels.labels, kernel, c_grid, k=cv_k,
+                             base_config=train_config, factor=factor[0])
         c = selection.best_c
-    model = replace(train(features.x, labels.labels, kernel,
+    model = replace(train(x, labels.labels, kernel,
                           replace(train_config, c_regularization=c), factor),
-                    feature_names=feature_names, scaler_means=features.means,
-                    scaler_scales=features.scales)
-    return FittedGate(plan=plan, feature_names=feature_names, labels=labels,
-                      selection=selection, model=model, factor=factor)
+                    feature_names=feature_names, scaler_means=means, scaler_scales=scales)
+    return FittedGate(plan=plan, labels=labels, selection=selection, model=model,
+                      factor=factor)
 
 
 def evaluate_gate(model: SvmModel | None, plan: ImputationPlan, test_cohort: Cohort,

@@ -15,6 +15,8 @@ in general, and downstream code must not assume it is.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,6 +41,16 @@ VARIANTS = ("linear", "polynomial", "sigmoid", "rbf", "anova")
 # second full-size matrix.
 ANOVA_BLOCK_CELLS = 1 << 15
 
+# the parameters each variant reads, in the order to_text writes them
+_PARAMETERS = {
+    "linear": (),
+    "polynomial": ("degree", "offset"),
+    "sigmoid": ("theta",),
+    "rbf": ("delta",),
+    "anova": ("sigma", "d", "n_dims"),
+}
+_INTEGER_PARAMETERS = ("degree", "d", "n_dims")
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -62,34 +74,31 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DomainError(f"unknown kernel variant {self.variant!r}")
-        if self.variant == "polynomial" and (self.degree < 1 or int(self.degree) != self.degree):
-            raise DomainError("polynomial degree must be an integer >= 1")
+        # each parameter the variant reads is stored as its field's type,
+        # so that to_text writes what from_text reads back
+        for name in _PARAMETERS[self.variant]:
+            value = getattr(self, name)
+            if value is None and name == "n_dims":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise DomainError(f"{self.variant} {name} must be a finite number, got {value!r}")
+            if name in _INTEGER_PARAMETERS:
+                if value < 1 or int(value) != value:
+                    raise DomainError(f"{self.variant} {name} must be an integer >= 1")
+                object.__setattr__(self, name, int(value))
+            else:
+                object.__setattr__(self, name, float(value))
         if self.variant == "rbf" and not self.delta > 0:
             raise DomainError("rbf delta must be > 0")
-        if self.variant == "anova":
-            if not self.sigma > 0:
-                raise DomainError("anova sigma must be > 0")
-            if self.d < 1 or int(self.d) != self.d:
-                raise DomainError("anova d must be an integer >= 1")
-            if self.n_dims is not None and self.n_dims < 1:
-                raise DomainError("anova n_dims must be an integer >= 1")
+        if self.variant == "anova" and not self.sigma > 0:
+            raise DomainError("anova sigma must be > 0")
 
     def to_text(self) -> str:
-        """One-line textual form, e.g. ``polynomial degree=2 offset=1``."""
-        relevant = {
-            "linear": (),
-            "polynomial": ("degree", "offset"),
-            "sigmoid": ("theta",),
-            "rbf": ("delta",),
-            "anova": ("sigma", "d", "n_dims"),
-        }[self.variant]
-        parts = [self.variant]
-        for name in relevant:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            parts.append(f"{name}={value!r}" if isinstance(value, str) else f"{name}={value}")
-        return " ".join(parts)
+        """One-line textual form, e.g. ``polynomial degree=2 offset=1.0``."""
+        values = ((name, getattr(self, name)) for name in _PARAMETERS[self.variant])
+        return " ".join([self.variant, *(f"{name}={value}" for name, value in values
+                                         if value is not None)])
 
     @classmethod
     def from_text(cls, text: str) -> "KernelSpec":
@@ -105,8 +114,10 @@ class KernelSpec:
             key, raw = token.split("=", 1)
             if key not in valid:
                 raise DomainError(f"unknown kernel parameter {key!r}")
+            if key in kwargs:
+                raise DomainError(f"kernel parameter {key!r} given twice")
             try:
-                kwargs[key] = int(raw) if key in ("degree", "d", "n_dims") else float(raw)
+                kwargs[key] = int(raw) if key in _INTEGER_PARAMETERS else float(raw)
             except ValueError:
                 raise DomainError(f"unreadable kernel parameter {token!r}") from None
         return cls(variant=variant, **kwargs)

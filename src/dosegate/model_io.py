@@ -118,6 +118,16 @@ def _parse_model(text: str) -> SvmModel:
         block = np.empty((0, width))
     if block.shape[1] != width:
         raise SchemaError(f"support vector lines have {block.shape[1]} fields, expected {width}")
+    # what train writes: a scaler, bias, multipliers and support vectors
+    # that are all finite, positive scales and positive multipliers
+    if not (np.isfinite(means).all() and np.isfinite(scales).all() and np.isfinite(bias)
+            and np.isfinite(block[:, 1:]).all()):
+        raise SchemaError("model text has a non-finite scaler, bias, multiplier or "
+                          "support vector value")
+    if not (scales > 0).all():
+        raise SchemaError("model text has a scale <= 0")
+    if not (block[:, 1] > 0).all():
+        raise SchemaError("model text has a multiplier <= 0")
     labels, alphas, vectors = block[:, 0].copy(), block[:, 1].copy(), block[:, 2:].copy()
     for array in (labels, alphas, vectors, means, scales):
         array.setflags(write=False)

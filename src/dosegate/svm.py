@@ -87,9 +87,9 @@ class TrainConfig:
     balance_classes scales C per class by inverse class frequency.
     max_passes bounds the work: SMO makes at most max_passes * n pair
     updates, the interior-point method at most max_passes iterations,
-    and a fit that uses it up is not converged. seed only randomizes
-    tie-breaking in SMO's second-index search, so results are
-    reproducible bit for bit.
+    and a fit that uses it up is not converged. seed randomizes only
+    tie-breaking in SMO's second-index search and crossval.select_c's
+    folds, so results are reproducible bit for bit.
     """
 
     c_regularization: float = 1.0

@@ -13,8 +13,6 @@ classifier over the covariates has real signal to find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -63,31 +61,23 @@ CONTINUOUS_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class SyntheticConfig:
-    """Ground-truth risk model and dose-noise bands.
-
-    The risk logit reads only covariates the classifier can see, so the
-    gate is learnable; safe_rel must stay below threshold/(1-threshold)
-    and risky_rel_low above threshold/(1+threshold) for the 15% rule to
-    separate the groups exactly.
-    """
-
-    risk_intercept: float = -0.9
-    risk_smoker: float = 2.2
-    risk_diabetes: float = 1.8
-    risk_aspirin: float = 1.6
-    risk_valve: float = 1.5
-    risk_per_age_decade: float = 0.55
-    risk_per_kg: float = 0.045
-    age_center: float = 5.8
-    weight_center_kg: float = 81.3
-    safe_rel: float = 0.08
-    risky_rel_low: float = 0.25
-    risky_rel_high: float = 0.60
-
-
-DEFAULT_SYNTHETIC = SyntheticConfig()
+# The ground-truth risk model and dose-noise bands. The risk logit reads
+# only covariates the classifier can see, so the gate is learnable;
+# SAFE_REL must stay below threshold/(1-threshold) and RISKY_REL_LOW
+# above threshold/(1+threshold) for the 15% rule to separate the groups
+# exactly.
+RISK_INTERCEPT = -0.9
+RISK_SMOKER = 2.2
+RISK_DIABETES = 1.8
+RISK_ASPIRIN = 1.6
+RISK_VALVE = 1.5
+RISK_PER_AGE_DECADE = 0.55
+RISK_PER_KG = 0.045
+AGE_CENTER = 5.8
+WEIGHT_CENTER_KG = 81.3
+SAFE_REL = 0.08
+RISKY_REL_LOW = 0.25
+RISKY_REL_HIGH = 0.60
 
 
 def _truncated_normal(rng, mean, std, low, high, size) -> np.ndarray:
@@ -99,8 +89,7 @@ def _truncated_normal(rng, mean, std, low, high, size) -> np.ndarray:
     return values
 
 
-def generate_synthetic_cohort(n: int, seed: int,
-                              config: SyntheticConfig = DEFAULT_SYNTHETIC) -> Cohort:
+def generate_synthetic_cohort(n: int, seed: int) -> Cohort:
     """A deterministic Cohort with table-true marginals."""
     if n <= 0:
         raise DomainError("cohort size must be positive")
@@ -129,18 +118,18 @@ def generate_synthetic_cohort(n: int, seed: int,
     target_inr = _truncated_normal(rng, *CONTINUOUS_TABLE["target_inr"][:4], n)
 
     logit = (
-        config.risk_intercept
-        + config.risk_smoker * true_cov["current_smoker"]
-        + config.risk_diabetes * true_cov["diabetes"]
-        + config.risk_aspirin * true_cov["aspirin"]
-        + config.risk_valve * true_cov["valve_replacement"]
-        + config.risk_per_age_decade * (age - config.age_center)
-        + config.risk_per_kg * (weight - config.weight_center_kg)
+        RISK_INTERCEPT
+        + RISK_SMOKER * true_cov["current_smoker"]
+        + RISK_DIABETES * true_cov["diabetes"]
+        + RISK_ASPIRIN * true_cov["aspirin"]
+        + RISK_VALVE * true_cov["valve_replacement"]
+        + RISK_PER_AGE_DECADE * (age - AGE_CENTER)
+        + RISK_PER_KG * (weight - WEIGHT_CENTER_KG)
     )
     risky = rng.random(n) < 1.0 / (1.0 + np.exp(-logit))
 
-    rel = rng.uniform(-config.safe_rel, config.safe_rel, n)
-    magnitude = rng.uniform(config.risky_rel_low, config.risky_rel_high, n)
+    rel = rng.uniform(-SAFE_REL, SAFE_REL, n)
+    magnitude = rng.uniform(RISKY_REL_LOW, RISKY_REL_HIGH, n)
     direction = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     rel[risky] = (direction * magnitude)[risky]
 

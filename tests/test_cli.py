@@ -233,6 +233,9 @@ def test_train_cv_accuracy_beats_majority_class(tmp_path):
     pytest.param(["train", "--train-fraction", "1.5"], id="train-fraction 1.5"),
     pytest.param(["train", "--kernel", "bogus"], id="kernel bogus"),
     pytest.param(["train", "--kernel", "anova n_dims=0"], id="kernel anova n_dims=0"),
+    *(pytest.param(["train", "--kernel", kernel], id=f"kernel {kernel}")
+      for kernel in ("polynomial offset=nan", "polynomial offset=inf", "sigmoid theta=nan",
+                     "anova sigma=inf", "rbf delta=inf", "polynomial degree=2 degree=3")),
     pytest.param(["synth", "--n", "0"], id="synth n 0"),
     pytest.param(["synth", "--n", "-5"], id="synth n -5"),
 ])
@@ -525,6 +528,25 @@ def test_non_text_ingest_header_is_data_error(pipeline, tmp_path, capsys):
     source = tmp_path / "raw.tsv"
     source.write_bytes(b"\xff" + raw)
     assert main(["ingest", "--input", str(source), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, field, value", [
+    ("bias", 1, "nan"), ("scales", 1, "0"), ("kernel", 3, "offset=nan"),
+])
+@pytest.mark.parametrize("command", ["gate", "dose"])
+def test_model_train_cannot_write_is_data_error(run_dir, tmp_path, capsys, key, field, value,
+                                                command):
+    run = _copy_run(run_dir, tmp_path)
+    lines = (run / "model.txt").read_text(encoding="ascii").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+    parts = lines[i].split(" ")
+    parts[field] = value
+    lines[i] = " ".join(parts)
+    (run / "model.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    patient = ["age_decade=5", "height_cm=170", "weight_kg=80", "race=white", "enzyme=0",
+               "amiodarone=0"] if command == "dose" else []
+    assert main([command, "--run-dir", str(run), *patient]) == 2
     assert "data error" in capsys.readouterr().err
 
 

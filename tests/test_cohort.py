@@ -140,6 +140,9 @@ def test_load_schema_round_trip(tmp_path):
     path.write_text("A=age_decade\nB=age_decade\n")
     with pytest.raises(SchemaError):
         load_schema(path)
+    path.write_text("Age=age_decade\nAge=height_cm\nDose=therapeutic_dose_mg_week\nINR=inr\n")
+    with pytest.raises(SchemaError):
+        load_schema(path)
     path.write_text("A=not_a_field\n")
     with pytest.raises(SchemaError):
         load_schema(path)

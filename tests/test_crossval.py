@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,8 @@ CONFIG = TrainConfig(c_regularization=10.0, balance_classes=False)
 
 def _cv(x, labels, k, seed=0):
     """The cross-validation of CONFIG's C alone: select_c on a one-value grid."""
-    selection = select_c(x, labels, LINEAR, (CONFIG.c_regularization,), k=k, seed=seed,
-                         base_config=CONFIG)
+    selection = select_c(x, labels, LINEAR, (CONFIG.c_regularization,), k=k,
+                         base_config=replace(CONFIG, seed=seed))
     return selection.results[CONFIG.c_regularization]
 
 
@@ -122,7 +123,7 @@ def test_single_class_folds_are_skipped():
 def test_select_c_prefers_smaller_on_tie():
     rng = np.random.default_rng(7)
     x, labels = _labeled_rows(rng, n=40)  # separable: every C reaches 100%
-    selection = select_c(x, labels, LINEAR, (0.5, 5.0, 50.0), k=4, seed=0,
+    selection = select_c(x, labels, LINEAR, (0.5, 5.0, 50.0), k=4,
                          base_config=TrainConfig(balance_classes=False))
     accs = {c: r.mean_accuracy for c, r in selection.results.items()}
     if len(set(accs.values())) == 1:
@@ -139,14 +140,14 @@ def test_select_c_skips_c_whose_folds_did_not_converge():
     x = 0.5 * x
     sigmoid = KernelSpec(variant="sigmoid", theta=0.0)
     config = TrainConfig(balance_classes=False, max_passes=1)
-    selection = select_c(x, labels, sigmoid, (0.01, 100.0), k=4, seed=0, base_config=config)
+    selection = select_c(x, labels, sigmoid, (0.01, 100.0), k=4, base_config=config)
     early, settled = selection.results[100.0], selection.results[0.01]
     assert early.n_converged < early.n_trained
     assert settled.n_converged == settled.n_trained == 4
     assert early.mean_accuracy > settled.mean_accuracy
     assert selection.best_c == 0.01
     with pytest.raises(NumericalError):
-        select_c(x, labels, sigmoid, (100.0,), k=4, seed=0, base_config=config)
+        select_c(x, labels, sigmoid, (100.0,), k=4, base_config=config)
 
 
 # select_c's fits in this process (1) and in two forked workers (2)
@@ -188,7 +189,7 @@ def test_select_c_is_the_same_at_every_worker_count(set_workers, case):
     selections = []
     for count in WORKER_COUNTS:
         set_workers(count)
-        selections.append(repr(select_c(x, labels, kernel, grid, k=k, seed=0, base_config=config)))
+        selections.append(repr(select_c(x, labels, kernel, grid, k=k, base_config=config)))
         assert multiprocessing.active_children() == []
     assert selections[0] == selections[1]
 

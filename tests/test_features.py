@@ -6,36 +6,31 @@ import pytest
 from helpers import make_patient, stack
 
 from dosegate.errors import DataError, SchemaError
-from dosegate.features import (
-    FeatureMatrix,
-    default_feature_names,
-    encode_features,
-    feature_rows,
-)
+from dosegate.features import default_feature_names, encode_features, feature_rows
 from dosegate.records import Race
 
 
 def test_population_zscore_example():
     cohort = stack([make_patient(height_cm=h) for h in (160.0, 170.0, 180.0)])
-    fm = encode_features(cohort, ("height_cm",))
+    x, means, _ = encode_features(cohort, ("height_cm",))
     # population sigma: sqrt(200/3); hand-derived column
     expected = np.array([-1.224744871391589, 0.0, 1.224744871391589])
-    assert fm.x[:, 0] == pytest.approx(expected, abs=1e-12)
-    assert fm.means[0] == 170.0
+    assert x[:, 0] == pytest.approx(expected, abs=1e-12)
+    assert means[0] == 170.0
 
 
 def test_race_indicator_columns():
     cohort = stack([make_patient(race=Race.ASIAN), make_patient(race=Race.WHITE),
                     make_patient(race=Race.AFRICAN_AMERICAN)])
-    fm = encode_features(cohort, ("race_african_american", "race_asian"))
-    assert fm.x.tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
+    x, _, _ = encode_features(cohort, ("race_african_american", "race_asian"))
+    assert x.tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
 
 
 def test_binary_columns_not_scaled():
     cohort = stack([make_patient(aspirin=1), make_patient(aspirin=0), make_patient(aspirin=1)])
-    fm = encode_features(cohort, ("aspirin", "gender"))
-    assert set(np.unique(fm.x)) <= {0.0, 1.0}
-    assert np.all(fm.means == 0.0) and np.all(fm.scales == 1.0)
+    x, means, scales = encode_features(cohort, ("aspirin", "gender"))
+    assert set(np.unique(x)) <= {0.0, 1.0}
+    assert np.all(means == 0.0) and np.all(scales == 1.0)
 
 
 def test_stored_scaler_reproduces_fit_matrix_bitwise():
@@ -46,15 +41,15 @@ def test_stored_scaler_reproduces_fit_matrix_bitwise():
                                  weight_kg=float(rng.uniform(50, 120)))
                     for _ in range(20)])
     names = ("height_cm", "weight_kg", "gender")
-    fitted = encode_features(cohort, names)
-    replayed = (feature_rows(cohort, names) - fitted.means) / fitted.scales
-    assert np.array_equal(fitted.x, replayed)
+    x, means, scales = encode_features(cohort, names)
+    replayed = (feature_rows(cohort, names) - means) / scales
+    assert np.array_equal(x, replayed)
 
 
 def test_constant_column_sigma_one():
-    fm = encode_features(stack([make_patient(height_cm=170.0)] * 5), ("height_cm",))
-    assert fm.scales[0] == 1.0
-    assert np.all(fm.x == 0.0)
+    x, _, scales = encode_features(stack([make_patient(height_cm=170.0)] * 5), ("height_cm",))
+    assert scales[0] == 1.0
+    assert np.all(x == 0.0)
 
 
 def test_unknown_feature_rejected():
@@ -77,11 +72,3 @@ def test_default_features_drop_enzyme_and_rare():
     # observed inr and the dose target are never features
     assert "inr" not in names and "therapeutic_dose_mg_week" not in names
 
-
-def test_matrix_shape_validation():
-    with pytest.raises(DataError):
-        FeatureMatrix(feature_names=("a",), x=np.zeros((2, 2)),
-                      means=np.zeros(1), scales=np.ones(1))
-    with pytest.raises(DataError):
-        FeatureMatrix(feature_names=("a",), x=np.zeros((2, 1)),
-                      means=np.zeros(1), scales=np.zeros(1))  # zero scale

@@ -153,7 +153,7 @@ def test_trained_gate_returns_model_and_plan():
     assert fitted.plan is not None
     assert fitted.selection is None
     assert 0.0 < report.shrink_ratio <= 1.0
-    assert len(fitted.feature_names) >= 5
+    assert len(fitted.model.feature_names) >= 5
 
 
 def test_degenerate_gate_carries_original_metrics():

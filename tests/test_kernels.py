@@ -156,6 +156,14 @@ def test_dimension_mismatch_rejected():
     {"variant": "mystery"},
     {"variant": "anova", "n_dims": 0},
     {"variant": "anova", "n_dims": -1},
+    {"variant": "polynomial", "offset": math.nan},
+    {"variant": "polynomial", "offset": math.inf},
+    {"variant": "sigmoid", "theta": math.nan},
+    {"variant": "rbf", "delta": math.inf},
+    {"variant": "anova", "sigma": math.inf},
+    {"variant": "polynomial", "degree": 2.5},
+    {"variant": "polynomial", "degree": True},
+    {"variant": "anova", "d": True},
 ])
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(DomainError):
@@ -170,7 +178,9 @@ def test_spec_text_round_trip():
 
 
 def test_spec_text_rejects_garbage():
-    for text in ("", "rbf delta=nope", "polynomial degree=-2", "warp factor=9"):
+    for text in ("", "rbf delta=nope", "polynomial degree=-2", "warp factor=9",
+                 "polynomial offset=nan", "polynomial offset=inf", "sigmoid theta=nan",
+                 "anova sigma=inf", "rbf delta=inf", "polynomial degree=2 degree=3"):
         with pytest.raises(DomainError):
             KernelSpec.from_text(text)
 
@@ -344,7 +354,7 @@ def paper_training_rows(tmp_path_factory):
     assert main(["synth", "--n", "4237", "--out-dir", str(root)]) == 0
     train_rows, _ = split_cohort(read_cohort(root / "cohort.tsv").cohort, 0.5, 0)
     imputed = apply_imputation(fit_imputation(train_rows), train_rows)
-    return encode_features(imputed, default_feature_names(train_rows)).x
+    return encode_features(imputed, default_feature_names(train_rows))[0]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

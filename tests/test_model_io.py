@@ -117,6 +117,8 @@ def _sv_lines(text):
 @pytest.mark.parametrize("damage", [
     "one_line_short", "every_line_short", "every_line_long", "unreadable_number",
     "comment_marker", "label_with_decimals", "bad_version_token", "scaler_too_short",
+    "nan_bias", "inf_bias", "nan_mean", "zero_scale", "negative_scale", "inf_scale",
+    "zero_alpha", "negative_alpha", "nan_alpha", "inf_support_vector",
 ])
 def test_malformed_model_text_is_schema_error(damage):
     model, _ = _fitted_model()
@@ -134,10 +136,40 @@ def test_malformed_model_text_is_schema_error(damage):
         lines[first] = "1.0 " + lines[first].split(" ", 1)[1]
     elif damage == "bad_version_token":
         lines[0] = "dosegate-svm one"
+    elif damage in ("nan_bias", "inf_bias"):
+        lines[5] = "bias " + damage[:3]
+    elif damage == "nan_mean":
+        lines[3] = "means nan " + lines[3].split(" ", 2)[2]
+    elif damage.endswith("_scale"):
+        value = {"zero": "0", "negative": "-1", "inf": "inf"}[damage.split("_")[0]]
+        lines[4] = f"scales {value} " + lines[4].split(" ", 2)[2]
+    elif damage.endswith("_alpha"):
+        value = {"zero": "0", "negative": "-0.5", "nan": "nan"}[damage.split("_")[0]]
+        label, _, rest = lines[first].split(" ", 2)
+        lines[first] = f"{label} {value} {rest}"
+    elif damage == "inf_support_vector":
+        lines[first] = lines[first].rsplit(" ", 1)[0] + " -inf"
     else:
         lines[4] = lines[4].rsplit(" ", 1)[0]
     with pytest.raises(SchemaError):
         model_from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kernel", [
+    KernelSpec(degree=2.0),
+    KernelSpec(degree=np.int64(2)),
+    KernelSpec(variant="anova", d=1.0, n_dims=np.int64(2)),
+], ids=["degree 2.0", "degree int64", "anova d 1.0"])
+def test_kernel_with_whole_number_parameters_round_trips(tmp_path, kernel):
+    model, raw = _fitted_model(seed=8)
+    model = replace(model, kernel=kernel)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    restored = load_model(path)
+    assert restored.kernel == kernel
+    assert type(restored.kernel.degree) is type(kernel.degree) is int
+    assert type(restored.kernel.d) is type(kernel.d) is int
+    assert np.array_equal(decision_values(restored, raw), decision_values(model, raw))
 
 
 def test_unsigned_label_and_blank_lines_accepted():

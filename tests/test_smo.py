@@ -38,8 +38,8 @@ def gate_rows():
     train_rows, _ = split_cohort(generate_synthetic_cohort(600, 3), 0.5, 3)
     imputed = apply_imputation(fit_imputation(train_rows), train_rows)
     labels = label_cohort(imputed).labels
-    features = encode_features(imputed, default_feature_names(train_rows))
-    return np.asarray(features.x), np.asarray(labels, dtype=float)
+    x, _, _ = encode_features(imputed, default_feature_names(train_rows))
+    return x, np.asarray(labels, dtype=float)
 
 
 def _problem(kernel, x, z, config):

@@ -7,7 +7,7 @@ from helpers import make_patient, separable_blobs
 
 from dosegate.cohort import apply_imputation, split_cohort
 from dosegate.errors import DataError, DegenerateLabelsError, DomainError, SchemaError
-from dosegate.features import encode_features, feature_rows
+from dosegate.features import default_feature_names, encode_features, feature_rows
 from dosegate.gate import classify_records, fit_gate
 from dosegate.kernels import KernelSpec, kernel_matrix
 from dosegate.svm import (
@@ -169,14 +169,14 @@ def test_feature_matrix_metadata_flows_into_model():
     train_rows, _ = split_cohort(generate_synthetic_cohort(200, 3), 0.5, 3)
     fitted = fit_gate(train_rows, LINEAR, c_grid=(1.0,))
     imputed = apply_imputation(fitted.plan, train_rows)
-    fm = encode_features(imputed, fitted.feature_names)
     model = fitted.model
-    assert model.feature_names == fm.feature_names == fitted.feature_names
-    assert np.array_equal(model.scaler_means, fm.means)
-    assert np.array_equal(model.scaler_scales, fm.scales)
+    assert model.feature_names == default_feature_names(train_rows)
+    x, means, scales = encode_features(imputed, model.feature_names)
+    assert np.array_equal(model.scaler_means, means)
+    assert np.array_equal(model.scaler_scales, scales)
     # decision_values takes RAW rows and must scale internally
-    direct = decision_values(model, feature_rows(imputed, fitted.feature_names))
-    via_matrix = (kernel_matrix(LINEAR, fm.x, model.support_vectors)
+    direct = decision_values(model, feature_rows(imputed, model.feature_names))
+    via_matrix = (kernel_matrix(LINEAR, x, model.support_vectors)
                   @ (model.alphas * model.sv_labels) + model.bias)
     assert np.allclose(direct, via_matrix, atol=1e-12)
 

@@ -6,7 +6,7 @@ from dosegate.cohort import cohort_to_text
 from dosegate.gate import GateConfig, label_cohort
 from dosegate.iwpc import DEFAULT_COEFFICIENTS, weekly_doses
 from dosegate.records import BINARY_COVARIATES, Cohort, Race
-from dosegate.synth import DEFAULT_SYNTHETIC, generate_synthetic_cohort
+from dosegate.synth import RISKY_REL_LOW, SAFE_REL, generate_synthetic_cohort
 
 
 def _observed(column):
@@ -61,9 +61,8 @@ def test_missingness_present_at_calibrated_scale():
 def test_relative_error_bands_are_separated():
     """Complete rows fall in the safe or risky band, never between."""
     cohort = generate_synthetic_cohort(800, seed=4)
-    config = DEFAULT_SYNTHETIC
-    safe_cap = config.safe_rel / (1.0 - config.safe_rel)
-    risky_floor = config.risky_rel_low / (1.0 + config.risky_rel_low)
+    safe_cap = SAFE_REL / (1.0 - SAFE_REL)
+    risky_floor = RISKY_REL_LOW / (1.0 + RISKY_REL_LOW)
     inputs = ("age_decade", "height_cm", "weight_kg", "race", "enzyme", "amiodarone")
     complete = cohort.take(~np.isnan(np.array([cohort[name] for name in inputs])).any(axis=0))
     assert len(complete) > 100
