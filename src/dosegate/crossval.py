@@ -4,16 +4,22 @@ Folds are stratified by gate label (the HighRisk/Safe split is roughly
 77/23, so plain random folds can starve the minority class). Everything
 is seeded and deterministic, and fold evaluation order is fixed by index.
 
-select_c's (C, fold) fits are independent, so they run in forked worker
-processes, one per CPU this process may use for each BLAS thread, and
-in this process when that leaves one. Outcomes are put back in
-grid-then-fold order, so the selection does not depend on the worker
-count.
+select_c's (C, fold) fits are independent, so they are split among
+processes, one per CPU this process may use for each BLAS thread: this
+process forks one child for each process past the first, fits its own
+share meanwhile, and reads the children's outcomes back through pipes.
+On a 2-CPU x86_64 machine a bare fork took about 3 ms to start and
+reap, where a two-process pool took 7-10 ms, plus about 19 ms to import
+its modules in a fresh process, and left this process idle while its
+workers fitted. Outcomes are put back in grid-then-fold order, so the
+selection does not depend on the process count.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,47 +123,77 @@ def _available_cpus() -> int:
     return 1
 
 
-# What a worker's fits read: (x, labels, kernel, factor, folds), set by
-# _share when the worker starts. Only workers set it; they inherit the
-# arrays through fork, so no array is pickled.
-_shared = None
-
-
-def _share(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
-           factor: np.ndarray | None, folds: list) -> None:
-    global _shared
-    _shared = (x, labels, kernel, factor, folds)
-
-
-def _shared_fold_outcome(task: tuple) -> FoldOutcome:
-    config, f = task
-    return _fold_outcome(*_shared, config, f)
-
-
 def _fold_outcomes(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
                    factor: np.ndarray | None, folds: list, tasks: list) -> list:
     """The FoldOutcome of each (config, fold index) task, in task order.
 
-    The fits run in up to _available_cpus() workers. A fit that
-    raises raises here unchanged; where several do, the first in task
-    order is raised, as when the tasks run one after another.
+    The tasks are split among up to _available_cpus() processes, task i
+    to process i mod their number: this process forks the others, which
+    inherit the arrays, and runs share 0 itself. A child sends its
+    (index, outcome or exception) list back pickled through a pipe and
+    ends with os._exit, so it never runs its parent's code on return. A
+    fit that raises raises here unchanged; where several do, the first in
+    task order is raised, as when the tasks run one after another. Every
+    child is reaped before this returns or raises.
     """
     workers = min(_available_cpus(), len(tasks))
-    if workers <= 1:
-        return [_fold_outcome(x, labels, kernel, factor, folds, config, f)
-                for config, f in tasks]
-    # imported here: importing them would add 16-22 ms to every CLI start
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    # fork, not spawn: a spawned worker would import numpy and this
-    # package afresh and be sent the feature matrix, which costs more
-    # than a cross-validation fit at the paper's size
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_share,
-                             initargs=(x, labels, kernel, factor, folds)) as pool:
-        # map cancels the tasks not yet started when a result raises
-        return list(pool.map(_shared_fold_outcome, tasks))
+    def share(first: int) -> list:
+        # a share stops at its first failure: the tasks after it would
+        # only be raised after that failure
+        done = []
+        for i in range(first, len(tasks), workers):
+            config, f = tasks[i]
+            try:
+                done.append((i, _fold_outcome(x, labels, kernel, factor, folds, config, f)))
+            except Exception as error:  # raised below, in task order
+                done.append((i, error))
+                break
+        return done
+
+    children = []  # (pid, its share's first task, its pipe's read end), until reaped
+    try:
+        for first in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    payload = pickle.dumps(share(first))
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, first, open(read_end, "rb")))
+        done = share(0)
+        while children:
+            pid, first, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if status == 0:
+                done.extend(pickle.loads(payload))
+            else:
+                done.append((first, NumericalError(
+                    "a cross-validation worker ended without its results")))
+    finally:
+        for pid, _, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    done.sort(key=lambda item: item[0])
+    for _, outcome in done:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return [outcome for _, outcome in done]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,18 +102,21 @@ class KernelSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "KernelSpec":
+        """Read to_text's form: the variant, then key=value for parameters
+        the variant reads, each at most once."""
         tokens = text.replace(",", " ").split()
         if not tokens:
             raise DomainError("empty kernel specification")
         variant = tokens[0].lower()
+        if variant not in _PARAMETERS:
+            raise DomainError(f"unknown kernel variant {variant!r}")
         kwargs = {}
-        valid = {f.name for f in fields(cls)} - {"variant"}
         for token in tokens[1:]:
             if "=" not in token:
                 raise DomainError(f"bad kernel parameter {token!r} (expected key=value)")
             key, raw = token.split("=", 1)
-            if key not in valid:
-                raise DomainError(f"unknown kernel parameter {key!r}")
+            if key not in _PARAMETERS[variant]:
+                raise DomainError(f"kernel {variant} has no parameter {key!r}")
             if key in kwargs:
                 raise DomainError(f"kernel parameter {key!r} given twice")
             try:

@@ -12,10 +12,15 @@ of low rank (linear, polynomial and anova on these features) is solved
 on that factor by a Mehrotra predictor-corrector interior-point method
 whose Newton systems cost O(n rank^2) through the Sherman-Morrison-
 Woodbury identity (Fine & Scheinberg, JMLR 2001; Ferris & Munson, SIAM
-J. Optim. 2002); the triangular factor of its rank x rank matrix is
-inverted by halving. The factor depends only on the rows, so a caller
-that fits many subsets of one set of rows (cross-validation) factors
-the set once and gives each fit its rows of the factor. A kernel the
+J. Optim. 2002). Its rank x rank matrix I + W^T D^-1 W is formed as
+I + Y^T Y with Y = D^-1/2 W, which numpy computes as a symmetric product
+(BLAS syrk: 0.27 ms against 0.46 ms for the general product on 666 x 109,
+one thread), and the triangular factor of that matrix is inverted by
+halving. A Newton solve is refined against its true residual, at most
+twice, only while that residual is above REFINEMENT_TOLERANCE. The
+factor depends only on the rows, so a caller that fits many subsets of
+one set of rows (cross-validation) factors the set once and gives each
+fit its rows of the factor. A kernel the
 factor shows indefinite (sigmoid) or of rank above LOW_RANK_CAP (RBF)
 is solved by SMO on the dense Gram matrix: pick a maximal KKT violator,
 pair it with the index of largest error difference, and update the
@@ -63,6 +68,11 @@ LOW_RANK_CAP = 200
 # ends the factor; one below minus this share shows an indefinite kernel.
 PIVOT_TOLERANCE = 1e-12
 IPM_TOLERANCE = 1e-9  # dual residual in margin units; primal residuals and gap relative
+# The interior point refines a Newton solve while its residual, in the
+# margin units of the dual residual, is above this: three orders below
+# what the stopping rule resolves. On the 13 fits of an n=1000 `train
+# --cv-k 3`, 10% of the solves needed no refinement and 56% one step.
+REFINEMENT_TOLERANCE = 1e-3 * IPM_TOLERANCE
 STEP_FRACTION = 0.995  # of the step to the boundary of the positive orthant
 SUPPORT_EPSILON = 1e-12  # a multiplier above this makes its row a support vector
 # _lower_inverse leaves blocks of at most this many rows to np.linalg.inv,
@@ -201,14 +211,12 @@ def pivoted_cholesky(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray | None
     return None, True
 
 
-def _step_to_boundary(*pairs) -> float:
-    """Largest t with values + t * steps >= 0 for every (values, steps)."""
-    limit = np.inf
-    for values, steps in pairs:
-        shrinking = steps < 0
-        if shrinking.any():
-            limit = min(limit, float(np.min(-values[shrinking] / steps[shrinking])))
-    return limit
+def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> float:
+    """Largest t with values + t * steps >= 0, for positive values: that
+    is t * steps / values >= -1, so t = 1 / -min(steps / values) when the
+    minimum is negative."""
+    steepest = float(np.min(steps / values))
+    return -1.0 / steepest if steepest < 0.0 else np.inf
 
 
 def _lower_inverse(lower: np.ndarray) -> np.ndarray:
@@ -246,19 +254,20 @@ def _interior_point(w: np.ndarray, z: np.ndarray, upper: np.ndarray,
     up its max_iterations.
     """
     n, rank = w.shape
-    a = 0.5 * upper
-    s = upper - a
-    lam = np.ones(n)
-    xi = np.ones(n)
+    half = 0.5 * upper
+    # (a, s, lam, xi) stacked, so a step moves all four in one operation
+    v = np.concatenate([half, upper - half, np.ones(2 * n)])
     b = 0.0
     box_scale = float(upper.max())
-    best, best_merit, stalled = (a, s, lam, xi), np.inf, 0
+    best, best_merit, stalled = v, np.inf, 0
     for _ in range(max_iterations):
+        a, s, lam, xi = v.reshape(4, n)
         qa = w @ (w.T @ a)
         r_dual = qa - 1.0 + b * z + xi - lam
         r_eq = float(z @ a)
         r_box = a + s - upper
-        gap = float(a @ lam + s @ xi)
+        complementarity = v[:2 * n] * v[2 * n:]  # a lam, then s xi
+        gap = float(complementarity.sum())
         objective = float(0.5 * (a @ qa) - a.sum())
         # the dual residual is in margin units, like the KKT tolerance;
         # the others are relative, so that a tiny C is solved as finely
@@ -272,58 +281,62 @@ def _interior_point(w: np.ndarray, z: np.ndarray, upper: np.ndarray,
             if stalled == 3 or not np.isfinite(merit):
                 break
         else:
-            best, best_merit, stalled = (a, s, lam, xi), merit, 0
+            best, best_merit, stalled = v, merit, 0
         if merit <= IPM_TOLERANCE:
             break
         d = lam / a + xi / s
-        wd = w / d[:, None]
+        root = np.sqrt(d)[:, None]
+        y = w / root
         try:
-            # I + W^T D^-1 W = L L^T; the triangular inverse is applied twice
-            l_inverse = _lower_inverse(np.linalg.cholesky(np.eye(rank) + w.T @ wd))
+            # I + W^T D^-1 W = I + Y^T Y, a symmetric product, = L L^T;
+            # the triangular inverse is applied twice
+            l_inverse = _lower_inverse(np.linalg.cholesky(np.eye(rank) + y.T @ y))
         except np.linalg.LinAlgError:
             break  # rounding has overrun the iterate; keep the best one
 
         def smw(rhs):
-            scaled = rhs / d[:, None]
-            return scaled - wd @ (l_inverse.T @ (l_inverse @ (w.T @ scaled)))
+            scaled = rhs / root
+            return (scaled - y @ (l_inverse.T @ (l_inverse @ (y.T @ scaled)))) / root
 
         def solve(rhs):
             # (D + W W^T)^-1 rhs for the columns of rhs. Once some d are
-            # tiny the identity cancels large terms, so two steps of
-            # iterative refinement against the true residual follow.
+            # tiny the identity cancels large terms, so up to two steps of
+            # iterative refinement follow while the true residual is large.
             x = smw(rhs)
             for _ in range(2):
-                x += smw(rhs - d[:, None] * x - w @ (w.T @ x))
+                residual = rhs - d[:, None] * x - w @ (w.T @ x)
+                if float(np.abs(residual).max()) <= REFINEMENT_TOLERANCE:
+                    break
+                x += smw(residual)
             return x
 
-        def direction(c_lam, c_xi, mz=None):
-            g = -r_dual - (c_xi + xi * r_box) / s + c_lam / a
+        def direction(c, mz=None):
+            # c stacks the complementarity targets of (a lam, s xi)
+            g = -r_dual - (c[n:] + xi * r_box) / s + c[:n] / a
             if mz is None:
                 mz, mg = solve(np.column_stack([z, g])).T
             else:
                 mg = solve(g[:, None])[:, 0]
             db = (z @ mg + r_eq) / (z @ mz)
-            da = mg - db * mz
-            ds = -r_box - da
-            return da, ds, (c_lam - lam * da) / a, (c_xi - xi * ds) / s, db, mz
+            dv = np.empty(4 * n)
+            dv[:n] = mg - db * mz
+            dv[n:2 * n] = -r_box - dv[:n]
+            dv[2 * n:] = (c - v[2 * n:] * dv[:2 * n]) / v[:2 * n]
+            return dv, db, mz
 
-        da, ds, dlam, dxi, _, mz = direction(-a * lam, -s * xi)
-        t = min(1.0, _step_to_boundary((a, da), (s, ds), (lam, dlam), (xi, dxi)))
+        dv, _, mz = direction(-complementarity)
+        t = min(1.0, _step_to_boundary(v, dv))
         mu = gap / (2 * n)
-        mu_aff = ((a + t * da) @ (lam + t * dlam) + (s + t * ds) @ (xi + t * dxi)) / (2 * n)
+        trial = v + t * dv
+        mu_aff = (trial[:2 * n] @ trial[2 * n:]) / (2 * n)
         target = (mu_aff / mu) ** 3 * mu
-        da, ds, dlam, dxi, db, _ = direction(target - a * lam - da * dlam,
-                                             target - s * xi - ds * dxi, mz)
-        t = min(1.0, STEP_FRACTION
-                * _step_to_boundary((a, da), (s, ds), (lam, dlam), (xi, dxi)))
-        a = a + t * da
-        s = s + t * ds
-        lam = lam + t * dlam
-        xi = xi + t * dxi
+        dv, db, _ = direction(target - complementarity - dv[:2 * n] * dv[2 * n:], mz)
+        t = min(1.0, STEP_FRACTION * _step_to_boundary(v, dv))
+        v = v + t * dv
         b += t * db
     else:
-        return best, False
-    return best, True
+        return tuple(best.reshape(4, n)), False
+    return tuple(best.reshape(4, n)), True
 
 
 def _snap(a: np.ndarray, s: np.ndarray, lam: np.ndarray, xi: np.ndarray,

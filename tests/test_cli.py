@@ -235,7 +235,8 @@ def test_train_cv_accuracy_beats_majority_class(tmp_path):
     pytest.param(["train", "--kernel", "anova n_dims=0"], id="kernel anova n_dims=0"),
     *(pytest.param(["train", "--kernel", kernel], id=f"kernel {kernel}")
       for kernel in ("polynomial offset=nan", "polynomial offset=inf", "sigmoid theta=nan",
-                     "anova sigma=inf", "rbf delta=inf", "polynomial degree=2 degree=3")),
+                     "anova sigma=inf", "rbf delta=inf", "polynomial degree=2 degree=3",
+                     "rbf sigma=0.5")),
     pytest.param(["synth", "--n", "0"], id="synth n 0"),
     pytest.param(["synth", "--n", "-5"], id="synth n -5"),
 ])
@@ -533,6 +534,7 @@ def test_non_text_ingest_header_is_data_error(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, field, value", [
     ("bias", 1, "nan"), ("scales", 1, "0"), ("kernel", 3, "offset=nan"),
+    ("kernel", 3, "sigma=0.5"),
 ])
 @pytest.mark.parametrize("command", ["gate", "dose"])
 def test_model_train_cannot_write_is_data_error(run_dir, tmp_path, capsys, key, field, value,

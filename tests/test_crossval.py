@@ -1,9 +1,9 @@
 """Cross-validation folds and C selection."""
 
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -154,6 +154,12 @@ def test_select_c_skips_c_whose_folds_did_not_converge():
 WORKER_COUNTS = (1, 2)
 
 
+def _assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def set_workers(monkeypatch):
     """Pin select_c's worker count, and check that no worker outlives
@@ -161,7 +167,7 @@ def set_workers(monkeypatch):
     def pin(count):
         monkeypatch.setattr(crossval, "_available_cpus", lambda: count)
     yield pin
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def _non_converging_case():
@@ -190,7 +196,7 @@ def test_select_c_is_the_same_at_every_worker_count(set_workers, case):
     for count in WORKER_COUNTS:
         set_workers(count)
         selections.append(repr(select_c(x, labels, kernel, grid, k=k, base_config=config)))
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
     assert selections[0] == selections[1]
 
 
@@ -209,7 +215,7 @@ def test_train_artifacts_are_the_same_at_every_worker_count(tmp_path, monkeypatc
     for count in WORKER_COUNTS:
         set_workers(count)
         assert _train(tmp_path, monkeypatch, capsys, f"run{count}") == (0, "")
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
         runs.append({name: (tmp_path / f"run{count}" / name).read_bytes()
                      for name in ("train_report.txt", "model.txt", "plan.txt", "test.tsv")})
     assert runs[0] == runs[1]
@@ -230,10 +236,67 @@ def test_fit_error_in_a_worker_matches_the_in_process_error(tmp_path, monkeypatc
     for count in WORKER_COUNTS:
         set_workers(count)
         outcomes.append(_train(tmp_path, monkeypatch, capsys, f"run{count}"))
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
     assert outcomes[0] == outcomes[1]
     code, err = outcomes[0]
     assert code == 3 and "numerical error: forced failure at C=10 on" in err
+
+
+def test_worker_that_ends_without_its_results_fails_train(tmp_path, monkeypatch, capsys,
+                                                         set_workers):
+    parent = os.getpid()
+    real_train = crossval.train
+
+    def dying_train(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_train(*args)
+
+    monkeypatch.setattr(crossval, "train", dying_train)
+    set_workers(2)
+    code, err = _train(tmp_path, monkeypatch, capsys, "run")
+    assert code == 3
+    assert err == ("dosegate train: numerical error: "
+                   "a cross-validation worker ended without its results\n")
+    _assert_no_child_left()
+
+
+def _train_failing_in_this_process(failure, worker_delay):
+    """A train that raises ``failure`` in this process, and in a forked
+    worker sleeps ``worker_delay`` seconds before its first fit."""
+    parent = os.getpid()
+    real_train = crossval.train
+    slept = []
+
+    def train(*args):
+        if os.getpid() == parent:
+            raise failure
+        if not slept:
+            slept.append(time.sleep(worker_delay))
+        return real_train(*args)
+    return train
+
+
+def test_failure_in_this_process_waits_for_the_running_worker(monkeypatch, set_workers):
+    monkeypatch.setattr(crossval, "train", _train_failing_in_this_process(
+        NumericalError("forced failure in this process's share"), 0.3))
+    set_workers(2)
+    x, labels, kernel, grid, k, config = _linear_case()
+    with pytest.raises(NumericalError, match="this process's share"):
+        select_c(x, labels, kernel, grid, k=k, base_config=config)
+    _assert_no_child_left()
+
+
+def test_interrupt_in_this_process_kills_the_running_worker(monkeypatch, set_workers):
+    monkeypatch.setattr(crossval, "train", _train_failing_in_this_process(
+        KeyboardInterrupt(), 60.0))
+    set_workers(2)
+    x, labels, kernel, grid, k, config = _linear_case()
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        select_c(x, labels, kernel, grid, k=k, base_config=config)
+    assert time.monotonic() - started < 30.0  # the worker was not waited for
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("blas_env, expected", [
@@ -254,12 +317,27 @@ def test_workers_share_the_cpus_with_the_blas_threads(monkeypatch, blas_env, exp
     assert crossval._available_cpus() == expected
 
 
-def test_importing_the_cli_loads_no_pool_machinery():
+# select_c forks a worker here, and must not import a pool to do so
+TRAIN_AT_TWO_WORKERS = """
+import contextlib, io
+from dosegate import crossval
+crossval._available_cpus = lambda: 2
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["synth", "--n", "200", "--seed", "5", "--out-dir", "s"],
+                 ["train", "--input", "s/cohort.tsv", "--out-dir", "r", "--seed", "5"]):
+        if dosegate.cli.main(argv) != 0:
+            sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_importing_the_cli_loads_no_pool_machinery(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, dosegate.cli; "
-             "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
-             "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                              filter(None, (str(src), os.environ.get("PYTHONPATH"))))})
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    for run in ("", TRAIN_AT_TWO_WORKERS):
+        probe = (f"import sys, dosegate.cli\n{run}\n"
+                 "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+                 "if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=tmp_path, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", ""), run

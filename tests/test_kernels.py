@@ -180,7 +180,8 @@ def test_spec_text_round_trip():
 def test_spec_text_rejects_garbage():
     for text in ("", "rbf delta=nope", "polynomial degree=-2", "warp factor=9",
                  "polynomial offset=nan", "polynomial offset=inf", "sigmoid theta=nan",
-                 "anova sigma=inf", "rbf delta=inf", "polynomial degree=2 degree=3"):
+                 "anova sigma=inf", "rbf delta=inf", "polynomial degree=2 degree=3",
+                 "rbf sigma=0.5", "linear degree=2", "polynomial theta=0", "anova delta=1"):
         with pytest.raises(DomainError):
             KernelSpec.from_text(text)
 

@@ -41,29 +41,33 @@ KERNELS = (
 )
 
 floats = st.floats(allow_nan=False)  # infinities too, which only some fields accept
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
-def models(draw):
+def models(draw, values=floats, scales=floats, alphas=floats):
+    """Models whose scales and multipliers are drawn from ``scales`` and
+    ``alphas``, and every other float from ``values``."""
     d = draw(st.integers(1, 4))
     n_sv = draw(st.integers(0, 6))
-    vec = st.lists(floats, min_size=d, max_size=d)
+    vec = st.lists(values, min_size=d, max_size=d)
     return SvmModel(
         kernel=draw(st.sampled_from(KERNELS)),
         support_vectors=np.array(draw(st.lists(vec, min_size=n_sv, max_size=n_sv)),
                                  dtype=float).reshape(n_sv, d),
-        alphas=np.array(draw(st.lists(floats, min_size=n_sv, max_size=n_sv)), dtype=float),
+        alphas=np.array(draw(st.lists(alphas, min_size=n_sv, max_size=n_sv)), dtype=float),
         sv_labels=np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
                                          min_size=n_sv, max_size=n_sv)), dtype=float),
-        bias=draw(floats),
+        bias=draw(values),
         feature_names=tuple(draw(st.lists(
             st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8),
             min_size=d, max_size=d))),
-        scaler_means=np.array(draw(st.lists(floats, min_size=d, max_size=d))),
-        scaler_scales=np.array(draw(st.lists(floats, min_size=d, max_size=d))),
+        scaler_means=np.array(draw(st.lists(values, min_size=d, max_size=d))),
+        scaler_scales=np.array(draw(st.lists(scales, min_size=d, max_size=d))),
         converged=draw(st.booleans()),
-        max_kkt_violation=draw(floats),
-        dual_objective=draw(floats),
+        max_kkt_violation=draw(values),
+        dual_objective=draw(values),
     )
 
 
@@ -79,15 +83,15 @@ def _trainable(model: SvmModel) -> bool:
                 and (model.scaler_scales > 0).all() and (model.alphas > 0).all())
 
 
+# models train could write, and models it could not
+trainable_models = models(values=finite, scales=positive, alphas=positive)
+untrainable_models = models().filter(lambda model: not _trainable(model))
+
+
 @PROPERTY
-@given(models())
+@given(trainable_models)
 def test_model_text_round_trips_bit_exactly(model):
-    text = model_to_text(model)
-    if not _trainable(model):
-        with pytest.raises(SchemaError):
-            model_from_text(text)
-        return
-    restored = model_from_text(text)
+    restored = model_from_text(model_to_text(model))
     for name in ("support_vectors", "alphas", "sv_labels", "scaler_means", "scaler_scales"):
         assert _same_bits(getattr(restored, name), getattr(model, name)), name
     for name in ("bias", "max_kkt_violation", "dual_objective"):
@@ -95,6 +99,13 @@ def test_model_text_round_trips_bit_exactly(model):
     assert restored.kernel == model.kernel
     assert restored.feature_names == model.feature_names
     assert restored.converged == model.converged
+
+
+@PROPERTY
+@given(untrainable_models)
+def test_model_text_train_cannot_write_is_schema_error(model):
+    with pytest.raises(SchemaError):
+        model_from_text(model_to_text(model))
 
 
 # pieces that tend to break number and field parsing
@@ -106,7 +117,7 @@ TOKENS = st.sampled_from([
 
 
 @PROPERTY
-@given(models(), st.data())
+@given(trainable_models, st.data())
 def test_damaged_model_text_raises_only_package_errors(model, data):
     lines = model_to_text(model).splitlines()
     for _ in range(data.draw(st.integers(1, 3))):
@@ -140,8 +151,6 @@ def test_arbitrary_model_text_raises_only_package_errors(text):
 def _optional(strategy):
     return st.none() | strategy
 
-
-positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 # one patient whose every value a Cohort accepts and the parser keeps;
 # None is a missing value
