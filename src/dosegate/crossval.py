@@ -131,10 +131,12 @@ def _fold_outcomes(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
     to process i mod their number: this process forks the others, which
     inherit the arrays, and runs share 0 itself. A child sends its
     (index, outcome or exception) list back pickled through a pipe and
-    ends with os._exit, so it never runs its parent's code on return. A
-    fit that raises raises here unchanged; where several do, the first in
-    task order is raised, as when the tasks run one after another. Every
-    child is reaped before this returns or raises.
+    ends with os._exit, so it never runs its parent's code on return; a
+    child that ends without sending it fails its share's first task with
+    a NumericalError. A fit that raises raises here unchanged; where
+    several do, the first in task order is raised, as when the tasks run
+    one after another. Every child is reaped before this returns or
+    raises.
     """
     workers = min(_available_cpus(), len(tasks))
 

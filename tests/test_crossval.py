@@ -272,7 +272,8 @@ def _train_failing_in_this_process(failure, worker_delay):
         if os.getpid() == parent:
             raise failure
         if not slept:
-            slept.append(time.sleep(worker_delay))
+            time.sleep(worker_delay)
+            slept.append(worker_delay)
         return real_train(*args)
     return train
 
