@@ -129,7 +129,9 @@ def _fold_outcomes(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
 
     The tasks are split among up to _available_cpus() processes, task i
     to process i mod their number: this process forks the others, which
-    inherit the arrays, and runs share 0 itself. A child sends its
+    inherit the arrays, and runs share 0 itself. (A spawned process
+    would import numpy and this package afresh and be sent the arrays,
+    which costs more than a fit at the paper's size.) A child sends its
     (index, outcome or exception) list back pickled through a pipe and
     ends with os._exit, so it never runs its parent's code on return; a
     child that ends without sending it fails its share's first task with
