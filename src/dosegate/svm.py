@@ -16,11 +16,16 @@ J. Optim. 2002). Its rank x rank matrix I + W^T D^-1 W is formed as
 I + Y^T Y with Y = D^-1/2 W, which numpy computes as a symmetric product
 (BLAS syrk: 0.27 ms against 0.46 ms for the general product on 666 x 109,
 one thread), and the triangular factor of that matrix is inverted by
-halving. A Newton solve is refined against its true residual, at most
-twice, only while that residual is above REFINEMENT_TOLERANCE. The
-factor depends only on the rows, so a caller that fits many subsets of
-one set of rows (cross-validation) factors the set once and gives each
-fit its rows of the factor. A kernel the
+halving. The method stops at the optimal face rather than at its own
+tolerance (the crossover of Mehrotra & Ye, Math. Programming 1993, and
+Andersen & Ye, Management Science 1996): once an iterate's merit is
+within the KKT tolerance, each iteration snaps it to the bounds it shows
+active, settles the free multipliers on the factor and stops if the KKT
+conditions then hold at IPM_TOLERANCE on the factor's values. train
+repeats that finish on exact kernel values and resumes the method if it
+misses. The factor depends only on the rows, so a caller that fits many
+subsets of one set of rows (cross-validation) factors the set once and
+gives each fit its rows of the factor. A kernel the
 factor shows indefinite (sigmoid) or of rank above LOW_RANK_CAP (RBF)
 is solved by SMO on the dense Gram matrix: pick a maximal KKT violator,
 pair it with the index of largest error difference, and update the
@@ -67,20 +72,18 @@ LOW_RANK_CAP = 200
 # A residual diagonal below this share of the largest kernel diagonal
 # ends the factor; one below minus this share shows an indefinite kernel.
 PIVOT_TOLERANCE = 1e-12
-IPM_TOLERANCE = 1e-9  # dual residual in margin units; primal residuals and gap relative
-# The interior point refines a Newton solve while its residual, in the
-# margin units of the dual residual, is above this: three orders below
-# what the stopping rule resolves. On the 13 fits of an n=1000 `train
-# --cv-k 3`, 10% of the solves needed no refinement and 56% one step.
-REFINEMENT_TOLERANCE = 1e-3 * IPM_TOLERANCE
+# the interior point's merit: dual residual in margin units, primal
+# residuals and gap relative; also the KKT violation a finish must meet
+IPM_TOLERANCE = 1e-9
 STEP_FRACTION = 0.995  # of the step to the boundary of the positive orthant
 SUPPORT_EPSILON = 1e-12  # a multiplier above this makes its row a support vector
 # _lower_inverse leaves blocks of at most this many rows to np.linalg.inv,
 # so a factor of rank up to it (linear: 13-14) is inverted as one block
 INVERSE_LEAF_ROWS = 32
 # Scoring evaluates the kernel against the support vectors this many rows
-# at a time: at 1,288 support vectors a block is 2.6 MB, where a
-# 4,237-row cohort in one product was 43.7 MB. A fresh-process `gate
+# at a time, as train's exact finish does against the multipliers off
+# zero: at 1,288 support vectors a block is 2.6 MB, where a 4,237-row
+# cohort in one product was 43.7 MB. A fresh-process `gate
 # --jsonl` on 4,237 rows peaks 11.5 MB above its import with these blocks
 # and 26.4 MB with 1,024-row ones (one BLAS thread). At one BLAS thread a
 # row scores bit for bit as in one product: blocks start at a multiple of
@@ -145,6 +148,17 @@ def _box_bounds(z: np.ndarray, config: TrainConfig) -> np.ndarray:
     else:
         w_neg = w_pos = 1.0
     return np.where(z > 0, config.c_regularization * w_pos, config.c_regularization * w_neg)
+
+
+def _kkt(alpha: np.ndarray, z: np.ndarray, scores: np.ndarray, upper: np.ndarray,
+         snap: np.ndarray) -> tuple[float, float]:
+    """The bias _final_bias sets for multipliers alpha with scores
+    sum_j a_j z_j K(x_i, x_j), and the largest KKT violation under it."""
+    bias = _final_bias(alpha, z, scores, upper, snap)
+    r = z * (scores + bias - z)
+    grow = np.where(alpha < upper - snap, -r, -np.inf)
+    shrink = np.where(alpha > snap, r, -np.inf)
+    return bias, float(np.maximum(grow, shrink).max())
 
 
 def _final_bias(alpha: np.ndarray, z: np.ndarray, scores: np.ndarray,
@@ -240,29 +254,102 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _interior_point(w: np.ndarray, z: np.ndarray, upper: np.ndarray,
-                    max_iterations: int) -> tuple[tuple, bool]:
-    """Mehrotra predictor-corrector method for the dual with Q = W W^T.
+def _newton_step(factor: np.ndarray, z: np.ndarray, v: np.ndarray, r_dual: np.ndarray,
+                 r_eq: float, r_box: np.ndarray, complementarity: np.ndarray):
+    """The predictor-corrector step from the stacked iterate v = (a, s,
+    lam, xi) with the residuals _interior_point measured there: (dv, db,
+    t) for v + t dv and b + t db, or None when rounding has overrun the
+    iterate. Its n x rank arrays end with it."""
+    n, rank = factor.shape
+    a, s, lam, xi = v.reshape(4, n)
+    d = lam / a + xi / s
+    root = np.sqrt(d)[:, None]
+    # with W = Z V for Z = diag(z), W^T D^-1 W = Y^T Y for Y = D^-1/2 V
+    y = factor / root
+    try:
+        # I + Y^T Y, a symmetric product, = L L^T; the triangular inverse
+        # is applied twice
+        l_inverse = _lower_inverse(np.linalg.cholesky(np.eye(rank) + y.T @ y))
+    except np.linalg.LinAlgError:
+        return None
+
+    def solve(rhs):
+        # (D + W W^T)^-1 rhs = Z (D + V V^T)^-1 Z rhs for the columns of rhs
+        scaled = z[:, None] * rhs / root
+        return z[:, None] * (scaled - y @ (l_inverse.T @ (l_inverse @ (y.T @ scaled)))) / root
+
+    def direction(c, mz=None):
+        # c stacks the complementarity targets of (a lam, s xi)
+        g = -r_dual - (c[n:] + xi * r_box) / s + c[:n] / a
+        if mz is None:
+            mz, mg = solve(np.column_stack([z, g])).T
+        else:
+            mg = solve(g[:, None])[:, 0]
+        db = (z @ mg + r_eq) / (z @ mz)
+        dv = np.empty(4 * n)
+        dv[:n] = mg - db * mz
+        dv[n:2 * n] = -r_box - dv[:n]
+        dv[2 * n:] = (c - v[2 * n:] * dv[:2 * n]) / v[:2 * n]
+        return dv, db, mz
+
+    dv, _, mz = direction(-complementarity)
+    t = min(1.0, _step_to_boundary(v, dv))
+    mu = complementarity.sum() / (2 * n)
+    trial = v + t * dv
+    mu_aff = (trial[:2 * n] @ trial[2 * n:]) / (2 * n)
+    target = (mu_aff / mu) ** 3 * mu
+    dv, db, _ = direction(target - complementarity - dv[:2 * n] * dv[2 * n:], mz)
+    return dv, db, min(1.0, STEP_FRACTION * _step_to_boundary(v, dv))
+
+
+def _factor_finish(factor: np.ndarray, iterate: tuple, z: np.ndarray,
+                   upper: np.ndarray, snap: np.ndarray) -> bool:
+    """Whether the interior-point iterate, snapped and with its free
+    multipliers settled on the factor, meets the KKT conditions at
+    IPM_TOLERANCE on the factor's values K ~ V V^T. The free rows' V V^T
+    and the margins through V cost O((n + m^2) rank) for m free
+    multipliers, where the exact finish computes a kernel column for
+    every multiplier off zero."""
+    alpha = _snap(*iterate, z, upper)
+    free = (alpha > 0.0) & (alpha < upper)
+    rows = factor[free]
+    margins = rows @ (factor.T @ np.where(free, 0.0, alpha * z))
+    alpha = _settle_free(rows @ rows.T, margins, alpha, z, upper)
+    scores = factor @ (factor.T @ (alpha * z))
+    return _kkt(alpha, z, scores, upper, snap)[1] <= IPM_TOLERANCE
+
+
+def _interior_point(factor: np.ndarray, z: np.ndarray, upper: np.ndarray,
+                    snap: np.ndarray, config: TrainConfig):
+    """Mehrotra predictor-corrector method for the dual with Q = W W^T,
+    W = Z V for the kernel factor V and Z = diag(z).
 
     Solves  min 1/2 a^T Q a - sum(a)  s.t.  z^T a = 0,  a + s = upper,
     a >= 0, s >= 0, keeping the slack s as a variable, with multipliers
     lam >= 0 on a and xi >= 0 on s and b on the equality (the bias).
     Each Newton system reduces to (Q + D) da + z db = g with D diagonal,
     solved through Sherman-Morrison-Woodbury with the rank x rank matrix
-    I + W^T D^-1 W, so an iteration costs O(n rank^2). Returns the best
-    iterate (a, s, lam, xi) and whether the method stopped before using
-    up its max_iterations.
+    I + W^T D^-1 W, so an iteration costs O(n rank^2).
+
+    A generator of (iterate (a, s, lam, xi), solved) candidates: each
+    iterate within config.kkt_tolerance that passes _factor_finish, and
+    last the best iterate, with solved False when the method used up its
+    config.max_passes iterations. Its caller takes the first candidate
+    whose finish holds on exact kernel values and resumes it otherwise.
+    It reads the unsigned factor that its caller keeps, and a Newton
+    step's n x rank arrays end with _newton_step, so while a candidate
+    waits the generator holds no n x rank array of its own.
     """
-    n, rank = w.shape
+    n = z.size
     half = 0.5 * upper
     # (a, s, lam, xi) stacked, so a step moves all four in one operation
     v = np.concatenate([half, upper - half, np.ones(2 * n)])
     b = 0.0
     box_scale = float(upper.max())
     best, best_merit, stalled = v, np.inf, 0
-    for _ in range(max_iterations):
+    for _ in range(config.max_passes):
         a, s, lam, xi = v.reshape(4, n)
-        qa = w @ (w.T @ a)
+        qa = z * (factor @ (factor.T @ (z * a)))
         r_dual = qa - 1.0 + b * z + xi - lam
         r_eq = float(z @ a)
         r_box = a + s - upper
@@ -284,59 +371,19 @@ def _interior_point(w: np.ndarray, z: np.ndarray, upper: np.ndarray,
             best, best_merit, stalled = v, merit, 0
         if merit <= IPM_TOLERANCE:
             break
-        d = lam / a + xi / s
-        root = np.sqrt(d)[:, None]
-        y = w / root
-        try:
-            # I + W^T D^-1 W = I + Y^T Y, a symmetric product, = L L^T;
-            # the triangular inverse is applied twice
-            l_inverse = _lower_inverse(np.linalg.cholesky(np.eye(rank) + y.T @ y))
-        except np.linalg.LinAlgError:
+        if merit <= config.kkt_tolerance and _factor_finish(factor, (a, s, lam, xi), z,
+                                                            upper, snap):
+            yield (a, s, lam, xi), True
+        step = _newton_step(factor, z, v, r_dual, r_eq, r_box, complementarity)
+        if step is None:
             break  # rounding has overrun the iterate; keep the best one
-
-        def smw(rhs):
-            scaled = rhs / root
-            return (scaled - y @ (l_inverse.T @ (l_inverse @ (y.T @ scaled)))) / root
-
-        def solve(rhs):
-            # (D + W W^T)^-1 rhs for the columns of rhs. Once some d are
-            # tiny the identity cancels large terms, so up to two steps of
-            # iterative refinement follow while the true residual is large.
-            x = smw(rhs)
-            for _ in range(2):
-                residual = rhs - d[:, None] * x - w @ (w.T @ x)
-                if float(np.abs(residual).max()) <= REFINEMENT_TOLERANCE:
-                    break
-                x += smw(residual)
-            return x
-
-        def direction(c, mz=None):
-            # c stacks the complementarity targets of (a lam, s xi)
-            g = -r_dual - (c[n:] + xi * r_box) / s + c[:n] / a
-            if mz is None:
-                mz, mg = solve(np.column_stack([z, g])).T
-            else:
-                mg = solve(g[:, None])[:, 0]
-            db = (z @ mg + r_eq) / (z @ mz)
-            dv = np.empty(4 * n)
-            dv[:n] = mg - db * mz
-            dv[n:2 * n] = -r_box - dv[:n]
-            dv[2 * n:] = (c - v[2 * n:] * dv[:2 * n]) / v[:2 * n]
-            return dv, db, mz
-
-        dv, _, mz = direction(-complementarity)
-        t = min(1.0, _step_to_boundary(v, dv))
-        mu = gap / (2 * n)
-        trial = v + t * dv
-        mu_aff = (trial[:2 * n] @ trial[2 * n:]) / (2 * n)
-        target = (mu_aff / mu) ** 3 * mu
-        dv, db, _ = direction(target - complementarity - dv[:2 * n] * dv[2 * n:], mz)
-        t = min(1.0, STEP_FRACTION * _step_to_boundary(v, dv))
+        dv, db, t = step
         v = v + t * dv
         b += t * db
     else:
-        return tuple(best.reshape(4, n)), False
-    return tuple(best.reshape(4, n)), True
+        yield tuple(best.reshape(4, n)), False
+        return
+    yield tuple(best.reshape(4, n)), True
 
 
 def _snap(a: np.ndarray, s: np.ndarray, lam: np.ndarray, xi: np.ndarray,
@@ -359,24 +406,27 @@ def _snap(a: np.ndarray, s: np.ndarray, lam: np.ndarray, xi: np.ndarray,
     return a
 
 
-def _settle_free(gram: np.ndarray, a: np.ndarray, z: np.ndarray,
-                 upper: np.ndarray) -> np.ndarray:
-    """Put the free margins back on 1 on the exact kernel.
+def _settle_free(gram: np.ndarray, margins: np.ndarray, a: np.ndarray,
+                 z: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Put the free margins back on 1.
 
     Snapping moved some multipliers by up to the iterate's accuracy.
-    With the bound multipliers held, a change d to the free ones and a
-    bias b with z_i f(x_i) = 1 on the free set and sum(a z) = 0 solve a
-    linear system in the exact Gram matrix of the support vectors. A free
-    multiplier that the change would push out of its box stops on its
-    bound and is held there, and the rest is solved again.
+    With the bound multipliers held, a change d to the free ones (those
+    strictly inside their box) and a bias b with z_i f(x_i) = 1 on the
+    free set and sum(a z) = 0 solve a linear system in ``gram``, the
+    free rows' kernel values against each other, where ``margins`` holds
+    the bound multipliers' part of sum_j a_j z_j K(x_i, x_j) on the free
+    rows. A free multiplier that the change would push out of its box
+    stops on its bound and is held there, and the rest is solved again.
     """
     a = a.copy()
+    rows = np.flatnonzero((a > 0.0) & (a < upper))  # those of gram and margins
     while True:
-        free = (a > 0.0) & (a < upper)
-        m = int(np.count_nonzero(free))
+        free = (a[rows] > 0.0) & (a[rows] < upper[rows])
+        index = rows[free]
+        m = index.size
         if m == 0:
             return a
-        weighted = a * z
         system = np.zeros((m + 1, m + 1))
         system[:m, :m] = gram[np.ix_(free, free)]
         # a ridge at the factor's resolution keeps the system regular when
@@ -386,19 +436,20 @@ def _settle_free(gram: np.ndarray, a: np.ndarray, z: np.ndarray,
         system[np.arange(m), np.arange(m)] += ridge
         system[:m, m] = 1.0
         system[m, :m] = 1.0
-        rhs = np.append(z[free] - gram[free] @ weighted, -weighted.sum())
-        step = z[free] * np.linalg.solve(system, rhs)[:m]
-        current = a[free]
+        scores = gram[free] @ (a[rows] * z[rows]) + margins[free]
+        rhs = np.append(z[index] - scores, -float(z @ a))
+        step = z[index] * np.linalg.solve(system, rhs)[:m]
+        current = a[index]
         with np.errstate(divide="ignore", invalid="ignore"):
             room = np.where(step < 0, -current / step,
-                            np.where(step > 0, (upper[free] - current) / step, np.inf))
+                            np.where(step > 0, (upper[index] - current) / step, np.inf))
         block = int(np.argmin(room))
-        moved = np.clip(current + min(1.0, room[block]) * step, 0.0, upper[free])
+        moved = np.clip(current + min(1.0, room[block]) * step, 0.0, upper[index])
         if room[block] >= 1.0:
-            a[free] = moved
+            a[index] = moved
             return a
-        moved[block] = 0.0 if step[block] < 0 else upper[free][block]
-        a[free] = moved
+        moved[block] = 0.0 if step[block] < 0 else upper[index][block]
+        a[index] = moved
 
 
 def _smo_start(gram: np.ndarray, z: np.ndarray, upper: np.ndarray,
@@ -645,23 +696,25 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
         alpha, solved, _ = _smo(gram, z, upper, snap, config,
                                 *_smo_start(gram, z, upper, indefinite))
         final_scores = gram @ (alpha * z)
+        bias, max_viol = _kkt(alpha, z, final_scores, upper, snap)
     else:
-        iterate, solved = _interior_point(factor * z[:, None], z, upper, config.max_passes)
-        alpha = _snap(*iterate, z, upper)
-        live = np.flatnonzero(alpha)
-        columns = kernel_matrix(kernel, data, data[live])
-        if solved:
-            alpha[live] = _settle_free(columns[live], alpha[live], z[live], upper[live])
-        final_scores = columns @ (alpha[live] * z[live])
+        # the exact finish: snap, settle on the free rows' kernel values
+        # and judge on exact scores; a candidate that misses IPM_TOLERANCE
+        # resumes the interior point, and its last candidate stands
+        for iterate, solved in _interior_point(factor, z, upper, snap, config):
+            alpha = _snap(*iterate, z, upper)
+            live = np.flatnonzero(alpha)
+            if solved:
+                free = alpha[live] < upper[live]
+                rows = kernel_matrix(kernel, data[live[free]], data[live])
+                margins = rows[:, ~free] @ (alpha * z)[live[~free]]
+                alpha = _settle_free(rows[:, free], margins, alpha, z, upper)
+            final_scores = _kernel_scores(kernel, data, data[live], alpha[live] * z[live])
+            bias, max_viol = _kkt(alpha, z, final_scores, upper, snap)
+            if max_viol <= IPM_TOLERANCE:
+                break
 
-    weighted = alpha * z
-    bias = _final_bias(alpha, z, final_scores, upper, snap)
-    err = final_scores + bias - z
-    r = z * err
-    grow = np.where(alpha < upper - snap, -r, -np.inf)
-    shrink = np.where(alpha > snap, r, -np.inf)
-    max_viol = float(np.maximum(grow, shrink).max())
-    objective = float(alpha.sum() - 0.5 * (weighted @ final_scores))
+    objective = float(alpha.sum() - 0.5 * ((alpha * z) @ final_scores))
 
     keep = alpha > SUPPORT_EPSILON
     return SvmModel(
@@ -679,21 +732,18 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
     )
 
 
-def _scores(model: SvmModel, scaled: np.ndarray) -> np.ndarray:
-    """Decision values of standardized rows, at most SCORE_BLOCK_ROWS + 1
-    rows at a time."""
-    n = scaled.shape[0]
-    if model.alphas.size == 0:
-        return np.full(n, model.bias)
-    coef = model.alphas * model.sv_labels
+def _kernel_scores(kernel: KernelSpec, rows: np.ndarray, vectors: np.ndarray,
+                   coef: np.ndarray) -> np.ndarray:
+    """sum_j coef_j K(x, vectors_j) for each row x of ``rows``, at most
+    SCORE_BLOCK_ROWS + 1 rows at a time."""
+    n = rows.shape[0]
     out = np.empty(n)
     start = 0
     while start < n:
         stop = start + SCORE_BLOCK_ROWS
         if stop == n - 1:
             stop = n
-        k = kernel_matrix(model.kernel, scaled[start:stop], model.support_vectors)
-        out[start:stop] = k @ coef + model.bias
+        out[start:stop] = kernel_matrix(kernel, rows[start:stop], vectors) @ coef
         start = stop
     return out
 
@@ -705,7 +755,11 @@ def decision_values(model: SvmModel, rows) -> np.ndarray:
         raise DomainError(
             f"expected {model.scaler_means.size} features, got {raw.shape[1]}"
         )
-    return _scores(model, (raw - model.scaler_means) / model.scaler_scales)
+    if model.alphas.size == 0:
+        return np.full(raw.shape[0], model.bias)
+    scaled = (raw - model.scaler_means) / model.scaler_scales
+    return _kernel_scores(model.kernel, scaled, model.support_vectors,
+                          model.alphas * model.sv_labels) + model.bias
 
 
 def score_signs(scores: np.ndarray) -> np.ndarray:
