@@ -160,20 +160,56 @@ _FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _BLOCK_ROWS = 1024
 
 
+def _needs_csv(text: str) -> bool:
+    """Whether only the csv module splits ``text`` right: it holds a quote
+    or a carriage return, or a line longer than the csv field limit, over
+    which csv may raise its field-size error."""
+    if '"' in text or "\r" in text:
+        return True
+    limit = csv.field_size_limit()
+    # a longer line holds a whole newline-free window of this width that
+    # starts at a multiple of it, so only such windows' lines are measured
+    width = limit // 2 + 1
+    for k in range(0, len(text), width):
+        if text.find("\n", k, k + width) < 0:
+            start = text.rfind("\n", 0, k) + 1
+            end = text.find("\n", k)
+            if (len(text) if end < 0 else end) - start > limit:
+                return True
+    return False
+
+
+def _split_rows(text: str, delimiter: str):
+    """The rows of a text without quotes or carriage returns, as csv reads
+    them, split one line at a time: no copy of the text and no list of
+    its lines is held."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end].split(delimiter)
+        start = end + 1
+
+
 def _in_bounds(value, bounds) -> bool:
     return value is not None and bounds[0] <= value <= bounds[1]
 
 
 def _float_column(cells) -> np.ndarray:
     """A column of cells as floats; NaN where a cell is not a finite number."""
-    values = []
-    append = values.append
-    for cell in cells:
-        try:
-            append(float(cell.strip()))
-        except ValueError:
-            append(math.nan)
-    column = np.array(values, dtype=np.float64)
+    try:
+        # numpy converts each str cell by float(), without a Python loop
+        column = np.array(cells, dtype=np.float64)
+    except ValueError:  # a cell float() rejects, or one only .strip() pads
+        values = []
+        append = values.append
+        for cell in cells:
+            try:
+                append(float(cell.strip()))
+            except ValueError:
+                append(math.nan)
+        column = np.array(values, dtype=np.float64)
     column[~np.isfinite(column)] = np.nan
     return column
 
@@ -239,10 +275,17 @@ def load_schema(path) -> dict:
 def parse_cohort(text: str, schema: dict | None = None) -> ParseResult:
     """Parse delimited text into a cohort of columns.
 
+    The first line is the header. Every row is split on tab if the
+    header holds one, else on comma if it holds one, else on tab. Fields
+    may be quoted as in csv; a row's missing trailing cells read as
+    empty, and a blank line is skipped.
     Rows without a positive therapeutic dose, or whose INR is missing
     or outside [2,3], are excluded and counted. Every other bad cell
-    becomes a missing value. Text the csv module cannot split into rows
-    is a SchemaError.
+    becomes a missing value. A field longer than
+    ``csv.field_size_limit()``, or a bare carriage return inside an
+    unquoted field, is a SchemaError; ``read_cohort`` reads a file with
+    universal newlines, which make every CR and CRLF an LF, so only text
+    passed here directly can hold the latter.
     """
     try:
         return _parse_rows(text, schema)
@@ -256,7 +299,10 @@ def _parse_rows(text: str, schema: dict | None) -> ParseResult:
     if not first_line.strip():
         raise SchemaError("cohort input has no header row")
     delimiter = "\t" if "\t" in first_line else ("," if "," in first_line else "\t")
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    if _needs_csv(text):
+        reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    else:
+        reader = _split_rows(text, delimiter)
     header = [cell.strip() for cell in next(reader)]
 
     col_to_field = {}

@@ -1,15 +1,19 @@
 """Ingestion, filtering, imputation, splitting, and text round trips."""
 
+import csv
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import make_patient, stack
+from reference_cohort import reference_parse_cohort
 
 from dosegate.cohort import (
     CANONICAL_COLUMNS,
     CANONICAL_SCHEMA,
+    _needs_csv,
     apply_imputation,
     cohort_to_text,
     filter_unbalanced,
@@ -37,6 +41,7 @@ from dosegate.records import (
     Cohort,
     Race,
 )
+from dosegate.synth import generate_synthetic_cohort
 
 HEADER = "\t".join(CANONICAL_COLUMNS)
 
@@ -339,6 +344,53 @@ def test_unsplittable_row_is_schema_error():
     text = _text(_row(age_decade="5\r6", inr="2.5", therapeutic_dose_mg_week="30"))
     with pytest.raises(SchemaError):
         parse_cohort(text)
+
+
+def test_field_over_csv_field_limit_is_schema_error():
+    # quote-free text is split without csv, but csv's field limit holds
+    limit = csv.field_size_limit()
+    text = _text(_row(inr="2.5", therapeutic_dose_mg_week="30", race="x" * (limit + 1)))
+    with pytest.raises(SchemaError, match="field larger than field limit"):
+        parse_cohort(text)
+
+
+def test_long_line_of_short_fields_parses_as_reference():
+    limit = csv.field_size_limit()
+    text = _text(*[_row(inr="2.5", therapeutic_dose_mg_week="30", race="x" * (limit // 2))] * 3)
+    result, reference = parse_cohort(text), reference_parse_cohort(text)
+    assert _same_columns(result.cohort, reference.cohort)
+    assert result.n_data_rows == reference.n_data_rows == 3
+
+
+@pytest.mark.parametrize("offset", [0, 1, 7, 65536, 65537, 131071])
+def test_a_line_over_the_field_limit_needs_csv(offset):
+    limit = csv.field_size_limit()
+    lead = "a" * (offset - 1) + "\n" if offset else ""  # the long line starts at offset
+    for length, needed in ((limit, False), (limit + 1, True)):
+        for tail in ("", "\n", "\nb"):
+            assert _needs_csv(lead + "x" * length + tail) is needed
+
+
+@pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_float_cell_padded_with_separator_codes_reads_its_number(pad):
+    # float() rejects these four code points; .strip() removes them
+    text = _text(_row(inr="2.5", therapeutic_dose_mg_week=f"{pad}1.5"),
+                 _row(inr="2.5", therapeutic_dose_mg_week=f"2.5{pad}"))
+    assert parse_cohort(text).cohort["therapeutic_dose_mg_week"].tolist() == [1.5, 2.5]
+
+
+def test_parse_peak_memory_at_most_reference():
+    # the split streams one line at a time; csv reads a full copy of the text
+    text = cohort_to_text(generate_synthetic_cohort(4237, 1000))
+    peaks = []
+    for parse in (parse_cohort, reference_parse_cohort):
+        tracemalloc.start()
+        try:
+            parse(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_repeated_coded_cells_parse_alike():

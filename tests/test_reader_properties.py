@@ -13,6 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_cohort import reference_parse_cohort
+
 from dosegate.cli import config_from_text, patient_cohort
 from dosegate.cohort import (
     CANONICAL_COLUMNS,
@@ -226,6 +228,76 @@ def test_arbitrary_cohort_text_raises_only_package_errors(text):
         parse_cohort(text)
     except (SchemaError, EmptyCohortError):
         pass
+
+
+# cell texts for comparing the streamed split with csv: numbers that
+# float() reads only after .strip() (\x1c-\x1f), line breaks that
+# str.splitlines() honours and csv does not (\x85, \u2028), and texts only
+# csv can split (quotes, CR, NUL)
+VALUES = st.sampled_from([
+    "", "NA", "nan", "-nan", "inf", "-inf", "1e400", "1_0", "\u0661", "2", "2.5", "3",
+    "30", "-1", "170", "80", "5", "55", "1", "0", "yes", "m", "white", "2-3", "x",
+])
+PADS = st.sampled_from(["", " ", "  ", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028"])
+ODD_CELLS = st.sampled_from([
+    '"', '"2.5"', '"a\tb"', '"a,b"', '"x\ny"', '2"5', "\r", "2\r5", "\x00", "2\x005",
+    "2\x855", "2.\u20285",
+])
+SPLIT_CELLS = st.builds(lambda pad, value, end: pad + value + end, PADS, VALUES, PADS)
+COHORT_CELLS = st.one_of(SPLIT_CELLS, ODD_CELLS)
+
+
+@st.composite
+def cohort_texts(draw):
+    """(text, schema): a header and rows of every shape the reader meets,
+    with either delimiter, LF, CRLF or CR line ends, and with or without
+    a trailing one; the schema is None or maps renamed columns."""
+    delimiter = draw(st.sampled_from(["\t", ","]))
+    others = draw(st.lists(st.sampled_from(CANONICAL_COLUMNS[:-2]), unique=True, max_size=6))
+    columns = draw(st.permutations(["inr", "therapeutic_dose_mg_week", *others]))
+    schema = None
+    if draw(st.booleans()):
+        schema = {f"col{i}": name for i, name in enumerate(columns)}
+        columns = [*schema, *draw(st.lists(st.just("unmapped"), max_size=1))]
+    cells = COHORT_CELLS if draw(st.booleans()) else SPLIT_CELLS
+    kept = {"inr": st.sampled_from(["2.5", " 2.2", "\x1f2.8"]),
+            "therapeutic_dose_mg_week": st.sampled_from(["30", "1_0", "\u0661 "])}
+    fields = [kept.get((schema or {}).get(name, name), cells) for name in columns]
+    lines = [delimiter.join(columns)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["full", "full", "short", "long", "blank", "delimiters"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\x1c"])))
+        elif kind == "delimiters":
+            lines.append(delimiter * draw(st.integers(1, len(columns) + 1)))
+        else:
+            row = [draw(field) for field in fields]
+            if kind == "short":
+                row = row[:draw(st.integers(0, len(row) - 1))]
+            elif kind == "long":
+                row += draw(st.lists(cells, min_size=1, max_size=2))
+            lines.append(delimiter.join(row))
+    ends = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return ends.join(lines) + draw(st.sampled_from(["", ends])), schema
+
+
+def _parse_outcome(parse, text, schema):
+    """What a parser makes of a text: the parsed columns' bytes and the
+    counts, or the error's type and message."""
+    try:
+        result = parse(text, schema)
+    except DosegateError as exc:
+        return type(exc), str(exc)
+    return (result.cohort.columns.shape, result.cohort.columns.tobytes(),
+            result.n_data_rows, result.excluded_missing_dose, result.excluded_inr)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(cohort_texts() | st.tuples(st.text(), st.none()))
+def test_cohort_parse_matches_csv_reference(case):
+    text, schema = case
+    assert _parse_outcome(parse_cohort, text, schema) == _parse_outcome(
+        reference_parse_cohort, text, schema)
 
 
 # --- plan, schema, config, kernel spec and patient pairs ---
