@@ -216,10 +216,14 @@ def _float_column(cells) -> np.ndarray:
 
 def _coded_column(cells, parse, table: dict) -> np.ndarray:
     """A coded column; ``table`` keeps each distinct cell text's value,
-    so a text is parsed once however often it occurs."""
-    for text in set(cells).difference(table):
-        value = parse(text)
-        table[text] = math.nan if value is None else float(value)
+    so a text is parsed once however often it occurs. Only a block that
+    holds a text the table lacks collects its distinct texts."""
+    try:
+        return np.fromiter(map(table.__getitem__, cells), dtype=np.float64, count=len(cells))
+    except KeyError:
+        for text in set(cells).difference(table):
+            value = parse(text)
+            table[text] = math.nan if value is None else float(value)
     return np.fromiter(map(table.__getitem__, cells), dtype=np.float64, count=len(cells))
 
 
@@ -323,7 +327,7 @@ def _parse_rows(text: str, schema: dict | None) -> ParseResult:
     tables = {target: {} for target in mapped}
     n = 0
     for chunk in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
-        rows = [row for row in chunk if "".join(row).strip()]
+        rows = [row for row in chunk if any(map(str.strip, row))]  # skip blank rows
         n += len(rows)
         # a short row's absent cells read as empty
         cells = list(itertools.zip_longest(*rows, fillvalue=""))

@@ -2,10 +2,11 @@
 cell through its own ``float()`` call.
 
 `dosegate.cohort.parse_cohort` splits quote-free text itself, one line at
-a time, and converts a float column with one numpy call, falling back to
-the per-cell loop kept here. For any text the two must give the same
-ParseResult or raise the same error with the same message. Used only as
-a verification oracle.
+a time, converts a float column with one numpy call, falling back to the
+per-cell loop kept here, and looks a coded block's cells up in its table
+before it collects their distinct texts. For any text the two must give
+the same ParseResult or raise the same error with the same message. Used
+only as a verification oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dosegate.cohort import (
     CANONICAL_SCHEMA,
     ParseResult,
     _bounded,
-    _coded_column,
     _parse_target_inr,
 )
 from dosegate.errors import EmptyCohortError, SchemaError
@@ -47,6 +47,13 @@ def _float_column(cells) -> np.ndarray:
     column = np.array(values, dtype=np.float64)
     column[~np.isfinite(column)] = np.nan
     return column
+
+
+def _coded_column(cells, parse, table: dict) -> np.ndarray:
+    for text in set(cells).difference(table):
+        value = parse(text)
+        table[text] = math.nan if value is None else float(value)
+    return np.fromiter(map(table.__getitem__, cells), dtype=np.float64, count=len(cells))
 
 
 def _read_column(target: str, cells, table: dict) -> np.ndarray:

@@ -379,6 +379,22 @@ def test_float_cell_padded_with_separator_codes_reads_its_number(pad):
     assert parse_cohort(text).cohort["therapeutic_dose_mg_week"].tolist() == [1.5, 2.5]
 
 
+def test_text_of_many_blocks_parses_as_reference():
+    # later blocks bring coded texts the earlier blocks' tables lack
+    lines = cohort_to_text(generate_synthetic_cohort(2500, 3)).splitlines()
+    header = lines[0].split("\t")
+    for i, changes in ((1500, {"race": "asian", "aspirin": "yes"}),
+                       (2400, {"age_decade": "55", "gender": "m", "target_inr": "2-3"})):
+        cells = lines[i].split("\t")
+        for name, value in changes.items():
+            cells[header.index(name)] = value
+        lines[i] = "\t".join(cells)
+    text = "\n".join(lines)
+    result, reference = parse_cohort(text), reference_parse_cohort(text)
+    assert _same_columns(result.cohort, reference.cohort)
+    assert result.n_data_rows == reference.n_data_rows == 2500
+
+
 def test_parse_peak_memory_at_most_reference():
     # the split streams one line at a time; csv reads a full copy of the text
     text = cohort_to_text(generate_synthetic_cohort(4237, 1000))
