@@ -199,9 +199,11 @@ def _in_bounds(value, bounds) -> bool:
 def _float_column(cells) -> np.ndarray:
     """A column of cells as floats; NaN where a cell is not a finite number."""
     try:
-        # numpy converts each str cell by float(), without a Python loop
-        column = np.array(cells, dtype=np.float64)
-    except ValueError:  # a cell float() rejects, or one only .strip() pads
+        # numpy applies float() to each cell in C; NA, the written form of
+        # a missing value, is handed to it as nan
+        column = np.array(["nan" if cell == "NA" else cell for cell in cells],
+                          dtype=np.float64)
+    except ValueError:  # e.g. an empty cell, or a number padded with \x1c-\x1f
         values = []
         append = values.append
         for cell in cells:
