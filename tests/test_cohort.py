@@ -380,7 +380,8 @@ def test_float_cell_padded_with_separator_codes_reads_its_number(pad):
 
 
 def test_text_of_many_blocks_parses_as_reference():
-    # later blocks bring coded texts the earlier blocks' tables lack
+    # later blocks bring coded texts the earlier blocks' tables lack, and
+    # blank, short and long rows sit on both sides of a block boundary
     lines = cohort_to_text(generate_synthetic_cohort(2500, 3)).splitlines()
     header = lines[0].split("\t")
     for i, changes in ((1500, {"race": "asian", "aspirin": "yes"}),
@@ -389,10 +390,13 @@ def test_text_of_many_blocks_parses_as_reference():
         for name, value in changes.items():
             cells[header.index(name)] = value
         lines[i] = "\t".join(cells)
-    text = "\n".join(lines)
-    result, reference = parse_cohort(text), reference_parse_cohort(text)
-    assert _same_columns(result.cohort, reference.cohort)
-    assert result.n_data_rows == reference.n_data_rows == 2500
+    lines[1023:1027] = ["", "\t" * 3, "\t".join(lines[1023].split("\t")[:5]),
+                        lines[1024] + "\t9\tx", " ", lines[1025]]
+    for text in ("\n".join(lines), "\n".join(lines) + "\n", "\n".join(lines[:1025]) + "\n"):
+        result, reference = parse_cohort(text), reference_parse_cohort(text)
+        assert _same_columns(result.cohort, reference.cohort)
+        assert result.n_data_rows == reference.n_data_rows
+        assert result.excluded_inr == reference.excluded_inr
 
 
 def test_parse_peak_memory_at_most_reference():
