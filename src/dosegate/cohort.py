@@ -179,43 +179,17 @@ def _needs_csv(text: str) -> bool:
     return False
 
 
-def _line_blocks(text: str, start: int):
-    """The lines of ``text`` from ``start`` on, in lists of at most
-    _BLOCK_ROWS found by their newlines, so neither a copy of the text
-    nor a list of all its lines is held."""
+def _split_rows(text: str, delimiter: str):
+    """The rows of a text without quotes or carriage returns, as csv reads
+    them, split one line at a time: no copy of the text and no list of
+    its lines is held."""
+    start = 0
     while start < len(text):
-        end = start
-        for _ in range(_BLOCK_ROWS):
-            end = text.find("\n", end) + 1
-            if not end:
-                end = len(text) + 1
-                break
-        yield text[start:end - 1].split("\n")
-        start = end
-
-
-def _split_block(lines: list, delimiter: str, width: int):
-    """Lines without quotes or carriage returns, read as csv reads their
-    rows: the number of rows that are not blank, and those rows' first
-    ``width`` cells as columns. Once every line holds exactly ``width``
-    cells, one split of the joined lines gives all their cells."""
-    lines = [line for line in lines if line.replace(delimiter, " ").strip()]
-    counts = list(map(str.count, lines, itertools.repeat(delimiter)))
-    if counts.count(width - 1) < len(lines):
-        for i, count in enumerate(counts):
-            if count != width - 1:  # absent cells read as empty; extra ones go
-                cells = lines[i].split(delimiter) + [""] * width
-                lines[i] = delimiter.join(cells[:width])
-    cells = delimiter.join(lines).split(delimiter) if lines else []
-    return len(lines), [cells[j::width] for j in range(width)]
-
-
-def _row_block(rows: list, width: int):
-    """csv rows as _split_block reads lines."""
-    rows = [row for row in rows if any(map(str.strip, row))]
-    # a short row's absent cells read as empty
-    cells = list(itertools.zip_longest(*rows, fillvalue=""))
-    return len(rows), [cells[j] if j < len(cells) else ("",) * len(rows) for j in range(width)]
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end].split(delimiter)
+        start = end + 1
 
 
 def _in_bounds(value, bounds) -> bool:
@@ -333,17 +307,9 @@ def _parse_rows(text: str, schema: dict | None) -> ParseResult:
     delimiter = "\t" if "\t" in first_line else ("," if "," in first_line else "\t")
     if _needs_csv(text):
         reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-        header = next(reader)
-        blocks = (_row_block(rows, len(header))
-                  for rows in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []))
     else:
-        header_end = text.find("\n")
-        if header_end < 0:
-            header_end = len(text)
-        header = text[:header_end].split(delimiter)
-        blocks = (_split_block(lines, delimiter, len(header))
-                  for lines in _line_blocks(text, header_end + 1))
-    header = [cell.strip() for cell in header]
+        reader = _split_rows(text, delimiter)
+    header = [cell.strip() for cell in next(reader)]
 
     col_to_field = {}
     for idx, column in enumerate(header):
@@ -357,15 +323,19 @@ def _parse_rows(text: str, schema: dict | None) -> ParseResult:
         if required not in mapped:
             raise SchemaError(f"no input column maps to required field {required!r}")
 
-    # the rows are read a block at a time, so only one block's cell
+    # the rows are transposed a block at a time, so only one block's cell
     # texts are held at once
     parts = {target: [np.empty(0)] for target in mapped}
     tables = {target: {} for target in mapped}
     n = 0
-    for n_rows, cells in blocks:
-        n += n_rows
+    for chunk in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+        rows = [row for row in chunk if any(map(str.strip, row))]  # skip blank rows
+        n += len(rows)
+        # a short row's absent cells read as empty
+        cells = list(itertools.zip_longest(*rows, fillvalue=""))
         for idx, target in col_to_field.items():
-            parts[target].append(_read_column(target, cells[idx], tables[target]))
+            block = cells[idx] if idx < len(cells) else ("",) * len(rows)
+            parts[target].append(_read_column(target, block, tables[target]))
     columns = {name: np.full(n, np.nan) for name in CANONICAL_COLUMNS}
     columns.update({target: np.concatenate(part) for target, part in parts.items()})
     if "enzyme" not in mapped:

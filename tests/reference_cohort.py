@@ -1,10 +1,10 @@
 """Reference cohort reader: every row through the csv module, every float
 cell through its own ``float()`` call.
 
-`dosegate.cohort.parse_cohort` splits quote-free text itself, a block of
-lines at a time, converts a float column with one numpy call, falling
-back to the per-cell loop kept here, and looks a coded block's cells up
-in its table before it collects their distinct texts. For any text the two must give
+`dosegate.cohort.parse_cohort` splits quote-free text itself, one line at
+a time, converts a float column with one numpy call, falling back to the
+per-cell loop kept here, and looks a coded block's cells up in its table
+before it collects their distinct texts. For any text the two must give
 the same ParseResult or raise the same error with the same message. Used
 only as a verification oracle.
 """
