@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: synth | ingest | train | evaluate | gate | dose | report.
+Subcommands: synth | ingest | train | evaluate | gate | dose.
 Configuration comes from defaults, then an optional key=value config
 file, then flags; the effective configuration is echoed into the output
 directory so a run can be reproduced from its artifacts alone. All
@@ -75,8 +75,6 @@ _OPTIONS = {
     "schema": _Option(("--schema",), help="column-map file (key=value)"),
     "out_dir": _Option(("--out-dir",), help="directory to write the artifacts into"),
     "run_dir": _Option(("--run-dir",), help="run directory written by train"),
-    "model": _Option(("--model",), help="model file (alternative to --run-dir)"),
-    "plan": _Option(("--plan",), help="imputation plan file"),
     "coefficients": _Option(("--coefficients",), help="override coefficient file"),
     "allow_override": _Option(("--allow-coefficient-override",), bool,
                               help="accept --coefficients that deviate from the published"),
@@ -103,9 +101,7 @@ _COMMANDS = {
     "evaluate": ("score the trained gate on the held-out test set",
                  ("run_dir", "gate_mode", "threshold", *_COEFFICIENT_KEYS)),
     "gate": ("per-patient gate decisions", ("run_dir", "input", *_COEFFICIENT_KEYS)),
-    "dose": ("dose one patient given as key=value pairs",
-             ("run_dir", "model", "plan", *_COEFFICIENT_KEYS)),
-    "report": ("summarize a finished run directory", ("run_dir",)),
+    "dose": ("dose one patient given as key=value pairs", ("run_dir", *_COEFFICIENT_KEYS)),
 }
 
 DOSE_REQUIRED_FIELDS = (
@@ -257,6 +253,8 @@ def _parse_c_grid(text: str) -> tuple:
         raise UsageError("the C grid is empty")
     if not all(np.isfinite(c) and c > 0 for c in grid):
         raise UsageError(f"every C value must be finite and > 0, got {text!r}")
+    if len(set(grid)) < len(grid):
+        raise UsageError(f"the C grid repeats a value, got {text!r}")
     return grid
 
 
@@ -336,9 +334,11 @@ def _evaluation_payload(report, gate_mode: str) -> dict:
     return {"gate_mode": gate_mode, **fields.pop("confusion"), **fields}
 
 
-def _evaluation_text(report, gate_mode: str) -> str:
+def _evaluation_text(report, gate_mode: str, model) -> str:
     lines = [
         f"gate_mode {gate_mode}",
+        f"model kernel {model.kernel.to_text()}, support_vectors {model.alphas.size}, "
+        f"converged {1 if model.converged else 0}",
         "",
         "classifier (HighRisk positive)",
         f"  accuracy    {fmt_metric(report.accuracy)}",
@@ -379,12 +379,12 @@ def cmd_evaluate(config: dict, args) -> int:
     test_rows = read_cohort(run_dir / "test.tsv").cohort
     report, _ = evaluate_gate(model, plan, test_rows, gate_mode, gate_config, coeffs)
 
-    (run_dir / "evaluation.txt").write_text(_evaluation_text(report, gate_mode),
-                                            encoding="utf-8")
+    text = _evaluation_text(report, gate_mode, model)
+    (run_dir / "evaluation.txt").write_text(text, encoding="utf-8")
     (run_dir / "evaluation.json").write_text(
         json.dumps(_evaluation_payload(report, gate_mode), sort_keys=True, indent=2) + "\n",
         encoding="ascii")
-    sys.stdout.write(_evaluation_text(report, gate_mode))
+    sys.stdout.write(text)
     return 0
 
 
@@ -425,13 +425,10 @@ def _json_numbers(values: list) -> list:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def patient_cohort(pairs, plan) -> Cohort:
+def patient_cohort(pairs) -> Cohort:
     """The one-row Cohort of the key=value pairs; a field left out is
-    missing.
-
-    The dose model's inputs must be given; without a plan to fill the
-    rest, every other field must be given too.
-    """
+    missing, for the run's plan to fill. The dose model's inputs must be
+    given."""
     values = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
@@ -447,13 +444,6 @@ def patient_cohort(pairs, plan) -> Cohort:
     missing = [k for k in DOSE_REQUIRED_FIELDS if k not in values]
     if missing:
         raise UsageError("missing required patient fields: " + ", ".join(missing))
-    if plan is None:
-        needed = ("gender", "target_inr", *BINARY_COVARIATES)
-        still_missing = [k for k in needed if k not in values]
-        if still_missing:
-            raise UsageError(
-                "no imputation plan available; also provide: " + ", ".join(still_missing)
-            )
     # inr and therapeutic dose are unknown at prescribing time and feed
     # neither the dose model nor the gate features; placeholders satisfy
     # the Cohort's rules only
@@ -498,17 +488,10 @@ _PATIENT_FIELDS = {
 
 def cmd_dose(config: dict, args) -> int:
     coeffs = _coefficients(config)
-    if config.get("model"):
-        model = load_model(config["model"])
-        plan = load_plan(config["plan"]) if config.get("plan") else None
-    else:
-        run_dir = _require_run_dir(config)
-        model = load_model(run_dir / "model.txt")
-        plan = load_plan(run_dir / "plan.txt")
-
-    patient = patient_cohort(args.patient, plan)
-    if plan is not None:
-        patient = apply_imputation(plan, patient)
+    run_dir = _require_run_dir(config)
+    model = load_model(run_dir / "model.txt")
+    plan = load_plan(run_dir / "plan.txt")
+    patient = apply_imputation(plan, patient_cohort(args.patient))
     sqrt_dose = float(sqrt_weekly_doses(patient, coeffs)[0])
     scores, signs = classify_records(model, patient)
     label = GateLabel(int(signs[0]))
@@ -519,32 +502,6 @@ def cmd_dose(config: dict, args) -> int:
     else:
         print("gate SafeForModel")
     print(f"decision_value {scores[0]:.6f}")
-    return 0
-
-
-def cmd_report(config: dict, args) -> int:
-    run_dir = _require_run_dir(config)
-    eval_path = run_dir / "evaluation.json"
-    if not eval_path.exists():
-        raise DataError(f"{eval_path} not found; run `evaluate` first")
-    try:
-        payload = json.loads(read_text(eval_path, "evaluation"))
-    except ValueError as exc:
-        raise DataError(f"{eval_path} is not readable JSON: {exc}") from None
-    model = load_model(run_dir / "model.txt")
-    print(f"run {run_dir}")
-    print(f"model: kernel {model.kernel.to_text()}, {model.alphas.size} support vectors, "
-          f"{'converged' if model.converged else 'NOT converged'}")
-    print(f"gate mode {payload['gate_mode']}")
-    acc = payload["accuracy"]
-    sens = payload["sensitivity"]
-    spec = payload["specificity"]
-    print(f"accuracy {fmt_metric(acc)}  "
-          f"sensitivity {fmt_metric(sens)}  "
-          f"specificity {fmt_metric(spec)}")
-    print(f"rmse {payload['rmse_original']:.3f} -> {payload['rmse_shrunken']:.3f}  "
-          f"mae {payload['mae_original']:.3f} -> {payload['mae_shrunken']:.3f}  "
-          f"retained {payload['shrink_ratio']:.3f}")
     return 0
 
 

@@ -160,35 +160,21 @@ _FIRST_LINE = re.compile(r"[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _BLOCK_ROWS = 1024
 
 
-def _needs_csv(text: str) -> bool:
-    """Whether only the csv module splits ``text`` right: it holds a quote
-    or a carriage return, or a line longer than the csv field limit, over
-    which csv may raise its field-size error."""
-    if '"' in text or "\r" in text:
-        return True
-    limit = csv.field_size_limit()
-    # a longer line holds a whole newline-free window of this width that
-    # starts at a multiple of it, so only such windows' lines are measured
-    width = limit // 2 + 1
-    for k in range(0, len(text), width):
-        if text.find("\n", k, k + width) < 0:
-            start = text.rfind("\n", 0, k) + 1
-            end = text.find("\n", k)
-            if (len(text) if end < 0 else end) - start > limit:
-                return True
-    return False
-
-
 def _split_rows(text: str, delimiter: str):
     """The rows of a text without quotes or carriage returns, as csv reads
     them, split one line at a time: no copy of the text and no list of
-    its lines is held."""
+    its lines is held. A field longer than csv's field limit raises
+    csv's own error, where csv would."""
+    limit = csv.field_size_limit()
     start = 0
     while start < len(text):
         end = text.find("\n", start)
         if end < 0:
             end = len(text)
-        yield text[start:end].split(delimiter)
+        row = text[start:end].split(delimiter)
+        if end - start > limit and max(map(len, row)) > limit:
+            raise csv.Error(f"field larger than field limit ({limit})")
+        yield row
         start = end + 1
 
 
@@ -305,7 +291,8 @@ def _parse_rows(text: str, schema: dict | None) -> ParseResult:
     if not first_line.strip():
         raise SchemaError("cohort input has no header row")
     delimiter = "\t" if "\t" in first_line else ("," if "," in first_line else "\t")
-    if _needs_csv(text):
+    # only csv splits quoted fields and raises on a bare carriage return
+    if '"' in text or "\r" in text:
         reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     else:
         reader = _split_rows(text, delimiter)
@@ -478,16 +465,20 @@ def _format_cell(value: float) -> str:
     return str(int(value)) if value.is_integer() else f"{value:.17g}"
 
 
-def _format_column(column: np.ndarray) -> list:
-    # each distinct value is formatted once: a coded column holds a handful
-    values, rows = np.unique(column, return_inverse=True)
-    texts = np.array([_format_cell(value) for value in values.tolist()], dtype=object)
+def _format_distinct(column, format_cell) -> list:
+    """``format_cell`` of each value, called once per distinct value (a
+    coded column holds a handful). Values are keyed on their bits, so
+    -0.0 is formatted apart from 0.0."""
+    bits, rows = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
+                           return_inverse=True)
+    texts = np.array([format_cell(value) for value in bits.view(np.float64).tolist()],
+                     dtype=object)
     return texts[rows].tolist()
 
 
 def cohort_to_text(cohort: Cohort) -> str:
     """Canonical tab-delimited form; byte-stable for identical cohorts."""
-    columns = [_format_column(cohort[name]) for name in CANONICAL_COLUMNS]
+    columns = [_format_distinct(cohort[name], _format_cell) for name in CANONICAL_COLUMNS]
     lines = ["\t".join(CANONICAL_COLUMNS), *map("\t".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cohort import _format_distinct
 from .errors import SchemaError, read_text
 from .kernels import KernelSpec
 from .svm import SvmModel
@@ -27,15 +28,6 @@ FORMAT_VERSION = 1
 
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
-
-
-def _format_column(column) -> list:
-    # each distinct value is formatted once, keyed on its bit pattern:
-    # np.unique on the values would merge -0.0, written "-0", into 0.0
-    bits, rows = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
-                           return_inverse=True)
-    texts = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[rows].tolist()
 
 
 def model_to_text(model: SvmModel) -> str:
@@ -55,8 +47,8 @@ def model_to_text(model: SvmModel) -> str:
         f"support_vectors {model.alphas.size}",
     ]
     columns = [[f"{int(label):+d}" for label in model.sv_labels],
-               _format_column(model.alphas),
-               *map(_format_column, np.asarray(model.support_vectors).T)]
+               *(_format_distinct(column, _fmt)
+                 for column in (model.alphas, *np.asarray(model.support_vectors).T))]
     lines.extend(map(" ".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 

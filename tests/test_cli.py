@@ -51,7 +51,8 @@ def run_dir(pipeline):
 
 
 def _stub_model_files(tmp_path, bias):
-    """A zero-support-vector model (decision value == bias) plus a plan."""
+    """A run directory of a zero-support-vector model (decision value ==
+    bias) plus a plan."""
     model = SvmModel(
         kernel=KernelSpec(variant="linear"),
         support_vectors=np.zeros((0, 2)),
@@ -65,12 +66,10 @@ def _stub_model_files(tmp_path, bias):
         max_kkt_violation=0.0,
         dual_objective=0.0,
     )
-    model_path = tmp_path / "model.txt"
-    save_model(model, model_path)
+    save_model(model, tmp_path / "model.txt")
     plan = fit_imputation(stack([make_patient(), make_patient(height_cm=180.0)]))
-    plan_path = tmp_path / "plan.txt"
-    plan_path.write_text(plan_to_text(plan), encoding="ascii")
-    return str(model_path), str(plan_path)
+    (tmp_path / "plan.txt").write_text(plan_to_text(plan), encoding="ascii")
+    return str(tmp_path)
 
 
 def test_synth_writes_cohort_and_config(tmp_path, capsys):
@@ -228,7 +227,7 @@ def test_train_cv_accuracy_beats_majority_class(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     *(pytest.param(["train", "--c-grid", grid], id=grid)
-      for grid in ("abc", "0.1,x", "0,1", "-1", "nan", "inf")),
+      for grid in ("abc", "0.1,x", "0,1", "-1", "nan", "inf", "1,1", "0.1,1e-1")),
     pytest.param(["train", "--cv-k", "1"], id="cv-k 1"),
     pytest.param(["train", "--train-fraction", "1.5"], id="train-fraction 1.5"),
     pytest.param(["train", "--kernel", "bogus"], id="kernel bogus"),
@@ -374,6 +373,18 @@ def test_evaluate_oracle_never_hurts(run_dir):
     assert payload["accuracy"] == 1.0
 
 
+@pytest.mark.parametrize("mode", ["trained", "identity", "oracle"])
+def test_evaluation_text_names_the_model(run_dir, mode, capsys):
+    assert main(["evaluate", "--run-dir", str(run_dir), "--gate-mode", mode]) == 0
+    model = dict(line.split(" ", 1) for line in
+                 (run_dir / "model.txt").read_text().splitlines()[1:10])
+    expected = (f"model kernel {model['kernel']}, support_vectors "
+                f"{model['support_vectors']}, converged {model['converged']}")
+    assert (run_dir / "evaluation.txt").read_text().splitlines()[:2] == [
+        f"gate_mode {mode}", expected]
+    assert capsys.readouterr().out == (run_dir / "evaluation.txt").read_text()
+
+
 def test_gate_tsv_output(run_dir, capsys):
     assert main(["gate", "--run-dir", str(run_dir)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -407,8 +418,8 @@ def test_gate_jsonl_payloads(run_dir, capsys):
 
 
 def test_dose_reports_prediction_and_gate(tmp_path, capsys):
-    model_path, plan_path = _stub_model_files(tmp_path, bias=-1.0)
-    assert main(["dose", "--model", model_path, "--plan", plan_path,
+    run = _stub_model_files(tmp_path, bias=-1.0)
+    assert main(["dose", "--run-dir", run,
                  "age_decade=5", "height_cm=170", "weight_kg=80",
                  "race=1", "enzyme=0", "amiodarone=0"]) == 0
     out = capsys.readouterr().out
@@ -419,8 +430,8 @@ def test_dose_reports_prediction_and_gate(tmp_path, capsys):
 
 
 def test_dose_high_risk_still_prints_dose(tmp_path, capsys):
-    model_path, plan_path = _stub_model_files(tmp_path, bias=1.0)
-    assert main(["dose", "--model", model_path, "--plan", plan_path,
+    run = _stub_model_files(tmp_path, bias=1.0)
+    assert main(["dose", "--run-dir", run,
                  "age_decade=5", "height_cm=170", "weight_kg=80",
                  "race=1", "enzyme=0", "amiodarone=0"]) == 0
     out = capsys.readouterr().out
@@ -429,8 +440,8 @@ def test_dose_high_risk_still_prints_dose(tmp_path, capsys):
 
 
 def test_dose_missing_fields_are_listed(tmp_path, capsys):
-    model_path, plan_path = _stub_model_files(tmp_path, bias=-1.0)
-    assert main(["dose", "--model", model_path, "--plan", plan_path,
+    run = _stub_model_files(tmp_path, bias=-1.0)
+    assert main(["dose", "--run-dir", run,
                  "age_decade=5"]) == 1
     err = capsys.readouterr().err
     assert "missing required patient fields" in err
@@ -438,20 +449,10 @@ def test_dose_missing_fields_are_listed(tmp_path, capsys):
 
 
 def test_dose_unknown_field_rejected(tmp_path, capsys):
-    model_path, plan_path = _stub_model_files(tmp_path, bias=-1.0)
-    assert main(["dose", "--model", model_path, "--plan", plan_path,
+    run = _stub_model_files(tmp_path, bias=-1.0)
+    assert main(["dose", "--run-dir", run,
                  "wat=1"]) == 1
     assert "unknown patient field" in capsys.readouterr().err
-
-
-def test_dose_without_plan_needs_all_fields(tmp_path, capsys):
-    model_path, _ = _stub_model_files(tmp_path, bias=-1.0)
-    assert main(["dose", "--model", model_path,
-                 "age_decade=5", "height_cm=170", "weight_kg=80",
-                 "race=1", "enzyme=0", "amiodarone=0"]) == 1
-    err = capsys.readouterr().err
-    assert "no imputation plan" in err
-    assert "gender" in err
 
 
 def test_repeated_calls_in_one_process_print_the_same(run_dir, tmp_path, capsys):
@@ -490,24 +491,6 @@ def test_repeated_calls_in_one_process_print_the_same(run_dir, tmp_path, capsys)
                            env={**os.environ, "PYTHONPATH": os.pathsep.join(
                                filter(None, (str(src), os.environ.get("PYTHONPATH"))))})
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == first[0]
-
-
-def test_report_summarizes_run(run_dir, capsys):
-    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
-    capsys.readouterr()
-    assert main(["report", "--run-dir", str(run_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "kernel polynomial" in out
-    assert "gate mode trained" in out
-    assert "rmse" in out and "retained" in out
-
-
-def test_report_without_evaluation_is_data_error(run_dir, tmp_path, capsys):
-    bare = tmp_path / "bare"
-    bare.mkdir()
-    shutil.copy(run_dir / "model.txt", bare / "model.txt")
-    assert main(["report", "--run-dir", str(bare)]) == 2
-    assert "evaluate" in capsys.readouterr().err
 
 
 def _copy_run(run_dir, tmp_path):
@@ -586,8 +569,8 @@ def test_unreadable_config_value_is_usage_error(tmp_path, capsys):
     "gender=inf", "enzyme=nan", "aspirin=-inf",
 ])
 def test_dose_unreadable_field_is_usage_error(tmp_path, capsys, field):
-    model_path, plan_path = _stub_model_files(tmp_path, bias=-1.0)
-    assert main(["dose", "--model", model_path, "--plan", plan_path,
+    run = _stub_model_files(tmp_path, bias=-1.0)
+    assert main(["dose", "--run-dir", run,
                  "age_decade=5", "height_cm=170", "weight_kg=80",
                  "race=1", "enzyme=0", "amiodarone=0", field]) == 1
     assert f"cannot read patient field {field!r}" in capsys.readouterr().err
@@ -634,7 +617,7 @@ def test_dose_plan_without_needed_mode_is_data_error(run_dir, tmp_path, capsys):
     assert "plan lacks a statistic" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["ingest", "evaluate", "gate", "dose", "report"])
+@pytest.mark.parametrize("command", ["ingest", "evaluate", "gate", "dose"])
 def test_seed_only_where_it_is_used(run_dir, tmp_path, command):
     argv = {
         "ingest": ["--input", str(run_dir / "test.tsv"), "--out-dir", str(tmp_path)],
@@ -644,6 +627,21 @@ def test_seed_only_where_it_is_used(run_dir, tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         main([command, *argv, "--seed", "1"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["report"], "invalid choice: 'report'"),
+    (["dose", "--model", "model.txt"], "unrecognized arguments: --model"),
+    (["dose", "--plan", "plan.txt"], "unrecognized arguments: --plan"),
+])
+def test_read_side_commands_take_only_a_run_dir(run_dir, capsys, argv, message):
+    # the run directory is a read-side command's one source
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--run-dir", str(run_dir)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 BOM = "\ufeff".encode()

@@ -65,12 +65,9 @@ SURFACE = {
     ),
     "dose": (
         _RUN_DIR,
-        (("--model",), "model", None, None, None, None, None, "_StoreAction"),
-        (("--plan",), "plan", None, None, None, None, None, "_StoreAction"),
         *_COEFFICIENTS,
         ((), "patient", None, None, None, "*", None, "_StoreAction"),
     ),
-    "report": (_RUN_DIR,),
 }
 
 

@@ -13,7 +13,6 @@ from reference_cohort import reference_parse_cohort
 from dosegate.cohort import (
     CANONICAL_COLUMNS,
     CANONICAL_SCHEMA,
-    _needs_csv,
     apply_imputation,
     cohort_to_text,
     filter_unbalanced,
@@ -362,13 +361,26 @@ def test_long_line_of_short_fields_parses_as_reference():
     assert result.n_data_rows == reference.n_data_rows == 3
 
 
+def _parse_outcome(parse, text):
+    """The parsed columns and counts, or the error's type and message."""
+    try:
+        result = parse(text)
+    except SchemaError as exc:
+        return type(exc), str(exc)
+    return (result.cohort.columns.shape, result.cohort.columns.tobytes(),
+            result.n_data_rows, result.excluded_missing_dose, result.excluded_inr)
+
+
 @pytest.mark.parametrize("offset", [0, 1, 7, 65536, 65537, 131071])
 def test_a_line_over_the_field_limit_needs_csv(offset):
+    # the split must give csv's reading of a line at and over the limit
     limit = csv.field_size_limit()
     lead = "a" * (offset - 1) + "\n" if offset else ""  # the long line starts at offset
-    for length, needed in ((limit, False), (limit + 1, True)):
+    for length in (limit, limit + 1):
         for tail in ("", "\n", "\nb"):
-            assert _needs_csv(lead + "x" * length + tail) is needed
+            text = lead + "x" * length + tail
+            assert _parse_outcome(parse_cohort, text) == _parse_outcome(
+                reference_parse_cohort, text)
 
 
 @pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f"])
