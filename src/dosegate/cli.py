@@ -139,6 +139,8 @@ def config_from_text(text: str) -> dict:
             continue
         if not sep or key not in _OPTIONS:
             raise UsageError(f"bad config line: {raw_line!r}")
+        if key in values:
+            raise UsageError(f"config key {key!r} given twice")
         caster = _OPTIONS[key].type
         try:
             values[key] = _parse_bool(value) if caster is bool else caster(value)
@@ -437,6 +439,8 @@ def patient_cohort(pairs) -> Cohort:
         key = key.strip()
         if key not in _PATIENT_FIELDS:
             raise UsageError(f"unknown patient field {key!r}")
+        if key in values:
+            raise UsageError(f"patient field {key!r} given twice")
         try:
             values[key] = float(_PATIENT_FIELDS[key](value.strip()))
         except ValueError:

@@ -110,6 +110,8 @@ def load_coefficients(path, allow_override: bool = False) -> IwpcCoefficients:
         try:
             if not sep or key not in names:
                 raise ValueError
+            if key in values:
+                raise SchemaError(f"coefficient {key!r} given twice")
             values[key] = float(value.strip())
         except ValueError:
             raise SchemaError(f"bad coefficient line: {raw_line!r}") from None

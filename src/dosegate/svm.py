@@ -15,22 +15,21 @@ Woodbury identity (Fine & Scheinberg, JMLR 2001; Ferris & Munson, SIAM
 J. Optim. 2002). Its rank x rank matrix I + W^T D^-1 W is formed as
 I + Y^T Y with Y = D^-1/2 W, which numpy computes as a symmetric product
 (BLAS syrk: 0.27 ms against 0.46 ms for the general product on 666 x 109,
-one thread), and the triangular factor of that matrix is inverted by
-halving. The method stops at the optimal face rather than at its own
-tolerance (the crossover of Mehrotra & Ye, Math. Programming 1993, and
-Andersen & Ye, Management Science 1996): once an iterate's merit is
-within the KKT tolerance, each iteration snaps it to the bounds it shows
-active, settles the free multipliers on the factor and stops if the KKT
-conditions then hold at IPM_TOLERANCE on the factor's values. train
-repeats that finish on exact kernel values and resumes the method if it
-misses. The factor depends only on the rows, so a caller that fits many
-subsets of one set of rows (cross-validation) factors the set once and
-gives each fit its rows of the factor. A kernel the
-factor shows indefinite (sigmoid) or of rank above LOW_RANK_CAP (RBF)
-is solved by SMO on the dense Gram matrix: pick a maximal KKT violator,
-pair it with the index of largest error difference, and update the
-pair analytically. Either way the bias, the KKT verdict and the dual
-objective come from exact kernel values.
+one thread), and solved by np.linalg.solve. The method stops at the
+optimal face rather than at its own tolerance (the crossover of
+Mehrotra & Ye, Math. Programming 1993, and Andersen & Ye, Management
+Science 1996): once an iterate's merit is within KKT_TOLERANCE, each
+iteration snaps it to the bounds it shows active, settles the free
+multipliers on the factor and stops if the KKT conditions then hold at
+IPM_TOLERANCE on the factor's values. train repeats that finish on exact
+kernel values and resumes the method if it misses. The factor depends
+only on the rows, so a caller that fits many subsets of one set of rows
+(cross-validation) factors the set once and gives each fit its rows of
+the factor. A kernel the factor shows indefinite (sigmoid) or of rank
+above LOW_RANK_CAP (RBF) is solved by SMO on the dense Gram matrix: pick
+a maximal KKT violator, pair it with the index of largest error
+difference, and update the pair analytically. Either way the bias, the
+KKT verdict and the dual objective come from exact kernel values.
 
 SMO starts at zero, or at the upper corner a = C (alpha seeding, DeCoste
 & Wagstaff, KDD 2000) when three things hold: the factor saw no negative
@@ -48,7 +47,6 @@ internally. w is never formed; everything goes through the kernel.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +75,12 @@ PIVOT_TOLERANCE = 1e-12
 IPM_TOLERANCE = 1e-9
 STEP_FRACTION = 0.995  # of the step to the boundary of the positive orthant
 SUPPORT_EPSILON = 1e-12  # a multiplier above this makes its row a support vector
-# _lower_inverse leaves blocks of at most this many rows to np.linalg.inv,
-# so a factor of rank up to it (linear: 13-14) is inverted as one block
-INVERSE_LEAF_ROWS = 32
+# the KKT violation, in margin units, that a converged model meets
+KKT_TOLERANCE = 1e-3
+# bounds the work: SMO makes at most MAX_PASSES * n pair updates, the
+# interior-point method at most MAX_PASSES iterations, and a fit that
+# uses it up is not converged
+MAX_PASSES = 200
 # Scoring evaluates the kernel against the support vectors this many rows
 # at a time, as train's exact finish does against the multipliers off
 # zero: at 1,288 support vectors a block is 2.6 MB, where a 4,237-row
@@ -98,27 +99,17 @@ class TrainConfig:
     """Knobs for the dual solver.
 
     balance_classes scales C per class by inverse class frequency.
-    max_passes bounds the work: SMO makes at most max_passes * n pair
-    updates, the interior-point method at most max_passes iterations,
-    and a fit that uses it up is not converged. seed randomizes only
-    tie-breaking in SMO's second-index search and crossval.select_c's
-    folds, so results are reproducible bit for bit.
+    seed randomizes only tie-breaking in SMO's second-index search and
+    crossval.select_c's folds, so results are reproducible bit for bit.
     """
 
     c_regularization: float = 1.0
-    kkt_tolerance: float = 1e-3
-    max_passes: int = 200
     balance_classes: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.c_regularization < np.inf:
             raise DomainError("c_regularization must be finite and > 0")
-        if not 0 < self.kkt_tolerance < np.inf:
-            raise DomainError("kkt_tolerance must be finite and > 0")
-        if (isinstance(self.max_passes, bool) or not isinstance(self.max_passes, numbers.Integral)
-                or self.max_passes < 1):
-            raise DomainError("max_passes must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -166,14 +157,13 @@ def _final_bias(alpha: np.ndarray, z: np.ndarray, scores: np.ndarray,
     in_bound = (alpha > snap) & (alpha < upper - snap)
     if in_bound.any():
         return float(np.mean(z[in_bound] - scores[in_bound]))
-    lo, hi = -np.inf, np.inf
-    for i in range(alpha.size):
-        bound = z[i] - scores[i]
-        at_zero = alpha[i] <= snap[i]
-        if (at_zero and z[i] > 0) or (not at_zero and z[i] < 0):
-            lo = max(lo, bound)
-        else:
-            hi = min(hi, bound)
+    # a row at zero with z > 0, or off zero with z < 0, bounds the bias
+    # from below; every other row bounds it from above (fmax and fmin
+    # pass over a NaN bound)
+    bounds = z - scores
+    low = (alpha <= snap) == (z > 0)
+    lo = float(np.fmax.reduce(bounds[low], initial=-np.inf))
+    hi = float(np.fmin.reduce(bounds[~low], initial=np.inf))
     if not np.isfinite(lo):
         lo = hi
     if not np.isfinite(hi):
@@ -233,50 +223,25 @@ def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> float:
     return -1.0 / steepest if steepest < 0.0 else np.inf
 
 
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower triangular matrix by halving, the blocked form
-    of LAPACK's trtri (Du Croz & Higham, IMA J. Numer. Anal. 1992):
-
-        [A 0]^-1   [     A^-1      0  ]
-        [C B]    = [-B^-1 C A^-1  B^-1]
-
-    numpy has no triangular inverse, and np.linalg.inv's general LU
-    took 0.58 ms against 0.24 ms at rank 109 (one BLAS thread).
-    """
-    n = lower.shape[0]
-    if n <= INVERSE_LEAF_ROWS:
-        return np.linalg.inv(lower)
-    h = n // 2
-    inverse = np.zeros_like(lower)
-    inverse[:h, :h] = _lower_inverse(lower[:h, :h])
-    inverse[h:, h:] = _lower_inverse(lower[h:, h:])
-    inverse[h:, :h] = -inverse[h:, h:] @ (lower[h:, :h] @ inverse[:h, :h])
-    return inverse
-
-
 def _newton_step(factor: np.ndarray, z: np.ndarray, v: np.ndarray, r_dual: np.ndarray,
                  r_eq: float, r_box: np.ndarray, complementarity: np.ndarray):
     """The predictor-corrector step from the stacked iterate v = (a, s,
     lam, xi) with the residuals _interior_point measured there: (dv, db,
-    t) for v + t dv and b + t db, or None when rounding has overrun the
-    iterate. Its n x rank arrays end with it."""
+    t) for v + t dv and b + t db. Its n x rank arrays end with it. A step
+    that is not finite makes the next merit not finite, which ends the
+    method at its best iterate."""
     n, rank = factor.shape
     a, s, lam, xi = v.reshape(4, n)
     d = lam / a + xi / s
     root = np.sqrt(d)[:, None]
     # with W = Z V for Z = diag(z), W^T D^-1 W = Y^T Y for Y = D^-1/2 V
     y = factor / root
-    try:
-        # I + Y^T Y, a symmetric product, = L L^T; the triangular inverse
-        # is applied twice
-        l_inverse = _lower_inverse(np.linalg.cholesky(np.eye(rank) + y.T @ y))
-    except np.linalg.LinAlgError:
-        return None
+    inner = np.eye(rank) + y.T @ y  # a symmetric product
 
     def solve(rhs):
         # (D + W W^T)^-1 rhs = Z (D + V V^T)^-1 Z rhs for the columns of rhs
         scaled = z[:, None] * rhs / root
-        return z[:, None] * (scaled - y @ (l_inverse.T @ (l_inverse @ (y.T @ scaled)))) / root
+        return z[:, None] * (scaled - y @ np.linalg.solve(inner, y.T @ scaled)) / root
 
     def direction(c, mz=None):
         # c stacks the complementarity targets of (a lam, s xi)
@@ -320,7 +285,7 @@ def _factor_finish(factor: np.ndarray, iterate: tuple, z: np.ndarray,
 
 
 def _interior_point(factor: np.ndarray, z: np.ndarray, upper: np.ndarray,
-                    snap: np.ndarray, config: TrainConfig):
+                    snap: np.ndarray):
     """Mehrotra predictor-corrector method for the dual with Q = W W^T,
     W = Z V for the kernel factor V and Z = diag(z).
 
@@ -332,9 +297,9 @@ def _interior_point(factor: np.ndarray, z: np.ndarray, upper: np.ndarray,
     I + W^T D^-1 W, so an iteration costs O(n rank^2).
 
     A generator of (iterate (a, s, lam, xi), solved) candidates: each
-    iterate within config.kkt_tolerance that passes _factor_finish, and
-    last the best iterate, with solved False when the method used up its
-    config.max_passes iterations. Its caller takes the first candidate
+    iterate within KKT_TOLERANCE that passes _factor_finish, and last the
+    best iterate, with solved False when the method used up its
+    MAX_PASSES iterations. Its caller takes the first candidate
     whose finish holds on exact kernel values and resumes it otherwise.
     It reads the unsigned factor that its caller keeps, and a Newton
     step's n x rank arrays end with _newton_step, so while a candidate
@@ -347,7 +312,7 @@ def _interior_point(factor: np.ndarray, z: np.ndarray, upper: np.ndarray,
     b = 0.0
     box_scale = float(upper.max())
     best, best_merit, stalled = v, np.inf, 0
-    for _ in range(config.max_passes):
+    for _ in range(MAX_PASSES):
         a, s, lam, xi = v.reshape(4, n)
         qa = z * (factor @ (factor.T @ (z * a)))
         r_dual = qa - 1.0 + b * z + xi - lam
@@ -371,13 +336,9 @@ def _interior_point(factor: np.ndarray, z: np.ndarray, upper: np.ndarray,
             best, best_merit, stalled = v, merit, 0
         if merit <= IPM_TOLERANCE:
             break
-        if merit <= config.kkt_tolerance and _factor_finish(factor, (a, s, lam, xi), z,
-                                                            upper, snap):
+        if merit <= KKT_TOLERANCE and _factor_finish(factor, (a, s, lam, xi), z, upper, snap):
             yield (a, s, lam, xi), True
-        step = _newton_step(factor, z, v, r_dual, r_eq, r_box, complementarity)
-        if step is None:
-            break  # rounding has overrun the iterate; keep the best one
-        dv, db, t = step
+        dv, db, t = _newton_step(factor, z, v, r_dual, r_eq, r_box, complementarity)
         v = v + t * dv
         b += t * db
     else:
@@ -467,8 +428,7 @@ def _smo_start(gram: np.ndarray, z: np.ndarray, upper: np.ndarray,
 
 
 def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
-         config: TrainConfig, alpha: np.ndarray,
-         score: np.ndarray) -> tuple[np.ndarray, bool, int]:
+         seed: int, alpha: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, bool, int]:
     """Pairwise dual coordinate ascent on the dense Gram matrix from alpha,
     whose scores sum_j a_j z_j K(j, i) are ``score``; both are updated in
     place. Returns the multipliers, whether the KKT conditions held within
@@ -483,12 +443,12 @@ def _smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.ndarray,
     as masking by np.where does, at a fraction of a masked ufunc's cost.
     So from alpha = 0 the updates are Platt's, as the loop kept in
     tests/reference_smo.py makes them, bit for bit."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     n = z.size
     b = 0.0
-    tol = config.kkt_tolerance
-    budget = config.max_passes * n
+    tol = KKT_TOLERANCE
+    budget = MAX_PASSES * n
     updates = 0
     excluded: set[int] = set()
 
@@ -693,7 +653,7 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
     factor, indefinite = pivoted_cholesky(kernel, data) if factor is None else factor
     if factor is None:
         gram = kernel_matrix(kernel, data, data)
-        alpha, solved, _ = _smo(gram, z, upper, snap, config,
+        alpha, solved, _ = _smo(gram, z, upper, snap, config.seed,
                                 *_smo_start(gram, z, upper, indefinite))
         final_scores = gram @ (alpha * z)
         bias, max_viol = _kkt(alpha, z, final_scores, upper, snap)
@@ -701,7 +661,7 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
         # the exact finish: snap, settle on the free rows' kernel values
         # and judge on exact scores; a candidate that misses IPM_TOLERANCE
         # resumes the interior point, and its last candidate stands
-        for iterate, solved in _interior_point(factor, z, upper, snap, config):
+        for iterate, solved in _interior_point(factor, z, upper, snap):
             alpha = _snap(*iterate, z, upper)
             live = np.flatnonzero(alpha)
             if solved:
@@ -726,7 +686,7 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
         feature_names=tuple(f"f{i}" for i in range(d)),
         scaler_means=np.zeros(d),
         scaler_scales=np.ones(d),
-        converged=solved and max_viol <= config.kkt_tolerance,
+        converged=solved and max_viol <= KKT_TOLERANCE,
         max_kkt_violation=max_viol,
         dual_objective=objective,
     )

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dosegate import svm
 from dosegate.records import BINARY_COVARIATES, CANONICAL_COLUMNS, Cohort, Race
 
 # the identity column map that ships with the package
@@ -46,3 +47,10 @@ def separable_blobs(rng, n_per_class=15, gap=4.0, dims=2):
     labels = np.array([-1.0] * n_per_class + [1.0] * n_per_class)
     order = rng.permutation(len(labels))
     return x[order], labels[order]
+
+
+def solver_limits(monkeypatch, kkt_tolerance=svm.KKT_TOLERANCE, max_passes=svm.MAX_PASSES):
+    """Set the dual solver's KKT tolerance and pass budget for one test;
+    forked cross-validation workers inherit them."""
+    monkeypatch.setattr(svm, "KKT_TOLERANCE", kkt_tolerance)
+    monkeypatch.setattr(svm, "MAX_PASSES", max_passes)

@@ -15,6 +15,7 @@ from collections import Counter
 
 import numpy as np
 
+from dosegate import svm
 from dosegate.svm import TrainConfig, _final_bias
 
 
@@ -30,8 +31,8 @@ def reference_smo(gram: np.ndarray, z: np.ndarray, upper: np.ndarray, snap: np.n
     alpha = np.zeros(n)
     score = np.zeros(n)  # sum_j a_j z_j K(j, i); bias tracked separately
     b = 0.0
-    tol = config.kkt_tolerance
-    budget = config.max_passes * n
+    tol = svm.KKT_TOLERANCE
+    budget = svm.MAX_PASSES * n
     updates = 0
     excluded: set[int] = set()
     paths: Counter = Counter()

@@ -26,7 +26,7 @@ from dosegate.records import Race
 from dosegate.svm import TrainConfig, decision_values, score_signs, train
 from dosegate.synth import generate_synthetic_cohort
 
-from helpers import make_patient
+from helpers import make_patient, solver_limits
 from reference_qp import reference_dual_solve
 
 POLY = KernelSpec("polynomial", degree=2, offset=1.0)
@@ -114,18 +114,18 @@ def _low_rank_instance(trial):
             return x, z, spec, c, rng
 
 
-def test_trainer_dual_objective_and_predictions_match_reference_solver():
+def test_trainer_dual_objective_and_predictions_match_reference_solver(monkeypatch):
     """300 random instances, every kernel, C in {0.1, 1, 100}, a third of
     them with rows well above the kernel's rank: the trainer's dual
     objective lands within 1e-5 of the independent QP solver and
     predictions agree everywhere the decision value is not within 1e-6
     of the boundary. Budget: one minute."""
+    solver_limits(monkeypatch, kkt_tolerance=1e-6, max_passes=500)
     start = time.monotonic()
     instances = [_random_instance(trial) for trial in range(200)]
     instances += [_low_rank_instance(trial) for trial in range(100)]
     for trial, (x, z, spec, c, rng) in enumerate(instances):
-        config = TrainConfig(c_regularization=c, kkt_tolerance=1e-6,
-                             balance_classes=False, max_passes=500, seed=trial)
+        config = TrainConfig(c_regularization=c, balance_classes=False, seed=trial)
         model = train(x, z, kernel=spec, config=config)
         ref = reference_dual_solve(x, z, spec, c)
         assert abs(model.dual_objective - ref.objective) <= 1e-5
@@ -154,10 +154,10 @@ def test_default_kernel_converges_at_every_default_c(tmp_path):
         assert float(report["max_kkt_violation"]) <= 1e-3, f"C={c}"
 
 
-def test_analytic_two_point_and_xor_cases():
+def test_analytic_two_point_and_xor_cases(monkeypatch):
     """Hard-margin classics with known closed-form answers."""
-    config = TrainConfig(c_regularization=1e6, balance_classes=False,
-                         kkt_tolerance=1e-6, max_passes=500)
+    solver_limits(monkeypatch, kkt_tolerance=1e-6, max_passes=500)
+    config = TrainConfig(c_regularization=1e6, balance_classes=False)
 
     x = np.array([[0.0, 0.0], [2.0, 2.0]])
     z = np.array([-1.0, 1.0])

@@ -553,6 +553,36 @@ def test_plan_statistic_for_no_such_variable_is_data_error(run_dir, tmp_path, ca
     assert "bad imputation plan line" in capsys.readouterr().err
 
 
+def test_repeated_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=1\nseed=2\n")
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "dosegate synth: usage error: config key 'seed' given twice\n")
+    assert not out.exists()
+
+
+def test_repeated_coefficient_is_data_error(run_dir, tmp_path, capsys):
+    coefficients = tmp_path / "coefficients.txt"
+    coefficients.write_text("intercept=4.5\nintercept=9.9\n", encoding="ascii")
+    assert main(["dose", "--run-dir", str(run_dir), "--coefficients", str(coefficients),
+                 "--allow-coefficient-override", "age_decade=5", "height_cm=170",
+                 "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dosegate dose: data error: coefficient 'intercept' given twice\n"
+
+
+def test_repeated_patient_field_is_usage_error(tmp_path, capsys):
+    run = _stub_model_files(tmp_path, bias=-1.0)
+    assert main(["dose", "--run-dir", run, "age_decade=5", "height_cm=170", "weight_kg=80",
+                 "race=1", "enzyme=0", "amiodarone=0", "amiodarone=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dosegate dose: usage error: patient field 'amiodarone' given twice\n"
+
+
 def test_unreadable_config_value_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     for command, line in (("synth", "seed=abc"), ("train", "balance_classes=maybe")):
@@ -560,6 +590,14 @@ def test_unreadable_config_value_is_usage_error(tmp_path, capsys):
         assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             f"dosegate {command}: usage error: bad config value: {line!r}\n")
+
+
+def _dose_fields_with(field):
+    """The dose model's fields, with ``field`` in place of the one it names."""
+    key = field.partition("=")[0]
+    fields = ("age_decade=5", "height_cm=170", "weight_kg=80", "race=1", "enzyme=0",
+              "amiodarone=0")
+    return [pair for pair in fields if not pair.startswith(key + "=")] + [field]
 
 
 # "nan" names no value, and an integer too large for a float has none
@@ -570,9 +608,7 @@ def test_unreadable_config_value_is_usage_error(tmp_path, capsys):
 ])
 def test_dose_unreadable_field_is_usage_error(tmp_path, capsys, field):
     run = _stub_model_files(tmp_path, bias=-1.0)
-    assert main(["dose", "--run-dir", run,
-                 "age_decade=5", "height_cm=170", "weight_kg=80",
-                 "race=1", "enzyme=0", "amiodarone=0", field]) == 1
+    assert main(["dose", "--run-dir", run, *_dose_fields_with(field)]) == 1
     assert f"cannot read patient field {field!r}" in capsys.readouterr().err
 
 
@@ -590,8 +626,7 @@ def test_dose_unreadable_field_is_usage_error(tmp_path, capsys, field):
     ("enzyme=1.5", "enzyme must be 0, 1, or missing; got 1.5"),
 ])
 def test_dose_bad_field_is_data_error(run_dir, capsys, field, message):
-    assert main(["dose", "--run-dir", str(run_dir), "age_decade=5", "height_cm=170",
-                 "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0", field]) == 2
+    assert main(["dose", "--run-dir", str(run_dir), *_dose_fields_with(field)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"dosegate dose: data error: {message}\n"

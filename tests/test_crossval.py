@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import separable_blobs
+from helpers import separable_blobs, solver_limits
 
 from dosegate import crossval
 from dosegate.cli import main
@@ -132,14 +132,15 @@ def test_select_c_prefers_smaller_on_tie():
     assert accs[selection.best_c] == best
 
 
-def test_select_c_skips_c_whose_folds_did_not_converge():
+def test_select_c_skips_c_whose_folds_did_not_converge(monkeypatch):
     # the sigmoid kernel is indefinite on these rows, so SMO trains it,
     # and one pass leaves some of the large-C fits short of the optimum
+    solver_limits(monkeypatch, max_passes=1)
     rng = np.random.default_rng(1)
     x, labels = separable_blobs(rng, n_per_class=20, gap=1.0)
     x = 0.5 * x
     sigmoid = KernelSpec(variant="sigmoid", theta=0.0)
-    config = TrainConfig(balance_classes=False, max_passes=1)
+    config = TrainConfig(balance_classes=False)
     selection = select_c(x, labels, sigmoid, (0.01, 100.0), k=4, base_config=config)
     early, settled = selection.results[100.0], selection.results[0.01]
     assert early.n_converged < early.n_trained
@@ -170,28 +171,29 @@ def set_workers(monkeypatch):
     _assert_no_child_left()
 
 
-def _non_converging_case():
+def _non_converging_case(monkeypatch):
+    solver_limits(monkeypatch, max_passes=1)
     rng = np.random.default_rng(1)
     x, labels = separable_blobs(rng, n_per_class=20, gap=1.0)
     return (0.5 * x, labels, KernelSpec(variant="sigmoid", theta=0.0), (0.01, 100.0), 4,
-            TrainConfig(balance_classes=False, max_passes=1))
+            TrainConfig(balance_classes=False))
 
 
-def _single_class_fold_case():
+def _single_class_fold_case(monkeypatch):
     x = np.vstack([np.zeros((9, 2)), np.ones((1, 2))])
     labels = np.array([-1.0] * 9 + [1.0])
     return x, labels, LINEAR, (0.5, 5.0), 10, CONFIG
 
 
-def _linear_case():
+def _linear_case(monkeypatch):
     x, labels = _labeled_rows(np.random.default_rng(8), n=60, signal=False)
     return x, labels, LINEAR, (0.1, 1.0, 10.0, 100.0), 5, TrainConfig(balance_classes=False)
 
 
 @pytest.mark.parametrize("case", [_linear_case, _non_converging_case, _single_class_fold_case],
                          ids=["linear", "non-converging", "single-class-fold"])
-def test_select_c_is_the_same_at_every_worker_count(set_workers, case):
-    x, labels, kernel, grid, k, config = case()
+def test_select_c_is_the_same_at_every_worker_count(set_workers, monkeypatch, case):
+    x, labels, kernel, grid, k, config = case(monkeypatch)
     selections = []
     for count in WORKER_COUNTS:
         set_workers(count)
@@ -282,7 +284,7 @@ def test_failure_in_this_process_waits_for_the_running_worker(monkeypatch, set_w
     monkeypatch.setattr(crossval, "train", _train_failing_in_this_process(
         NumericalError("forced failure in this process's share"), 0.3))
     set_workers(2)
-    x, labels, kernel, grid, k, config = _linear_case()
+    x, labels, kernel, grid, k, config = _linear_case(monkeypatch)
     with pytest.raises(NumericalError, match="this process's share"):
         select_c(x, labels, kernel, grid, k=k, base_config=config)
     _assert_no_child_left()
@@ -292,7 +294,7 @@ def test_interrupt_in_this_process_kills_the_running_worker(monkeypatch, set_wor
     monkeypatch.setattr(crossval, "train", _train_failing_in_this_process(
         KeyboardInterrupt(), 60.0))
     set_workers(2)
-    x, labels, kernel, grid, k, config = _linear_case()
+    x, labels, kernel, grid, k, config = _linear_case(monkeypatch)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         select_c(x, labels, kernel, grid, k=k, base_config=config)

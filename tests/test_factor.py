@@ -1,24 +1,16 @@
 """The kernel factor that the interior point solves on: built once per
 fit_gate, valid on the rows of every cross-validation fold, and named in
-train_report.txt; and the triangular inverse the interior point applies
-in its Newton systems."""
+train_report.txt."""
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from dosegate import crossval, gate, svm
 from dosegate.cli import main
 from dosegate.cohort import split_cohort
 from dosegate.gate import fit_gate
 from dosegate.kernels import KernelSpec, kernel_matrix
-from dosegate.svm import (
-    INVERSE_LEAF_ROWS,
-    LOW_RANK_CAP,
-    PIVOT_TOLERANCE,
-    _lower_inverse,
-    pivoted_cholesky,
-)
+from dosegate.svm import LOW_RANK_CAP, PIVOT_TOLERANCE, pivoted_cholesky
 from dosegate.synth import generate_synthetic_cohort
 
 POLYNOMIAL = KernelSpec(variant="polynomial", degree=2, offset=1.0)
@@ -86,37 +78,6 @@ def test_rows_of_the_factor_factor_the_rows_kernel(kernel, seed):
         assert np.all(np.abs(np.diagonal(residual)) <= floor + rounding)
         # a positive semidefinite residual has no entry above its diagonal's
         assert np.all(np.abs(residual) <= floor + rounding)
-
-
-def _woodbury_factor(rng, rank, rows, spread):
-    """The Cholesky factor of I + W^T D^-1 W, the interior point's matrix,
-    with the d spanning ``spread`` decades below 1."""
-    w = rng.normal(size=(rows, rank))
-    d = 10.0 ** -rng.uniform(0.0, spread, size=rows)
-    return np.linalg.cholesky(np.eye(rank) + w.T @ (w / d[:, None]))
-
-
-def _residual(inverse, lower):
-    return float(np.abs(inverse @ lower - np.eye(lower.shape[0])).max())
-
-
-@pytest.mark.parametrize("rank", [1, 2, 31, 32, 33, 64, 109, 150])
-@pytest.mark.parametrize("rows, spread", [(2000, 0.0), (2000, 10.0), (None, 10.0)],
-                         ids=["well-conditioned", "tiny-d", "ill-conditioned"])
-def test_lower_inverse_matches_a_triangular_solve(rank, rows, spread):
-    rng = np.random.default_rng(rank)
-    # as many rows as the rank leaves M's conditioning to the spread of d
-    lower = _woodbury_factor(rng, rank, rows or rank, spread)
-    inverse = _lower_inverse(lower)
-    want = solve_triangular(lower, np.eye(rank), lower=True)
-    # the upper triangle included: np.linalg.inv's pivoting may leave
-    # rounding-sized entries there, which the solve does not
-    assert np.abs(inverse - want).max() <= 1e-12 * np.abs(want).max()
-    # no less accurate than the general inverse it replaces
-    floor = rank * np.finfo(float).eps
-    assert _residual(inverse, lower) <= 4 * max(_residual(np.linalg.inv(lower), lower), floor)
-    if rank <= INVERSE_LEAF_ROWS:
-        assert inverse.tobytes() == np.linalg.inv(lower).tobytes()
 
 
 @pytest.mark.parametrize("kernel, line", [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_patient, stack
+from helpers import make_patient, solver_limits, stack
 
 from dosegate.cohort import apply_imputation, fit_imputation
 from dosegate.errors import DegenerateGateError, DomainError, NonPhysicalDoseError, SchemaError
@@ -98,25 +98,25 @@ def test_labels_ignore_unrelated_covariates():
     assert la == lb
 
 
-def _toy_gate_model(signs):
+def _toy_gate_model(monkeypatch, signs):
     """Train a model that reproduces the requested sign pattern."""
+    solver_limits(monkeypatch, kkt_tolerance=1e-6, max_passes=400)
     rng = np.random.default_rng(0)
     x = np.array([[float(s), rng.normal() * 0.01] for s in signs])
     labels = np.array(signs, dtype=float)
     return train(x, labels, kernel=KernelSpec(variant="linear"),
-                 config=TrainConfig(c_regularization=1e4, balance_classes=False,
-                                    kkt_tolerance=1e-6, max_passes=400)), x
+                 config=TrainConfig(c_regularization=1e4, balance_classes=False)), x
 
 
-def test_shrink_indices_follow_predictions():
-    model, x = _toy_gate_model([-1, 1, -1, 1])
+def test_shrink_indices_follow_predictions(monkeypatch):
+    model, x = _toy_gate_model(monkeypatch, [-1, 1, -1, 1])
     kept = np.flatnonzero(score_signs(decision_values(model, x)) < 0)
     assert kept.tolist() == [0, 2]
 
 
-def test_shrink_schema_mismatch():
+def test_shrink_schema_mismatch(monkeypatch):
     # the toy model's features (f0, f1) are not features of a cohort
-    model, _ = _toy_gate_model([-1, 1, -1, 1])
+    model, _ = _toy_gate_model(monkeypatch, [-1, 1, -1, 1])
     with pytest.raises(SchemaError):
         classify_records(model, stack([make_patient(), make_patient(age_decade=6)]))
 

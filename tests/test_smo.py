@@ -8,10 +8,11 @@ corner it may stop elsewhere within the KKT tolerance.
 import numpy as np
 import pytest
 
+from helpers import solver_limits
 from reference_smo import reference_smo
 
 from dosegate.cohort import apply_imputation, fit_imputation, split_cohort
-from dosegate.errors import DomainError
+from dosegate.errors import DomainError, NumericalError
 from dosegate.features import default_feature_names, encode_features
 from dosegate.gate import label_cohort
 from dosegate.kernels import KernelSpec, kernel_matrix
@@ -20,6 +21,7 @@ from dosegate.svm import (
     SUPPORT_EPSILON,
     TrainConfig,
     _box_bounds,
+    _final_bias,
     _smo,
     _smo_start,
     pivoted_cholesky,
@@ -49,7 +51,7 @@ def _problem(kernel, x, z, config):
 
 def _zero_start(gram, z, upper, snap, config):
     """The production loop from alpha = 0: (alpha, converged, updates)."""
-    return _smo(gram, z, upper, snap, config, np.zeros(z.size), np.zeros(z.size))
+    return _smo(gram, z, upper, snap, config.seed, np.zeros(z.size), np.zeros(z.size))
 
 
 def _assert_matches_reference(gram, z, upper, snap, config):
@@ -90,9 +92,10 @@ def test_unbalanced_box_starts_at_zero_and_matches_reference(gate_rows, kernel):
     assert model.alphas.tobytes() == want[want > SUPPORT_EPSILON].tobytes()
 
 
-def test_exhausted_budget_matches_reference(gate_rows):
+def test_exhausted_budget_matches_reference(gate_rows, monkeypatch):
     x, z = gate_rows
-    config = TrainConfig(c_regularization=100.0, kkt_tolerance=1e-9, max_passes=1, seed=2)
+    solver_limits(monkeypatch, kkt_tolerance=1e-9, max_passes=1)
+    config = TrainConfig(c_regularization=100.0, seed=2)
     gram, upper, snap = _problem(RBF, x, z, config)
     _, converged, updates = _assert_matches_reference(gram, z, upper, snap, config)
     assert not converged
@@ -159,7 +162,7 @@ def test_corner_start_converges_with_fewer_updates(gate_rows):
     corner_objective = _objective(gram, z, alpha0)
     assert corner_objective > 0.0  # W at the corner beats W(0) = 0
 
-    alpha, converged, updates = _smo(gram, z, upper, snap, config, alpha0, score0)
+    alpha, converged, updates = _smo(gram, z, upper, snap, config.seed, alpha0, score0)
     zero_alpha, zero_converged, zero_updates = _assert_matches_reference(
         gram, z, upper, snap, config)
     assert converged and zero_converged
@@ -210,16 +213,68 @@ def test_factor_tells_indefinite_from_full_rank(gate_rows):
 @pytest.mark.parametrize("field, value", [
     ("c_regularization", float("inf")),
     ("c_regularization", float("nan")),
-    ("kkt_tolerance", float("inf")),
-    ("kkt_tolerance", 0.0),
-    ("max_passes", 2.5),
-    ("max_passes", True),
-    ("max_passes", 0),
 ])
 def test_train_config_rejects_values_train_cannot_use(field, value):
     with pytest.raises(DomainError):
         TrainConfig(**{field: value})
 
 
-def test_train_config_accepts_numpy_integers():
-    assert TrainConfig(max_passes=np.int64(3)).max_passes == 3
+
+def _looped_bias(alpha, z, scores, upper, snap):
+    """_final_bias one row at a time, with Python's max and min."""
+    in_bound = (alpha > snap) & (alpha < upper - snap)
+    if in_bound.any():
+        return float(np.mean(z[in_bound] - scores[in_bound]))
+    lo, hi = -np.inf, np.inf
+    for i in range(alpha.size):
+        bound = z[i] - scores[i]
+        at_zero = alpha[i] <= snap[i]
+        if (at_zero and z[i] > 0) or (not at_zero and z[i] < 0):
+            lo = max(lo, bound)
+        else:
+            hi = min(hi, bound)
+    if not np.isfinite(lo):
+        lo = hi
+    if not np.isfinite(hi):
+        hi = lo
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericalError("bias is unconstrained; training degenerate")
+    return float(0.5 * (lo + hi))
+
+
+def _bound_multipliers(rng, n):
+    """Multipliers on their bounds (each at 0, at C_i or within snap of
+    one) and their scores, with NaN scores and one-class sides drawn in."""
+    z = rng.choice([-1.0, 1.0], size=n)
+    if rng.random() < 0.2:
+        z[:] = z[0]  # every row on one side of the bias
+    upper = rng.choice([0.5, 2.0], size=n)
+    snap = 1e-12 * np.maximum(1.0, upper)
+    alpha = np.where(rng.random(n) < 0.5, 0.0, upper) + rng.choice([0.0, 0.5], size=n) * snap
+    alpha = np.minimum(alpha, upper)
+    scores = rng.normal(size=n)
+    scores[rng.random(n) < 0.1] = np.nan
+    return alpha, z, scores, upper, snap
+
+
+def test_final_bias_equals_the_row_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        problem = _bound_multipliers(rng, int(rng.integers(1, 12)))
+        try:
+            want = _looped_bias(*problem)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="bias is unconstrained"):
+                _final_bias(*problem)
+            continue
+        assert np.float64(_final_bias(*problem)).tobytes() == np.float64(want).tobytes()
+
+
+def test_final_bias_without_a_finite_bound_is_a_numerical_error():
+    nan = np.full(3, np.nan)
+    zero, one = np.zeros(3), np.ones(3)
+    for scores in (nan, np.array([np.inf, -np.inf, np.nan])):
+        with pytest.raises(NumericalError, match="bias is unconstrained"):
+            _final_bias(zero, np.array([1.0, -1.0, 1.0]), scores, one, 1e-12 * one)
+    with pytest.raises(NumericalError, match="bias is unconstrained"):
+        _final_bias(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))

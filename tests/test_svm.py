@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import make_patient, separable_blobs
+from helpers import make_patient, separable_blobs, solver_limits
 
+from dosegate import svm
 from dosegate.cohort import apply_imputation, split_cohort
 from dosegate.errors import DataError, DegenerateLabelsError, DomainError, SchemaError
 from dosegate.features import default_feature_names, encode_features, feature_rows
@@ -35,13 +36,18 @@ def _predict(model, x):
     return score_signs(decision_values(model, x))[0]
 
 
-def _hard_margin(c=1e6):
-    return TrainConfig(c_regularization=c, balance_classes=False,
-                       kkt_tolerance=1e-6, max_passes=500)
+HARD_MARGIN = TrainConfig(c_regularization=1e6, balance_classes=False)
 
 
-def test_two_point_boundary():
-    model = train(TWO_POINTS, TWO_LABELS, kernel=LINEAR, config=_hard_margin())
+@pytest.fixture
+def hard_margin(monkeypatch):
+    """C = 1e6 without class weights, solved to a KKT tolerance of 1e-6."""
+    solver_limits(monkeypatch, kkt_tolerance=1e-6, max_passes=500)
+    return HARD_MARGIN
+
+
+def test_two_point_boundary(hard_margin):
+    model = train(TWO_POINTS, TWO_LABELS, kernel=LINEAR, config=hard_margin)
     assert model.bias == pytest.approx(-1.0, abs=1e-6)
     assert _score(model, [2.0, 2.0]) == pytest.approx(1.0, abs=1e-6)
     assert _score(model, [0.0, 0.0]) == pytest.approx(-1.0, abs=1e-6)
@@ -50,16 +56,16 @@ def test_two_point_boundary():
     assert _predict(model, [1.0, 1.0]) == 1
 
 
-def test_sign_mapping():
-    model = train(TWO_POINTS, TWO_LABELS, kernel=LINEAR, config=_hard_margin())
+def test_sign_mapping(hard_margin):
+    model = train(TWO_POINTS, TWO_LABELS, kernel=LINEAR, config=hard_margin)
     assert _predict(model, [3.0, 3.0]) == 1
     assert _predict(model, [0.9, 0.9]) == -1
 
 
-def test_xor_with_quadratic_kernel():
+def test_xor_with_quadratic_kernel(hard_margin):
     x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     labels = np.array([-1.0, -1.0, 1.0, 1.0])
-    model = train(x, labels, kernel=POLY21, config=_hard_margin())
+    model = train(x, labels, kernel=POLY21, config=hard_margin)
     for row, want in zip(x, labels):
         assert _predict(model, row) == want
 
@@ -95,7 +101,8 @@ def _kkt_violation(model, x, labels, bounds):
     return worst
 
 
-def test_kkt_conditions_on_random_problems():
+def test_kkt_conditions_on_random_problems(monkeypatch):
+    solver_limits(monkeypatch, kkt_tolerance=1e-4, max_passes=500)
     rng = np.random.default_rng(100)
     for trial in range(25):
         n = int(rng.integers(6, 20))
@@ -104,8 +111,7 @@ def test_kkt_conditions_on_random_problems():
         if abs(labels.sum()) == n:
             labels[0] = -labels[0]
         c = float(rng.choice([0.5, 1.0, 10.0]))
-        config = TrainConfig(c_regularization=c, balance_classes=False,
-                             kkt_tolerance=1e-4, max_passes=500, seed=trial)
+        config = TrainConfig(c_regularization=c, balance_classes=False, seed=trial)
         model = train(x, labels, kernel=KernelSpec(variant="rbf", delta=1.0),
                       config=config)
         assert model.converged
@@ -117,11 +123,11 @@ def test_kkt_conditions_on_random_problems():
         assert abs(model.alphas @ model.sv_labels) <= 1e-8
 
 
-def test_separable_margins_at_large_c():
+def test_separable_margins_at_large_c(hard_margin):
     rng = np.random.default_rng(8)
     for trial in range(10):
         x, labels = separable_blobs(rng, n_per_class=12)
-        model = train(x, labels, kernel=LINEAR, config=_hard_margin())
+        model = train(x, labels, kernel=LINEAR, config=hard_margin)
         scores = decision_values(model, x)
         assert np.all(labels * scores >= 1.0 - 1e-3)
 
@@ -138,25 +144,87 @@ def test_bitwise_determinism():
     assert np.array_equal(a.support_vectors, b.support_vectors)
 
 
-def test_nonconvergence_is_flagged_not_fatal():
+def test_nonconvergence_is_flagged_not_fatal(monkeypatch):
+    solver_limits(monkeypatch, kkt_tolerance=1e-9, max_passes=1)
     rng = np.random.default_rng(14)
     x = rng.normal(size=(60, 3))
     labels = np.where(rng.random(60) < 0.5, -1.0, 1.0)
     if abs(labels.sum()) == 60:
         labels[0] = -labels[0]
-    config = TrainConfig(c_regularization=100.0, kkt_tolerance=1e-9, max_passes=1)
+    config = TrainConfig(c_regularization=100.0)
     model = train(x, labels, kernel=KernelSpec(variant="rbf", delta=0.5),
                   config=config)
     assert not model.converged
     assert model.max_kkt_violation > 1e-9
 
 
-def test_class_weighted_box_bounds():
+def _record_candidates(monkeypatch):
+    """The (iterate, solved) candidates that train's interior point
+    yields, recorded as they pass."""
+    real = svm._interior_point
+    candidates = []
+
+    def recording(*args):
+        for iterate, solved in real(*args):
+            candidates.append((np.stack(iterate), solved))
+            yield iterate, solved
+
+    monkeypatch.setattr(svm, "_interior_point", recording)
+    return candidates
+
+
+# the first Newton solve, the corrector of the first step, and one midway
+@pytest.mark.parametrize("failing_solve", [1, 2, 9])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_newton_step_ends_at_the_best_iterate(monkeypatch, failing_solve):
+    """A Newton solve that returns NaN makes the next merit NaN, which
+    ends the interior point at the best iterate before that step, as a
+    budget of the steps before it would. train then finishes that iterate
+    on exact kernel values: no error, and converged says whether the KKT
+    conditions hold there."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(60, 3))
+    labels = np.where(x[:, 0] * x[:, 1] + 0.5 * rng.normal(size=60) > 0, 1.0, -1.0)
+    config = TrainConfig(c_regularization=10.0, balance_classes=False)
+    real_solve = np.linalg.solve
+    newton_solves = []
+
+    def failing(a, b):
+        # the Newton step solves for columns, _settle_free for one vector
+        if np.ndim(b) == 2:
+            newton_solves.append(b.shape)
+            if len(newton_solves) == failing_solve:
+                return np.full(b.shape, np.nan)
+        return real_solve(a, b)
+
+    candidates = _record_candidates(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    model = train(x, labels, kernel=POLY21, config=config)
+    monkeypatch.setattr(np.linalg, "solve", real_solve)
+    # the failing step ran to its end, and no step followed it
+    assert len(newton_solves) == failing_solve + failing_solve % 2
+    iterate, solved = candidates[-1]
+    assert np.all(np.isfinite(iterate)) and solved
+
+    # each step makes two solves; a budget of the steps before the failing one
+    candidates.clear()
+    solver_limits(monkeypatch, max_passes=(failing_solve + 1) // 2)
+    train(x, labels, kernel=POLY21, config=config)
+    assert iterate.tobytes() == candidates[-1][0].tobytes() and not candidates[-1][1]
+
+    violation = _kkt_violation(model, x, labels, np.full(labels.size, 10.0))
+    assert model.max_kkt_violation == pytest.approx(violation, rel=1e-6, abs=1e-9)
+    assert model.converged == (model.max_kkt_violation <= svm.KKT_TOLERANCE)
+    assert np.isfinite(model.bias) and np.isfinite(model.dual_objective)
+
+
+def test_class_weighted_box_bounds(monkeypatch):
+    solver_limits(monkeypatch, max_passes=300)
     rng = np.random.default_rng(21)
     x = rng.normal(size=(30, 2))
     labels = np.array([-1.0] * 24 + [1.0] * 6)
     # balancing scales C by n / (2 n_class): 30/48 for -1, 30/12 for +1
-    config = TrainConfig(c_regularization=1.0, balance_classes=True, max_passes=300)
+    config = TrainConfig(c_regularization=1.0, balance_classes=True)
     model = train(x, labels, kernel=LINEAR, config=config)
     neg = model.alphas[model.sv_labels < 0]
     pos = model.alphas[model.sv_labels > 0]
@@ -188,8 +256,8 @@ def test_train_validates_labels():
         train(TWO_POINTS, np.array([1.0]), kernel=LINEAR)
 
 
-def test_plain_array_gets_identity_scaler():
-    model = train(TWO_POINTS, TWO_LABELS, kernel=LINEAR, config=_hard_margin())
+def test_plain_array_gets_identity_scaler(hard_margin):
+    model = train(TWO_POINTS, TWO_LABELS, kernel=LINEAR, config=hard_margin)
     assert model.feature_names == ("f0", "f1")
     assert np.all(model.scaler_means == 0.0)
     assert np.all(model.scaler_scales == 1.0)
