@@ -36,9 +36,13 @@ VARIANTS = ("linear", "polynomial", "sigmoid", "rbf", "anova")
 # the blocks gather from instead of recomputing exp. So a table is never
 # larger than a block; on the 2118 x 1386 live columns of a paper-scale
 # fit (11 of 14 dimensions tabled, one thread) the sum took 46 ms with
-# the tables and 145 ms without. RBF forms its squared distances over row
-# blocks of the same size, so that its scratch is one block rather than a
-# second full-size matrix.
+# the tables and 145 ms without. The same bound sizes kernel_columns'
+# tables, v x v terms for a dimension of v values, and anova_product's
+# blocks of terms: on 2118 rows against 1370 multipliers the product took
+# 22-31 ms at 2^13 to 2^16 cells and 24-36 ms at 2^17 and 2^18 (one
+# thread, two runs each).
+# RBF forms its squared distances over row blocks of the same size, so
+# that its scratch is one block rather than a second full-size matrix.
 ANOVA_BLOCK_CELLS = 1 << 15
 
 # the parameters each variant reads, in the order to_text writes them
@@ -135,14 +139,28 @@ def _anova_term(spec: KernelSpec, diff: np.ndarray, term: np.ndarray) -> None:
         term **= spec.d
 
 
+def _anova_dims(spec: KernelSpec, width: int) -> int:
+    """How many leading coordinates the anova sum runs over."""
+    if spec.n_dims is not None and spec.n_dims > width:
+        raise DomainError(f"anova n_dims={spec.n_dims} exceeds the {width} input dimensions")
+    return width if spec.n_dims is None else spec.n_dims
+
+
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A column's distinct values, told apart by their bits (so 0.0 from
+    -0.0), and each row's index among them."""
+    bits, codes = np.unique(column.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), codes
+
+
 def _anova_table(spec: KernelSpec, column: np.ndarray, b_column: np.ndarray, limit: int):
     """(table, codes) for a column of ``a`` with at most ``limit`` distinct
     values, else None. Row v of the table holds the terms of value v
     against every row of ``b``, and ``codes`` gives each row's value."""
-    bits, codes = np.unique(column.view(np.int64), return_inverse=True)
-    if bits.size > limit:
+    values, codes = _distinct(column)
+    if values.size > limit:
         return None
-    diff = bits.view(np.float64)[:, None] - b_column
+    diff = values[:, None] - b_column
     table = np.empty_like(diff)
     _anova_term(spec, diff, table)
     return table, codes
@@ -185,11 +203,7 @@ def _cross_apply(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sq /= 2.0 * spec.delta**2
         return np.exp(sq, out=sq)
     if spec.variant == "anova":
-        if spec.n_dims is not None and spec.n_dims > a.shape[1]:
-            raise DomainError(
-                f"anova n_dims={spec.n_dims} exceeds the {a.shape[1]} input dimensions"
-            )
-        dims = a.shape[1] if spec.n_dims is None else spec.n_dims
+        dims = _anova_dims(spec, a.shape[1])
         m, n = a.shape[0], b.shape[0]
         step = max(1, ANOVA_BLOCK_CELLS // max(n, 1))
         tables = [_anova_table(spec, a[:, k], b[:, k], min(step, m // 2))
@@ -222,3 +236,78 @@ def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
         raise DomainError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     return _cross_apply(spec, a, b)
 
+
+def kernel_columns(spec: KernelSpec, x: np.ndarray):
+    """The kernel's diagonal on the rows of ``x``, and a function of p
+    that gives its column K(x, x_p), every value bit for bit
+    kernel_matrix's.
+
+    An anova dimension of at most a block's cells of value pairs gets a
+    table of its terms between its distinct values, built once, and the
+    diagonal and every column gather from it in the dimension's place in
+    the sum; a dimension of more values forms its terms for each column.
+    """
+    if spec.variant != "anova":
+        # block by block, so the diagonal comes from the same formula as
+        # the columns
+        blocks = np.array_split(x, max(1, x.shape[0] // 64))
+        diagonal = np.concatenate([np.diagonal(kernel_matrix(spec, blk, blk))
+                                   for blk in blocks])
+        return diagonal, lambda p: kernel_matrix(spec, x, x[p:p + 1])[:, 0]
+    n = x.shape[0]
+    dims = []  # (column, table or None, codes)
+    for k in range(_anova_dims(spec, x.shape[1])):
+        values, codes = _distinct(x[:, k])
+        table = None
+        if values.size ** 2 <= ANOVA_BLOCK_CELLS:
+            # row w holds the terms of every value against value w
+            table = np.empty((values.size, values.size))
+            _anova_term(spec, values - values[:, None], table)
+        dims.append((np.ascontiguousarray(x[:, k]), table, codes))
+    diff, term = np.empty(n), np.empty(n)
+
+    def summed(p=None):
+        # column p, or the diagonal when p is None
+        out = np.zeros(n)
+        for column, table, codes in dims:
+            if table is not None:
+                out += (np.diagonal(table) if p is None else table[codes[p]]).take(codes)
+                continue
+            np.subtract(column, column if p is None else column[p], out=diff)
+            _anova_term(spec, diff, term)
+            out += term
+        return out
+
+    return summed(), summed
+
+
+def anova_product(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
+                  coef: np.ndarray) -> np.ndarray:
+    """sum_j coef_j K(a_i, b_j) for each row a_i of ``a``, under the anova
+    kernel, one dimension at a time.
+
+    The kernel is a sum of one-dimensional terms, so the product is the
+    sum over dimensions k of g_k(a_ik), with g_k(u) = sum_j coef_j
+    term(u - b_jk) (Maji, Berg & Malik, CVPR 2008). A dimension forms its
+    terms for its distinct values in ``a`` only, against every row of
+    ``b``, in blocks of ANOVA_BLOCK_CELLS cells, and each row gathers g_k
+    at its value: a dimension of few values is one block, and no array of
+    a's rows by b's is held.
+    """
+    dims = _anova_dims(spec, a.shape[1])
+    step = max(1, ANOVA_BLOCK_CELLS // max(b.shape[0], 1))
+    diff = np.empty((min(step, a.shape[0]), b.shape[0]))
+    term = np.empty_like(diff)
+    out = np.zeros(a.shape[0])
+    for k in range(dims):
+        values, codes = _distinct(a[:, k])
+        column = np.ascontiguousarray(b[:, k])  # a strided one slows the subtraction by half
+        sums = np.empty(values.size)
+        for start in range(0, values.size, step):
+            block = values[start:start + step]
+            d, t = diff[:block.size], term[:block.size]
+            np.subtract(block[:, None], column, out=d)
+            _anova_term(spec, d, t)
+            sums[start:start + block.size] = t @ coef
+        out += sums[codes]
+    return out

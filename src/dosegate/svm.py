@@ -7,10 +7,11 @@ The trainer maximizes the dual
 
 where C_i is the box bound, optionally scaled per class to counter
 imbalance. It first factors the kernel by greedy pivoted Cholesky,
-K ~ V V^T, one kernel column per pivot. A positive semidefinite kernel
-of low rank (linear, polynomial and anova on these features) is solved
-on that factor by a Mehrotra predictor-corrector interior-point method
-whose Newton systems cost O(n rank^2) through the Sherman-Morrison-
+K ~ V V^T, one kernel column per pivot, unless a probe on one kernel
+matrix of the first rows turns the kernel away. A positive semidefinite
+kernel of low rank (linear, polynomial and anova on these features) is
+solved on that factor by a Mehrotra predictor-corrector interior-point
+method whose Newton systems cost O(n rank^2) through the Sherman-Morrison-
 Woodbury identity (Fine & Scheinberg, JMLR 2001; Ferris & Munson, SIAM
 J. Optim. 2002). Its rank x rank matrix I + W^T D^-1 W is formed as
 I + Y^T Y with Y = D^-1/2 W, which numpy computes as a symmetric product
@@ -29,7 +30,8 @@ the factor. A kernel the factor shows indefinite (sigmoid) or of rank
 above LOW_RANK_CAP (RBF) is solved by SMO on the dense Gram matrix: pick
 a maximal KKT violator, pair it with the index of largest error
 difference, and update the pair analytically. Either way the bias, the
-KKT verdict and the dual objective come from exact kernel values.
+KKT verdict and the dual objective come from exact kernel terms, summed
+one dimension at a time for anova and linear (_kernel_scores).
 
 SMO starts at zero, or at the upper corner a = C (alpha seeding, DeCoste
 & Wagstaff, KDD 2000) when three things hold: the factor saw no negative
@@ -42,7 +44,8 @@ which local optimum SMO finds.
 
 Models keep their support vectors in standardized feature space along
 with the scaler, so decision_values accepts raw-space inputs and scales
-internally. w is never formed; everything goes through the kernel.
+internally. w is formed only to score the linear kernel, as V^T c;
+everything else goes through the kernel.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabelsError, DomainError, NumericalError
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec, anova_product, kernel_columns, kernel_matrix
 
 # The factored interior-point path serves kernels whose pivoted Cholesky
 # factor stops by this rank; a kernel of higher rank goes to SMO on the
@@ -65,7 +68,9 @@ from .kernels import KernelSpec, kernel_matrix
 # the whole fit takes 0.12 s on the factor against 0.81 s (Gram matrix
 # and SMO) for the paper's kernel, 0.05 against 0.12 s for linear and
 # 0.23 against 0.35 s for anova. The paper's kernel has rank 95-124 on
-# these features.
+# these features. The factor's probe pivots on one kernel matrix of the
+# first LOW_RANK_CAP + 1 rows: on 2118 paper-scale rows it turns RBF away
+# in 2.3-2.7 ms, where one kernel call per pivot took 7.1-7.9 ms.
 LOW_RANK_CAP = 200
 # A residual diagonal below this share of the largest kernel diagonal
 # ends the factor; one below minus this share shows an indefinite kernel.
@@ -81,16 +86,18 @@ KKT_TOLERANCE = 1e-3
 # interior-point method at most MAX_PASSES iterations, and a fit that
 # uses it up is not converged
 MAX_PASSES = 200
-# Scoring evaluates the kernel against the support vectors this many rows
-# at a time, as train's exact finish does against the multipliers off
-# zero: at 1,288 support vectors a block is 2.6 MB, where a 4,237-row
-# cohort in one product was 43.7 MB. A fresh-process `gate
-# --jsonl` on 4,237 rows peaks 11.5 MB above its import with these blocks
-# and 26.4 MB with 1,024-row ones (one BLAS thread). At one BLAS thread a
-# row scores bit for bit as in one product: blocks start at a multiple of
-# four rows (the grouping of OpenBLAS's matrix-vector kernel), and no
-# block but a lone input row has one row (numpy multiplies a single row
-# by another path), so a one-row tail joins the block before it.
+# Scoring under the polynomial, RBF and sigmoid kernels evaluates the
+# kernel against the support vectors this many rows at a time, as train's
+# exact finish does against the multipliers off zero (anova and linear
+# score one dimension at a time and hold no such block): at 1,288 support
+# vectors a block is 2.6 MB, where a 4,237-row cohort in one product was
+# 43.7 MB. A fresh-process `gate --jsonl` on 4,237 rows peaks 11.5 MB
+# above its import with these blocks and 26.4 MB with 1,024-row ones (one
+# BLAS thread). At one BLAS thread a row scores bit for bit as in one
+# product: blocks start at a multiple of four rows (the grouping of
+# OpenBLAS's matrix-vector kernel), and no block but a lone input row has
+# one row (numpy multiplies a single row by another path), so a one-row
+# tail joins the block before it.
 SCORE_BLOCK_ROWS = 256
 
 
@@ -173,32 +180,34 @@ def _final_bias(alpha: np.ndarray, z: np.ndarray, scores: np.ndarray,
     return float(0.5 * (lo + hi))
 
 
-def _kernel_diagonal(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
-    # block by block through kernel_matrix, so the diagonal comes from
-    # the same formula as the factor's columns
-    blocks = np.array_split(x, max(1, x.shape[0] // 64))
-    return np.concatenate([np.diagonal(kernel_matrix(spec, blk, blk)) for blk in blocks])
-
-
 def pivoted_cholesky(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray | None, bool]:
     """Greedy pivoted Cholesky factor V (n x rank) with K ~ V V^T.
 
-    Each step pivots on the largest residual diagonal and computes that
-    one kernel column. Returns (V, False), or (None, indefinite) when the
-    factor stops early: indefinite is True when a residual diagonal fell
-    below zero by more than rounding (the kernel is indefinite on x) and
-    False when the rank would pass LOW_RANK_CAP before any did.
+    Each step pivots on the largest residual diagonal and reads that one
+    kernel column from kernels.kernel_columns. Returns (V, False), or
+    (None, indefinite) when the factor stops early: indefinite is True
+    when a residual diagonal fell below zero by more than rounding (the
+    kernel is indefinite on x) and False when the rank would pass
+    LOW_RANK_CAP before any did.
     """
-    n = x.shape[0]
-    probe = LOW_RANK_CAP + 1
-    if n > probe:
+    if x.shape[0] > LOW_RANK_CAP + 1:
         # the kernel on some rows has no more rank than on all of them and
-        # is indefinite only if it is on all of them, so the first rows
-        # turn a full-rank kernel away at a fraction of the full cost
-        head, indefinite = pivoted_cholesky(spec, x[:probe])
-        if head is None:
+        # is indefinite only if it is on all of them, so the first rows'
+        # kernel matrix turns a full-rank kernel away at a fraction of the
+        # full cost
+        first = x[:LOW_RANK_CAP + 1]
+        head = kernel_matrix(spec, first, first)
+        factor, indefinite = _greedy_factor(np.diagonal(head), lambda p: head[:, p])
+        if factor is None:
             return None, indefinite
-    residual = _kernel_diagonal(spec, x)
+    return _greedy_factor(*kernel_columns(spec, x))
+
+
+def _greedy_factor(diagonal: np.ndarray, column) -> tuple[np.ndarray | None, bool]:
+    """pivoted_cholesky's steps on a kernel given by its diagonal and a
+    function of p that gives its column p."""
+    residual = diagonal.copy()
+    n = residual.size
     floor = PIVOT_TOLERANCE * max(float(np.abs(residual).max()), np.finfo(float).tiny)
     rows = np.empty((min(n, LOW_RANK_CAP), n))  # row k is column k of V
     rank = 0
@@ -208,7 +217,7 @@ def pivoted_cholesky(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray | None
             return rows[:rank].T, False
         if rank == LOW_RANK_CAP:
             return None, False
-        col = kernel_matrix(spec, x, x[p:p + 1])[:, 0] - rows[:rank].T @ rows[:rank, p]
+        col = column(p) - rows[:rank].T @ rows[:rank, p]
         rows[rank] = col / np.sqrt(residual[p])
         residual -= rows[rank] ** 2
         rank += 1
@@ -626,7 +635,7 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
     at most LOW_RANK_CAP is solved by the interior-point method on that
     factor, any other by SMO on the dense Gram matrix. Either way the
     bias, the KKT verdict and the dual objective come from exact kernel
-    values.
+    terms (see the module docstring).
 
     ``factor``, when given, stands in for pivoted_cholesky(kernel, x):
     it is that result, or (V[S], False) for the rows S of a larger set
@@ -694,8 +703,15 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
 
 def _kernel_scores(kernel: KernelSpec, rows: np.ndarray, vectors: np.ndarray,
                    coef: np.ndarray) -> np.ndarray:
-    """sum_j coef_j K(x, vectors_j) for each row x of ``rows``, at most
+    """sum_j coef_j K(x, vectors_j) for each row x of ``rows``: the one
+    kernel-vector product behind every score. Linear is x . (V^T coef)
+    and anova a sum of one-dimensional products (kernels.anova_product);
+    any other kernel is evaluated against the vectors at most
     SCORE_BLOCK_ROWS + 1 rows at a time."""
+    if kernel.variant == "linear":
+        return rows @ (vectors.T @ coef)
+    if kernel.variant == "anova":
+        return anova_product(kernel, rows, vectors, coef)
     n = rows.shape[0]
     out = np.empty(n)
     start = 0

@@ -1,10 +1,12 @@
 """Shared patient factories and toy-data generators for the test suite."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from dosegate import svm
+from dosegate.kernels import ANOVA_BLOCK_CELLS
 from dosegate.records import BINARY_COVARIATES, CANONICAL_COLUMNS, Cohort, Race
 
 # the identity column map that ships with the package
@@ -54,3 +56,24 @@ def solver_limits(monkeypatch, kkt_tolerance=svm.KKT_TOLERANCE, max_passes=svm.M
     forked cross-validation workers inherit them."""
     monkeypatch.setattr(svm, "KKT_TOLERANCE", kkt_tolerance)
     monkeypatch.setattr(svm, "MAX_PASSES", max_passes)
+
+
+# the most values an anova dimension has for the factor to table its terms
+TABLE_VALUES = math.isqrt(ANOVA_BLOCK_CELLS)
+
+
+def mixed_rows(rows, seed):
+    """Coded columns (two values, nine, 0.0 beside -0.0 and 0.7), a
+    continuous one, a one-value column, and columns of as many values as
+    the factor tables and one more; each code cycles, so a column of r
+    rows takes min(r, values) of them."""
+    rng = np.random.default_rng(seed)
+
+    def codes(values):
+        return rng.permutation(np.resize(np.asarray(values, dtype=float), rows))
+
+    return np.column_stack([
+        codes([-0.8123, 1.2311]), 0.3 * rng.normal(size=rows),
+        codes((np.arange(1.0, 10.0) - 5.37) / 1.83), codes([0.0, -0.0, 0.7]),
+        np.full(rows, 0.37), codes(np.linspace(-1.0, 1.0, TABLE_VALUES)),
+        codes(np.linspace(-1.0, 1.0, TABLE_VALUES + 1))])

@@ -4,10 +4,13 @@ train_report.txt."""
 
 import numpy as np
 import pytest
+from helpers import mixed_rows
+from reference_factor import reference_cholesky
 
 from dosegate import crossval, gate, svm
 from dosegate.cli import main
 from dosegate.cohort import split_cohort
+from dosegate.errors import DomainError
 from dosegate.gate import fit_gate
 from dosegate.kernels import KernelSpec, kernel_matrix
 from dosegate.svm import LOW_RANK_CAP, PIVOT_TOLERANCE, pivoted_cholesky
@@ -96,3 +99,51 @@ def test_train_report_says_what_the_fits_solved_on(tmp_path, capsys, kernel, lin
     assert report[selected + 1].startswith(line)
     if line == "factor rank ":
         assert 0 < int(report[selected + 1].split()[2]) <= LOW_RANK_CAP
+
+
+@pytest.mark.parametrize("kernel", [
+    KernelSpec(variant="anova", sigma=1.0, d=1),
+    KernelSpec(variant="anova", sigma=0.5, d=2),
+    KernelSpec(variant="anova", sigma=2.0, d=1, n_dims=4),
+    KernelSpec(variant="anova", sigma=0.1, d=2, n_dims=1),
+], ids=KernelSpec.to_text)
+@pytest.mark.parametrize("rows", [150, 400])  # 400 rows take the probe first
+def test_anova_factor_equals_the_one_column_reference_bit_for_bit(kernel, rows):
+    # at 400 rows the continuous column and the one of one value more than
+    # a table holds have no table; at 150 every column but the continuous
+    # one has
+    x = mixed_rows(rows, seed=rows)
+    factor, indefinite = pivoted_cholesky(kernel, x)
+    want, want_indefinite = reference_cholesky(kernel, x)
+    assert factor is not None and want is not None and not indefinite and not want_indefinite
+    assert np.array_equal(factor.view(np.int64), want.view(np.int64))
+
+
+def _repeated_rows(rng, distinct=150, n=400, dims=6):
+    x = rng.normal(size=(distinct, dims))
+    return x[rng.integers(0, distinct, size=n)]
+
+
+@pytest.mark.parametrize("kernel, rows, verdict", [
+    (KernelSpec(variant="rbf", delta=1.0), lambda rng: rng.normal(size=(400, 6)), "rank"),
+    (KernelSpec(variant="rbf", delta=1.0), _repeated_rows, "factor"),  # rank under 200
+    (SIGMOID, lambda rng: rng.normal(size=(400, 6)), "indefinite"),
+    (POLYNOMIAL, lambda rng: rng.normal(size=(400, 6)), "factor"),
+    (LINEAR, lambda rng: rng.normal(size=(400, 6)), "factor"),
+    (ANOVA, lambda rng: mixed_rows(400, seed=9), "factor"),
+], ids=["rbf-distinct", "rbf-repeated", "sigmoid", "polynomial", "linear", "anova"])
+def test_probe_from_one_matrix_gives_the_reference_verdict(kernel, rows, verdict):
+    x = rows(np.random.default_rng(5))
+    factor, indefinite = pivoted_cholesky(kernel, x)
+    want, want_indefinite = reference_cholesky(kernel, x)
+    expected = {"rank": (True, False), "indefinite": (True, True), "factor": (False, False)}
+    assert (factor is None, indefinite) == (want is None, want_indefinite) == expected[verdict]
+    if factor is not None:
+        assert np.array_equal(factor, want)
+
+
+@pytest.mark.parametrize("rows", [150, 400])
+def test_anova_dimensions_past_the_input_width_are_a_domain_error(rows):
+    x = mixed_rows(rows, seed=1)
+    with pytest.raises(DomainError, match="n_dims"):
+        pivoted_cholesky(KernelSpec(variant="anova", n_dims=x.shape[1] + 1), x)

@@ -6,7 +6,9 @@ The check reads the source with ast: a public name defined at the top
 of a module must be loaded in that module or imported from it by
 another one. For the same reason every field of a ``*Config`` dataclass
 is a setting that src/ passes by keyword somewhere; a field that only
-tests set is a module constant instead.
+tests set is a module constant instead. And every score goes through
+one kernel-vector product, so no code outside it multiplies the result
+of a ``kernel_matrix(...)`` call by a vector.
 """
 
 import ast
@@ -114,3 +116,69 @@ def test_the_check_sees_a_field_only_tests_set(tmp_path):
     (tmp_path / "b.py").write_text("from .a import FitConfig\n\nFitConfig(3, limit=1)\n"
                                    "Other(passes=4)\n")
     assert unset_config_fields(tmp_path) == ["FitConfig.passes"]
+
+
+# the one kernel-vector product, sum_j c_j K(x_i, v_j), behind every score
+PRODUCT = ("svm", "_kernel_scores")
+_PRODUCT_CALLS = ("dot", "matmul", "vdot", "inner", "tensordot", "einsum")
+
+
+def _kernel_matrix_result(node) -> bool:
+    """Whether node is a kernel_matrix(...) call, or a subscript or an
+    attribute (such as .T) of one."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return isinstance(node, ast.Call) and _callee(node) == "kernel_matrix"
+
+
+def _callee(call: ast.Call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _products(tree: ast.AST):
+    """Each node that multiplies a kernel_matrix(...) result: by @ or *,
+    through a numpy product function, or through its own .dot."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.MatMult, ast.Mult)):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Call) and _callee(node) in _PRODUCT_CALLS:
+            operands = [*node.args, getattr(node.func, "value", None)]
+        else:
+            continue
+        if any(_kernel_matrix_result(operand) for operand in operands):
+            yield node
+
+
+def kernel_matrix_products(package: Path = PACKAGE) -> list:
+    """'module.owner:line' for each such product outside PRODUCT, where
+    the owner is the top-level function or class that holds it."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for statement in ast.parse(path.read_text(), str(path)).body:
+            owner = getattr(statement, "name", "<module>")
+            if (path.stem, owner) != PRODUCT:
+                found.extend(f"{path.stem}.{owner}:{node.lineno}"
+                             for node in _products(statement))
+    return found
+
+
+def test_scores_come_from_the_one_kernel_vector_product():
+    assert kernel_matrix_products() == []
+
+
+def test_the_check_sees_a_kernel_matrix_times_a_vector(tmp_path):
+    (tmp_path / "svm.py").write_text(
+        "import numpy as np\n\nfrom .kernels import kernel_matrix\n\n\n"
+        "def _kernel_scores(spec, rows, vectors, coef):\n"
+        "    return kernel_matrix(spec, rows, vectors) @ coef\n\n\n"
+        "def margins(spec, rows, vectors, coef):\n"
+        "    return kernel_matrix(spec, rows, vectors)[:, 1:] @ coef[1:]\n\n\n"
+        "def column(spec, x, v):\n"
+        "    return np.dot(kernel_matrix(spec, x, x[:1])[:, 0], v)\n\n\n"
+        "def gram(spec, x):\n"
+        "    return kernel_matrix(spec, x, x)\n")
+    (tmp_path / "gate.py").write_text(
+        "from . import kernels\n\nSCORES = kernels.kernel_matrix(S, A, B).T.dot(C)\n"
+        "WEIGHTED = (kernels.kernel_matrix(S, A, B) * C).sum(axis=1)\n")
+    assert kernel_matrix_products(tmp_path) == [
+        "gate.<module>:3", "gate.<module>:4", "svm.margins:11", "svm.column:15"]

@@ -1,9 +1,11 @@
 """Trainer behavior: analytic solutions, KKT optimality, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import make_patient, separable_blobs, solver_limits
+from helpers import make_patient, mixed_rows, separable_blobs, solver_limits
 
 from dosegate import svm
 from dosegate.cohort import apply_imputation, split_cohort
@@ -278,7 +280,8 @@ def test_matrix_schema_mismatch_rejected():
         decision_values(model, x[:, :1])
 
 
-@pytest.mark.parametrize("kernel", [POLY21, KernelSpec(variant="rbf", delta=1.5)])
+@pytest.mark.parametrize("kernel", [POLY21, KernelSpec(variant="rbf", delta=1.5),
+                                    KernelSpec(variant="sigmoid", theta=0.2)])
 def test_block_scoring_equals_one_product(kernel):
     """Inputs past one block (including a one-row tail) score bit for bit
     as the single rows x support-vectors product."""
@@ -294,3 +297,55 @@ def test_block_scoring_equals_one_product(kernel):
         whole = (kernel_matrix(kernel, rows, model.support_vectors)
                  @ (model.alphas * model.sv_labels) + model.bias)
         assert np.array_equal(decision_values(model, rows), whole)
+
+
+ANOVA = KernelSpec(variant="anova", sigma=1.0, d=1)
+
+
+@pytest.mark.parametrize("kernel", [
+    LINEAR, ANOVA, KernelSpec(variant="anova", sigma=0.5, d=2, n_dims=2),
+], ids=KernelSpec.to_text)
+@pytest.mark.parametrize("n_rows, n_vectors", [
+    (1, 8), (SCORE_BLOCK_ROWS + 1, 8), (2 * SCORE_BLOCK_ROWS + 1, 300), (40, 1), (40, 0), (1, 0),
+])
+def test_additive_scores_agree_with_the_kernel_matrix_product(kernel, n_rows, n_vectors):
+    """Linear and anova score one dimension at a time, not through
+    kernel_matrix; each score agrees with the matrix product to 1e-12 of
+    the sum of its terms' magnitudes."""
+    seed = n_rows * 1000 + n_vectors
+    rows, vectors = mixed_rows(n_rows, seed), mixed_rows(n_vectors, seed + 1)
+    coef = np.random.default_rng(seed).uniform(-1.0, 1.0, n_vectors)
+    k = kernel_matrix(kernel, rows, vectors)
+    got = svm._kernel_scores(kernel, rows, vectors, coef)
+    assert got.shape == (n_rows,)
+    assert np.all(np.abs(got - k @ coef) <= 1e-12 * np.abs(k * coef).sum(axis=1))
+
+
+@pytest.mark.parametrize("n_rows", [1, SCORE_BLOCK_ROWS + 1])
+def test_anova_dimensions_past_the_input_width_are_a_domain_error_when_scoring(n_rows):
+    vectors = mixed_rows(5, seed=8)
+    d = vectors.shape[1]
+    model = SvmModel(
+        kernel=KernelSpec(variant="anova", n_dims=d + 1), support_vectors=vectors,
+        alphas=np.full(5, 0.5), sv_labels=np.array([1.0, -1.0, 1.0, -1.0, 1.0]), bias=0.0,
+        feature_names=tuple(f"f{k}" for k in range(d)), scaler_means=np.zeros(d),
+        scaler_scales=np.ones(d), converged=True, max_kkt_violation=0.0, dual_objective=0.0)
+    with pytest.raises(DomainError, match="n_dims"):
+        decision_values(model, mixed_rows(n_rows, seed=9))
+
+
+def test_anova_scores_hold_no_rows_by_vectors_array():
+    # paper-scale shapes: 2,118 training rows against 1,370 multipliers
+    # off zero, ten coded dimensions and three continuous ones
+    rng = np.random.default_rng(6)
+    rows = np.column_stack([rng.integers(0, 9, 2118)] + [rng.integers(0, 2, 2118)] * 9
+                           + [rng.normal(size=2118) for _ in range(3)]).astype(float)
+    coef = rng.uniform(-0.1, 0.1, 1370)
+    vectors = rows[:1370].copy()
+    tracemalloc.start()
+    try:
+        svm._kernel_scores(ANOVA, rows, vectors, coef)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.shape[0] * vectors.shape[0] * 8 / 16
