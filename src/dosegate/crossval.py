@@ -1,18 +1,17 @@
 """k-fold cross-validation and C selection.
 
-Folds are stratified by gate label (the HighRisk/Safe split is roughly
-77/23, so plain random folds can starve the minority class). Everything
+Folds are stratified by gate label (the HighRisk/Safe split is about
+57/43 on the synthetic paper-scale cohort, 1,210 of 2,118 training
+rows, and random folds would let it vary from fold to fold). Everything
 is seeded and deterministic, and fold evaluation order is fixed by index.
 
 select_c's (C, fold) fits are independent, so they are split among
 processes, one per CPU this process may use for each BLAS thread: this
 process forks one child for each process past the first, fits its own
-share meanwhile, and reads the children's outcomes back through pipes.
-On a 2-CPU x86_64 machine a bare fork took about 3 ms to start and
-reap, where a two-process pool took 7-10 ms, plus about 19 ms to import
-its modules in a fresh process, and left this process idle while its
-workers fitted. Outcomes are put back in grid-then-fold order, so the
-selection does not depend on the process count.
+share meanwhile, and reads the children's outcomes back through pipes
+(a process pool costs more to start; README has the figures). Outcomes
+are put back in grid-then-fold order, so the selection does not depend
+on the process count.
 """
 
 from __future__ import annotations
@@ -108,9 +107,7 @@ def _available_cpus() -> int:
     workers or cannot tell.
 
     A worker keeps the BLAS thread count it inherits, because the fits'
-    last digits follow it. On 2 CPUs, two workers of two BLAS threads
-    each made paper-scale ``train`` take 7.9-11.0 s, against 4.4-5.4 s
-    in one process.
+    last digits follow it.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1

@@ -24,25 +24,11 @@ import numpy as np
 from .errors import DomainError
 
 VARIANTS = ("linear", "polynomial", "sigmoid", "rbf", "anova")
-# The anova sum runs over row blocks of about this many cells, so that its
-# two scratch buffers and the block of the output (256 kB each) stay in a
-# 2 MB L2 cache across the dimensions. On 2118 x 1400 cells and 14
-# dimensions (one thread, median of 7) 2^14 cells took 0.20 s, 2^15
-# 0.19 s, 2^16 0.22 s, 2^18 0.27 s, and the unblocked sum 0.53 s. The
-# block also bounds anova's value tables: in an output of at least one
-# block, a dimension whose rows of a take at most one block's rows of
-# distinct values, and at most half as many as there are rows, gets a
-# table of its terms (one row per value, against every row of b), which
-# the blocks gather from instead of recomputing exp. So a table is never
-# larger than a block; on the 2118 x 1386 live columns of a paper-scale
-# fit (11 of 14 dimensions tabled, one thread) the sum took 46 ms with
-# the tables and 145 ms without. The same bound sizes kernel_columns'
-# tables, v x v terms for a dimension of v values, and anova_product's
-# blocks of terms: on 2118 rows against 1370 multipliers the product took
-# 22-31 ms at 2^13 to 2^16 cells and 24-36 ms at 2^17 and 2^18 (one
-# thread, two runs each).
-# RBF forms its squared distances over row blocks of the same size, so
-# that its scratch is one block rather than a second full-size matrix.
+# The anova sum, kernel_columns' value tables and anova_product's terms
+# run over blocks of about this many cells, so that a block's scratch
+# buffers stay in a 2 MB L2 cache; the block also bounds the size of
+# every anova value table, and RBF forms its squared distances in blocks
+# of it. README's paragraph on kernel blocks has the measurements.
 ANOVA_BLOCK_CELLS = 1 << 15
 
 # the parameters each variant reads, in the order to_text writes them
@@ -199,8 +185,7 @@ def _cross_apply(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.maximum(sq, 0.0, out=sq)
         if a is b:
             np.fill_diagonal(sq, 0.0)
-        np.negative(sq, out=sq)
-        sq /= 2.0 * spec.delta**2
+        sq /= -2.0 * spec.delta**2  # the bits of -sq / (2 delta^2)
         return np.exp(sq, out=sq)
     if spec.variant == "anova":
         dims = _anova_dims(spec, a.shape[1])

@@ -15,8 +15,7 @@ method whose Newton systems cost O(n rank^2) through the Sherman-Morrison-
 Woodbury identity (Fine & Scheinberg, JMLR 2001; Ferris & Munson, SIAM
 J. Optim. 2002). Its rank x rank matrix I + W^T D^-1 W is formed as
 I + Y^T Y with Y = D^-1/2 W, which numpy computes as a symmetric product
-(BLAS syrk: 0.27 ms against 0.46 ms for the general product on 666 x 109,
-one thread), and solved by np.linalg.solve. The method stops at the
+(BLAS syrk), and solved by np.linalg.solve. The method stops at the
 optimal face rather than at its own tolerance (the crossover of
 Mehrotra & Ye, Math. Programming 1993, and Andersen & Ye, Management
 Science 1996): once an iterate's merit is within KKT_TOLERANCE, each
@@ -30,8 +29,8 @@ the factor. A kernel the factor shows indefinite (sigmoid) or of rank
 above LOW_RANK_CAP (RBF) is solved by SMO on the dense Gram matrix: pick
 a maximal KKT violator, pair it with the index of largest error
 difference, and update the pair analytically. Either way the bias, the
-KKT verdict and the dual objective come from exact kernel terms, summed
-one dimension at a time for anova and linear (_kernel_scores).
+KKT verdict and the dual objective come from exact kernel terms
+(_kernel_scores).
 
 SMO starts at zero, or at the upper corner a = C (alpha seeding, DeCoste
 & Wagstaff, KDD 2000) when three things hold: the factor saw no negative
@@ -44,13 +43,18 @@ which local optimum SMO finds.
 
 Models keep their support vectors in standardized feature space along
 with the scaler, so decision_values accepts raw-space inputs and scales
-internally. w is formed only to score the linear kernel, as V^T c;
-everything else goes through the kernel.
+internally. Scores take the cheapest exact form of each kernel: linear
+is x . (V^T c), anova a sum of one-dimensional products, and the paper's
+degree-2 polynomial sum_j c_j (<x, s_j> + offset)^2 the quadratic form
+x~^T M~ x~ with x~ = (x, 1), M~ = S~^T diag(c) S~ and S~ = (S, offset),
+a (d+1) x (d+1) matrix built once per model (Chang et al., JMLR 2010).
+Any other kernel is evaluated against the support vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,18 +63,8 @@ from .kernels import KernelSpec, anova_product, kernel_columns, kernel_matrix
 
 # The factored interior-point path serves kernels whose pivoted Cholesky
 # factor stops by this rank; a kernel of higher rank goes to SMO on the
-# dense Gram matrix, as does an indefinite one. The cap sits at the
-# measured crossover: on 2118 training rows at C=0.1 (one BLAS thread)
-# the interior-point iterations take 0.12 s at rank 100, 0.31 s at rank
-# 200 and 0.64 s at rank 300, while SMO took 0.3-0.5 s on the same rows
-# for its cheapest kernels (sigmoid, RBF, linear). SMO's cheaper updates
-# do not move it for the low-rank kernels, which need many more updates:
-# the whole fit takes 0.12 s on the factor against 0.81 s (Gram matrix
-# and SMO) for the paper's kernel, 0.05 against 0.12 s for linear and
-# 0.23 against 0.35 s for anova. The paper's kernel has rank 95-124 on
-# these features. The factor's probe pivots on one kernel matrix of the
-# first LOW_RANK_CAP + 1 rows: on 2118 paper-scale rows it turns RBF away
-# in 2.3-2.7 ms, where one kernel call per pivot took 7.1-7.9 ms.
+# dense Gram matrix, as does an indefinite one. README's "Solvers" gives
+# the rule's reason and each kernel's rank on the paper's features.
 LOW_RANK_CAP = 200
 # A residual diagonal below this share of the largest kernel diagonal
 # ends the factor; one below minus this share shows an indefinite kernel.
@@ -86,18 +80,14 @@ KKT_TOLERANCE = 1e-3
 # interior-point method at most MAX_PASSES iterations, and a fit that
 # uses it up is not converged
 MAX_PASSES = 200
-# Scoring under the polynomial, RBF and sigmoid kernels evaluates the
-# kernel against the support vectors this many rows at a time, as train's
-# exact finish does against the multipliers off zero (anova and linear
-# score one dimension at a time and hold no such block): at 1,288 support
-# vectors a block is 2.6 MB, where a 4,237-row cohort in one product was
-# 43.7 MB. A fresh-process `gate --jsonl` on 4,237 rows peaks 11.5 MB
-# above its import with these blocks and 26.4 MB with 1,024-row ones (one
-# BLAS thread). At one BLAS thread a row scores bit for bit as in one
-# product: blocks start at a multiple of four rows (the grouping of
-# OpenBLAS's matrix-vector kernel), and no block but a lone input row has
-# one row (numpy multiplies a single row by another path), so a one-row
-# tail joins the block before it.
+# Scoring under RBF, sigmoid and a polynomial of degree other than 2
+# evaluates the kernel against the support vectors this many rows at a
+# time: at 1,288 support vectors a block is 2.6 MB, where a 4,237-row
+# cohort in one product was 43.7 MB. At one BLAS thread a row scores bit
+# for bit as in one product: blocks start at a multiple of four rows (the
+# grouping of OpenBLAS's matrix-vector kernel), and no block but a lone
+# input row has one row (numpy multiplies a single row by another path),
+# so a one-row tail joins the block before it.
 SCORE_BLOCK_ROWS = 256
 
 
@@ -134,6 +124,14 @@ class SvmModel:
     converged: bool
     max_kkt_violation: float
     dual_objective: float
+
+    @cached_property
+    def _form(self) -> np.ndarray | None:
+        """The degree-2 polynomial's quadratic form, built on the first
+        score and kept with the model; None under any other kernel."""
+        if not _is_quadratic(self.kernel):
+            return None
+        return _quadratic_form(self.kernel, self.support_vectors, self.alphas * self.sv_labels)
 
 
 def _box_bounds(z: np.ndarray, config: TrainConfig) -> np.ndarray:
@@ -701,18 +699,37 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
     )
 
 
+def _is_quadratic(kernel: KernelSpec) -> bool:
+    return kernel.variant == "polynomial" and kernel.degree == 2
+
+
+def _quadratic_form(kernel: KernelSpec, vectors: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """M~ = S~^T diag(coef) S~ for S~ = (vectors, offset), so that
+    sum_j coef_j (<x, s_j> + offset)^2 = x~^T M~ x~ for x~ = (x, 1)."""
+    s = np.column_stack([vectors, np.full(vectors.shape[0], kernel.offset)])
+    return (s.T * coef) @ s
+
+
 def _kernel_scores(kernel: KernelSpec, rows: np.ndarray, vectors: np.ndarray,
-                   coef: np.ndarray) -> np.ndarray:
+                   coef: np.ndarray, form: np.ndarray | None = None) -> np.ndarray:
     """sum_j coef_j K(x, vectors_j) for each row x of ``rows``: the one
-    kernel-vector product behind every score. Linear is x . (V^T coef)
-    and anova a sum of one-dimensional products (kernels.anova_product);
-    any other kernel is evaluated against the vectors at most
-    SCORE_BLOCK_ROWS + 1 rows at a time."""
+    kernel-vector product behind every score. Linear is x . (V^T coef),
+    anova a sum of one-dimensional products (kernels.anova_product) and
+    the degree-2 polynomial x~^T M~ x~ for ``form`` M~, which defaults to
+    _quadratic_form(kernel, vectors, coef); any other kernel is evaluated
+    against the vectors at most SCORE_BLOCK_ROWS + 1 rows at a time."""
     if kernel.variant == "linear":
         return rows @ (vectors.T @ coef)
     if kernel.variant == "anova":
         return anova_product(kernel, rows, vectors, coef)
     n = rows.shape[0]
+    if _is_quadratic(kernel):
+        if form is None:
+            form = _quadratic_form(kernel, vectors, coef)
+        x = np.column_stack([rows, np.ones(n)])
+        # one unoptimized einsum sums each row's terms in one fixed order,
+        # so a row scores bit for bit the same alone as in any batch
+        return np.einsum("ij,jk,ik->i", x, form, x, optimize=False)
     out = np.empty(n)
     start = 0
     while start < n:
@@ -735,7 +752,7 @@ def decision_values(model: SvmModel, rows) -> np.ndarray:
         return np.full(raw.shape[0], model.bias)
     scaled = (raw - model.scaler_means) / model.scaler_scales
     return _kernel_scores(model.kernel, scaled, model.support_vectors,
-                          model.alphas * model.sv_labels) + model.bias
+                          model.alphas * model.sv_labels, model._form) + model.bias
 
 
 def score_signs(scores: np.ndarray) -> np.ndarray:

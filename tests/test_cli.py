@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dosegate.cli import main
+from dosegate.cli import DOSE_REQUIRED_FIELDS, main
 from dosegate.cohort import (
     cohort_to_text,
     fit_imputation,
@@ -415,6 +415,31 @@ def test_gate_jsonl_payloads(run_dir, capsys):
         assert payload["label"] in ("HighRisk", "SafeForModel")
         assert payload["model_version"] == 1
     assert "safe " in captured.err
+
+
+def test_dose_prints_the_decision_value_gate_gives_the_row(run_dir, capsys):
+    # dose scores one patient, gate the whole test split; a row scores the
+    # same either way
+    assert main(["gate", "--run-dir", str(run_dir)]) == 0
+    table = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert main(["gate", "--run-dir", str(run_dir), "--jsonl"]) == 0
+    payloads = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    header, *rows = [line.split("\t") for line in
+                     (run_dir / "test.tsv").read_text().splitlines()]
+    unread = ("inr", "therapeutic_dose_mg_week")  # not patient fields of dose
+    patients = []
+    for row, (_, _, _, shown), payload in zip(rows, table, payloads):
+        fields = {name: value for name, value in zip(header, row)
+                  if value != "NA" and name not in unread}
+        if set(DOSE_REQUIRED_FIELDS) <= fields.keys():
+            patients.append((fields, shown, payload["decision_value"]))
+    assert len(patients) >= 12
+    for fields, shown, jsonl_value in patients[:12]:
+        assert main(["dose", "--run-dir", str(run_dir),
+                     *(f"{name}={value}" for name, value in fields.items())]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert printed == f"decision_value {shown}"
+        assert printed == f"decision_value {jsonl_value:.6f}"
 
 
 def test_dose_reports_prediction_and_gate(tmp_path, capsys):

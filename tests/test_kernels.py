@@ -365,3 +365,15 @@ def test_kernel_matrix_of_training_rows_is_exactly_symmetric(paper_training_rows
     assert x.shape[0] == 2118
     g = kernel_matrix(KernelSpec(variant=variant), x, x)
     assert np.array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("delta", [0.3, 1.0, 3.74])
+def test_rbf_exponent_in_one_division_keeps_the_two_step_bits(paper_training_rows, delta):
+    # the Gram matrix divides the squared distances by -2 delta^2 in one
+    # pass, where _formula negates them and then divides by 2 delta^2
+    spec = KernelSpec(variant="rbf", delta=delta)
+    x = paper_training_rows
+    for a, b in ((x, x), (x, x[:300].copy())):  # x with itself has its diagonal zeroed
+        got = kernel_matrix(spec, a, b)
+        assert np.array_equal(got.view(np.int64), _formula(spec, a, b).view(np.int64))
+    assert np.all(np.diagonal(kernel_matrix(spec, x, x)) == 1.0)

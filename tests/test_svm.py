@@ -1,13 +1,14 @@
 """Trainer behavior: analytic solutions, KKT optimality, determinism."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import make_patient, mixed_rows, separable_blobs, solver_limits
 
-from dosegate import svm
+from dosegate import kernels, svm
 from dosegate.cohort import apply_imputation, split_cohort
 from dosegate.errors import DataError, DegenerateLabelsError, DomainError, SchemaError
 from dosegate.features import default_feature_names, encode_features, feature_rows
@@ -280,23 +281,106 @@ def test_matrix_schema_mismatch_rejected():
         decision_values(model, x[:, :1])
 
 
-@pytest.mark.parametrize("kernel", [POLY21, KernelSpec(variant="rbf", delta=1.5),
+def _random_model(kernel, n_sv, d, rng):
+    """A model of n_sv standard normal support vectors in d dimensions."""
+    return SvmModel(
+        kernel=kernel, support_vectors=rng.normal(size=(n_sv, d)),
+        alphas=rng.uniform(0.1, 1.0, n_sv), sv_labels=np.where(rng.random(n_sv) < 0.5, -1.0, 1.0),
+        bias=0.3, feature_names=tuple(f"f{k}" for k in range(d)), scaler_means=np.zeros(d),
+        scaler_scales=np.ones(d), converged=True, max_kkt_violation=0.0, dual_objective=0.0)
+
+
+# the degree-2 polynomial scores as a quadratic form, not through kernel
+# rows; the test after this one covers it
+@pytest.mark.parametrize("kernel", [KernelSpec(variant="polynomial", degree=3, offset=1.0),
+                                    KernelSpec(variant="rbf", delta=1.5),
                                     KernelSpec(variant="sigmoid", theta=0.2)])
 def test_block_scoring_equals_one_product(kernel):
     """Inputs past one block (including a one-row tail) score bit for bit
     as the single rows x support-vectors product."""
     rng = np.random.default_rng(12)
-    n_sv, d = 8, 3
-    model = SvmModel(
-        kernel=kernel, support_vectors=rng.normal(size=(n_sv, d)),
-        alphas=rng.uniform(0.1, 1.0, n_sv), sv_labels=np.where(rng.random(n_sv) < 0.5, -1.0, 1.0),
-        bias=0.3, feature_names=("a", "b", "c"), scaler_means=np.zeros(d),
-        scaler_scales=np.ones(d), converged=True, max_kkt_violation=0.0, dual_objective=0.0)
+    d = 3
+    model = _random_model(kernel, 8, d, rng)
     for n in (SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 3):
         rows = rng.normal(size=(n, d))
         whole = (kernel_matrix(kernel, rows, model.support_vectors)
                  @ (model.alphas * model.sv_labels) + model.bias)
         assert np.array_equal(decision_values(model, rows), whole)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("n_rows, n_vectors", [
+    (1, 0), (1, 1), (1, 300), (SCORE_BLOCK_ROWS + 3, 0), (SCORE_BLOCK_ROWS + 3, 1),
+    (SCORE_BLOCK_ROWS + 3, 300),
+])
+def test_quadratic_scores_agree_with_the_kernel_matrix_product(offset, n_rows, n_vectors):
+    """The degree-2 polynomial scores as x~^T M~ x~ and agrees with the
+    matrix product to 1e-12 of sum_j |c_j| (|x~| . |s~_j|)^2, the terms'
+    magnitudes before the inner products cancel. That is the form's
+    rounding scale: a row nearly orthogonal to its only vector has a
+    kernel value near 0 where the form's terms are not."""
+    kernel = KernelSpec(variant="polynomial", degree=2, offset=offset)
+    seed = n_rows * 1000 + n_vectors
+    rows, vectors = mixed_rows(n_rows, seed), mixed_rows(n_vectors, seed + 1)
+    coef = np.random.default_rng(seed).uniform(-1.0, 1.0, n_vectors)
+    k = kernel_matrix(kernel, rows, vectors)
+    magnitudes = kernel_matrix(kernel, np.abs(rows), np.abs(vectors))
+    got = svm._kernel_scores(kernel, rows, vectors, coef)
+    assert got.shape == (n_rows,)
+    assert np.all(np.abs(got - k @ coef) <= 1e-12 * (magnitudes * np.abs(coef)).sum(axis=1))
+
+
+def test_quadratic_rows_score_alone_as_in_a_batch():
+    """Under the degree-2 polynomial each row scores bit for bit the same
+    alone (as dose scores it) as in any batch (as gate scores it)."""
+    rng = np.random.default_rng(21)
+    model = _random_model(POLY21, 300, 12, rng)
+    rows = rng.normal(size=(2 * SCORE_BLOCK_ROWS + 3, 12))
+    batch = decision_values(model, rows)
+    alone = np.array([decision_values(model, row)[0] for row in rows])
+    assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
+    for size in (2, 3, 5, 8, SCORE_BLOCK_ROWS + 1):
+        pieces = [decision_values(model, rows[i:i + size]) for i in range(0, rows.shape[0], size)]
+        assert np.array_equal(batch.view(np.int64), np.concatenate(pieces).view(np.int64))
+
+
+def test_quadratic_scores_hold_no_rows_by_vectors_array(monkeypatch):
+    # paper-scale shapes: a 2,119-row test split against 1,288 support
+    # vectors of 12 features
+    def refuse(*args):
+        raise AssertionError("degree-2 scoring evaluated kernel rows")
+
+    monkeypatch.setattr(svm, "kernel_matrix", refuse)
+    monkeypatch.setattr(kernels, "kernel_matrix", refuse)
+    rng = np.random.default_rng(7)
+    rows, vectors = rng.normal(size=(2119, 12)), rng.normal(size=(1288, 12))
+    coef = rng.uniform(-0.1, 0.1, 1288)
+    tracemalloc.start()
+    try:
+        svm._kernel_scores(POLY21, rows, vectors, coef)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.shape[0] * vectors.shape[0] * 8 / 16
+
+
+def test_quadratic_form_is_built_once_per_model(monkeypatch):
+    built = []
+    original = svm._quadratic_form
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(svm, "_quadratic_form", counting)
+    rng = np.random.default_rng(3)
+    model = _random_model(POLY21, 20, 4, rng)
+    decision_values(model, rng.normal(size=(5, 4)))
+    decision_values(model, rng.normal(size=(1, 4)))
+    assert len(built) == 1
+    # a model with other multipliers builds its own
+    decision_values(replace(model, alphas=2.0 * model.alphas), rng.normal(size=(1, 4)))
+    assert len(built) == 2
 
 
 ANOVA = KernelSpec(variant="anova", sigma=1.0, d=1)
