@@ -71,12 +71,11 @@ def _folds(labels: np.ndarray, k: int, seed: int) -> list:
 
 
 def _fold_outcome(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
-                  factor: np.ndarray | None, folds: list, config: TrainConfig,
+                  factor: tuple, folds: list, config: TrainConfig,
                   f: int) -> FoldOutcome:
-    """Fit on every fold but ``f`` and score the fit on fold ``f``, on the
-    fold's rows of ``factor`` or, when it is None, on a factor of its own
-    rows. A fold whose training side is single-class is skipped rather
-    than failing the whole run."""
+    """Fit on every fold but ``f`` with select_c's verdict ``factor`` (its
+    rows of V, when there is one), and score the fit on fold ``f``. A fold
+    whose training side is single-class is skipped, not failing the run."""
     val_idx = folds[f]
     mask = np.ones(labels.size, dtype=bool)
     mask[val_idx] = False
@@ -84,7 +83,7 @@ def _fold_outcome(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
     if np.all(train_labels == train_labels[0]):
         return FoldOutcome(accuracy=None, converged=None)
     model = train(x[mask], train_labels, kernel, config,
-                  None if factor is None else (factor[mask], False))
+                  factor if factor[0] is None else (factor[0][mask], False))
     predicted = score_signs(decision_values(model, x[val_idx]))
     agreeing = int(np.count_nonzero(predicted == labels[val_idx]))
     return FoldOutcome(accuracy=agreeing / val_idx.size, converged=bool(model.converged))
@@ -121,7 +120,7 @@ def _available_cpus() -> int:
 
 
 def _fold_outcomes(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
-                   factor: np.ndarray | None, folds: list, tasks: list) -> list:
+                   factor: tuple, folds: list, tasks: list) -> list:
     """The FoldOutcome of each (config, fold index) task, in task order.
 
     The tasks are split among up to _available_cpus() processes, task i
@@ -203,17 +202,16 @@ class CSelection:
     results: dict  # C -> CvResult
 
 
-def select_c(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec,
+def select_c(x: np.ndarray, labels: np.ndarray, kernel: KernelSpec, factor: tuple,
              c_grid=DEFAULT_C_GRID, k: int = 10,
-             base_config: TrainConfig = TrainConfig(),
-             factor: np.ndarray | None = None) -> CSelection:
+             base_config: TrainConfig = TrainConfig()) -> CSelection:
     """Pick C by mean ``k``-fold CV accuracy on standardized rows ``x``
     and their -1/+1 labels; ties go to the smaller (safer) C. The folds
     are dealt with ``base_config.seed``.
 
-    ``factor`` is a factor V of the kernel on ``x`` from
-    svm.pivoted_cholesky; each fit uses its rows of V. When it is None,
-    each fit factors its own rows.
+    ``factor`` is svm.pivoted_cholesky(kernel, x), and no fit factors
+    again: given (V, False), each fit solves on its rows of V; given
+    (None, indefinite), each goes to SMO with that verdict.
 
     Every row validates exactly once and fold sizes differ by at most
     one. A fold whose training side is single-class is skipped.

@@ -119,8 +119,8 @@ def evaluation_report(truth, predicted, actual_dose, model_dose) -> EvalReport:
 class FittedGate:
     """What fitting the gate produced; selection is None for a one-value
     C grid, which needs no cross-validation. factor is svm.pivoted_cholesky
-    of the training rows: (V, False), or (None, indefinite) when the fits
-    went without one."""
+    of the training rows: (V, False), or (None, indefinite) when every fit,
+    the CV folds' included, went without one."""
 
     plan: ImputationPlan
     labels: CohortLabels
@@ -139,7 +139,8 @@ def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv
     picked by ``cv_k``-fold cross-validation seeded with
     ``train_config.seed`` when the grid has more than one value, and the
     final model is fit on every row at that C. The kernel on the rows is
-    factored once, and every fit that can solves on that factor.
+    factored once, and every fit, each CV fold's included, takes that
+    verdict: a fold solves on its rows of the factor, or goes to SMO.
     """
     if not c_grid:
         raise DomainError("the C grid must be non-empty")
@@ -155,8 +156,8 @@ def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv
     selection = None
     c = float(c_grid[0])
     if len(c_grid) > 1:
-        selection = select_c(x, labels.labels, kernel, c_grid, k=cv_k,
-                             base_config=train_config, factor=factor[0])
+        selection = select_c(x, labels.labels, kernel, factor, c_grid, k=cv_k,
+                             base_config=train_config)
         c = selection.best_c
     model = replace(train(x, labels.labels, kernel,
                           replace(train_config, c_regularization=c), factor),

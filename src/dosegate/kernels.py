@@ -27,8 +27,8 @@ VARIANTS = ("linear", "polynomial", "sigmoid", "rbf", "anova")
 # The anova sum, kernel_columns' value tables and anova_product's terms
 # run over blocks of about this many cells, so that a block's scratch
 # buffers stay in a 2 MB L2 cache; the block also bounds the size of
-# every anova value table, and RBF forms its squared distances in blocks
-# of it. README's paragraph on kernel blocks has the measurements.
+# kernel_columns' value tables, and RBF forms its squared distances in
+# blocks of it. README's paragraph on kernel blocks has the measurements.
 ANOVA_BLOCK_CELLS = 1 << 15
 
 # the parameters each variant reads, in the order to_text writes them
@@ -139,19 +139,6 @@ def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits.view(np.float64), codes
 
 
-def _anova_table(spec: KernelSpec, column: np.ndarray, b_column: np.ndarray, limit: int):
-    """(table, codes) for a column of ``a`` with at most ``limit`` distinct
-    values, else None. Row v of the table holds the terms of value v
-    against every row of ``b``, and ``codes`` gives each row's value."""
-    values, codes = _distinct(column)
-    if values.size > limit:
-        return None
-    diff = values[:, None] - b_column
-    table = np.empty_like(diff)
-    _anova_term(spec, diff, table)
-    return table, codes
-
-
 def _cross_apply(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kernel values for every row pair of ``a`` (m rows) and ``b`` (n rows).
 
@@ -159,7 +146,9 @@ def _cross_apply(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     operations of the formula in the module docstring, so every value is
     the one the formula gives without a full-size temporary per step. The
     kernels built on a matrix product take one product over all rows,
-    because a product of another shape may round differently.
+    because a product of another shape may round differently. The anova
+    sum forms each dimension's terms over blocks of about
+    ANOVA_BLOCK_CELLS cells of rows, in two scratch buffers of a block.
     """
     if spec.variant == "linear":
         return a @ b.T
@@ -191,23 +180,15 @@ def _cross_apply(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         dims = _anova_dims(spec, a.shape[1])
         m, n = a.shape[0], b.shape[0]
         step = max(1, ANOVA_BLOCK_CELLS // max(n, 1))
-        tables = [_anova_table(spec, a[:, k], b[:, k], min(step, m // 2))
-                  if m * n >= ANOVA_BLOCK_CELLS else None for k in range(dims)]
         out = np.zeros((m, n))
         term_buffer = np.empty((min(step, m), n))
-        diff_buffer = np.empty_like(term_buffer) if None in tables else None
+        diff_buffer = np.empty_like(term_buffer)
         for start in range(0, m, step):
             rows = slice(start, min(start + step, m))
-            term = term_buffer[:rows.stop - start]
+            term, diff = term_buffer[:rows.stop - start], diff_buffer[:rows.stop - start]
             for k in range(dims):
-                if tables[k] is None:
-                    diff = diff_buffer[:rows.stop - start]
-                    np.subtract(a[rows, k, None], b[None, :, k], out=diff)
-                    _anova_term(spec, diff, term)
-                else:
-                    # a row gather; mode="raise" would buffer the output
-                    table, codes = tables[k]
-                    np.take(table, codes[rows], axis=0, out=term, mode="wrap")
+                np.subtract(a[rows, k, None], b[None, :, k], out=diff)
+                _anova_term(spec, diff, term)
                 out[rows] += term
         return out
     raise DomainError(f"unknown kernel variant {spec.variant!r}")

@@ -25,12 +25,12 @@ IPM_TOLERANCE on the factor's values. train repeats that finish on exact
 kernel values and resumes the method if it misses. The factor depends
 only on the rows, so a caller that fits many subsets of one set of rows
 (cross-validation) factors the set once and gives each fit its rows of
-the factor. A kernel the factor shows indefinite (sigmoid) or of rank
-above LOW_RANK_CAP (RBF) is solved by SMO on the dense Gram matrix: pick
-a maximal KKT violator, pair it with the index of largest error
-difference, and update the pair analytically. Either way the bias, the
-KKT verdict and the dual objective come from exact kernel terms
-(_kernel_scores).
+the factor, or the set's verdict of no factor. A kernel the factor
+shows indefinite (sigmoid) or of rank above LOW_RANK_CAP (RBF) is solved
+by SMO on the dense Gram matrix: pick a maximal KKT violator, pair it
+with the index of largest error difference, and update the pair
+analytically. Either way the bias, the KKT verdict and the dual
+objective come from exact kernel terms (_kernel_scores).
 
 SMO starts at zero, or at the upper corner a = C (alpha seeding, DeCoste
 & Wagstaff, KDD 2000) when three things hold: the factor saw no negative
@@ -636,11 +636,13 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
     terms (see the module docstring).
 
     ``factor``, when given, stands in for pivoted_cholesky(kernel, x):
-    it is that result, or (V[S], False) for the rows S of a larger set
-    whose factor is V. V[S] factors these rows' kernel as well as V
-    factors the set's: K[S, S] - V[S] V[S]^T is a principal submatrix of
-    the positive semidefinite residual K - V V^T, so its diagonal keeps
-    the bound the factor stopped at."""
+    it is that result, or the result for a larger set of rows S: (V[S],
+    False) when the set's factor is V, or the set's (None, indefinite).
+    V[S] factors these rows' kernel as well as V factors the set's:
+    K[S, S] - V[S] V[S]^T is a principal submatrix of the positive
+    semidefinite residual K - V V^T, so its diagonal keeps the bound the
+    factor stopped at. And K[S, S] is a principal submatrix of K, so a
+    set that showed no negative pivot leaves SMO's corner start sound."""
     if labels is None:
         raise DegenerateLabelsError("training labels are required")
     data = np.atleast_2d(np.asarray(x, dtype=float))

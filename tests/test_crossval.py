@@ -17,7 +17,7 @@ from dosegate.cli import main
 from dosegate.crossval import _folds, select_c
 from dosegate.errors import DegenerateLabelsError, DomainError, NumericalError
 from dosegate.kernels import KernelSpec
-from dosegate.svm import TrainConfig
+from dosegate.svm import TrainConfig, pivoted_cholesky
 
 LINEAR = KernelSpec(variant="linear")
 
@@ -34,8 +34,8 @@ CONFIG = TrainConfig(c_regularization=10.0, balance_classes=False)
 
 def _cv(x, labels, k, seed=0):
     """The cross-validation of CONFIG's C alone: select_c on a one-value grid."""
-    selection = select_c(x, labels, LINEAR, (CONFIG.c_regularization,), k=k,
-                         base_config=replace(CONFIG, seed=seed))
+    selection = select_c(x, labels, LINEAR, pivoted_cholesky(LINEAR, x),
+                         (CONFIG.c_regularization,), k=k, base_config=replace(CONFIG, seed=seed))
     return selection.results[CONFIG.c_regularization]
 
 
@@ -123,8 +123,8 @@ def test_single_class_folds_are_skipped():
 def test_select_c_prefers_smaller_on_tie():
     rng = np.random.default_rng(7)
     x, labels = _labeled_rows(rng, n=40)  # separable: every C reaches 100%
-    selection = select_c(x, labels, LINEAR, (0.5, 5.0, 50.0), k=4,
-                         base_config=TrainConfig(balance_classes=False))
+    selection = select_c(x, labels, LINEAR, pivoted_cholesky(LINEAR, x), (0.5, 5.0, 50.0),
+                         k=4, base_config=TrainConfig(balance_classes=False))
     accs = {c: r.mean_accuracy for c, r in selection.results.items()}
     if len(set(accs.values())) == 1:
         assert selection.best_c == 0.5
@@ -141,14 +141,15 @@ def test_select_c_skips_c_whose_folds_did_not_converge(monkeypatch):
     x = 0.5 * x
     sigmoid = KernelSpec(variant="sigmoid", theta=0.0)
     config = TrainConfig(balance_classes=False)
-    selection = select_c(x, labels, sigmoid, (0.01, 100.0), k=4, base_config=config)
+    factor = pivoted_cholesky(sigmoid, x)
+    selection = select_c(x, labels, sigmoid, factor, (0.01, 100.0), k=4, base_config=config)
     early, settled = selection.results[100.0], selection.results[0.01]
     assert early.n_converged < early.n_trained
     assert settled.n_converged == settled.n_trained == 4
     assert early.mean_accuracy > settled.mean_accuracy
     assert selection.best_c == 0.01
     with pytest.raises(NumericalError):
-        select_c(x, labels, sigmoid, (100.0,), k=4, base_config=config)
+        select_c(x, labels, sigmoid, factor, (100.0,), k=4, base_config=config)
 
 
 # select_c's fits in this process (1) and in two forked workers (2)
@@ -197,7 +198,8 @@ def test_select_c_is_the_same_at_every_worker_count(set_workers, monkeypatch, ca
     selections = []
     for count in WORKER_COUNTS:
         set_workers(count)
-        selections.append(repr(select_c(x, labels, kernel, grid, k=k, base_config=config)))
+        selections.append(repr(select_c(x, labels, kernel, pivoted_cholesky(kernel, x), grid,
+                                        k=k, base_config=config)))
         _assert_no_child_left()
     assert selections[0] == selections[1]
 
@@ -228,7 +230,7 @@ def test_fit_error_in_a_worker_matches_the_in_process_error(tmp_path, monkeypatc
                                                             set_workers):
     real_train = crossval.train
 
-    def failing_train(x, labels, kernel, config, factor=None):
+    def failing_train(x, labels, kernel, config, factor):
         if config.c_regularization == 10.0:  # the sum tells the folds apart
             raise NumericalError(f"forced failure at C=10 on rows summing to {x.sum()!r}")
         return real_train(x, labels, kernel, config, factor)
@@ -286,7 +288,7 @@ def test_failure_in_this_process_waits_for_the_running_worker(monkeypatch, set_w
     set_workers(2)
     x, labels, kernel, grid, k, config = _linear_case(monkeypatch)
     with pytest.raises(NumericalError, match="this process's share"):
-        select_c(x, labels, kernel, grid, k=k, base_config=config)
+        select_c(x, labels, kernel, pivoted_cholesky(kernel, x), grid, k=k, base_config=config)
     _assert_no_child_left()
 
 
@@ -297,7 +299,7 @@ def test_interrupt_in_this_process_kills_the_running_worker(monkeypatch, set_wor
     x, labels, kernel, grid, k, config = _linear_case(monkeypatch)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        select_c(x, labels, kernel, grid, k=k, base_config=config)
+        select_c(x, labels, kernel, pivoted_cholesky(kernel, x), grid, k=k, base_config=config)
     assert time.monotonic() - started < 30.0  # the worker was not waited for
     _assert_no_child_left()
 

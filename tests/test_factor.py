@@ -20,15 +20,12 @@ POLYNOMIAL = KernelSpec(variant="polynomial", degree=2, offset=1.0)
 LINEAR = KernelSpec(variant="linear")
 ANOVA = KernelSpec(variant="anova", sigma=1.0, d=1.0)
 SIGMOID = KernelSpec(variant="sigmoid", theta=0.0)
+RBF = KernelSpec(variant="rbf", delta=1.0)
 
 
-@pytest.mark.parametrize("kernel, factorizations", [
-    (POLYNOMIAL, 1),
-    (LINEAR, 1),
-    (ANOVA, 1),
-    (SIGMOID, 1 + 3 * 4),  # no factor of all rows, so each fold factors its own
-], ids=["polynomial", "linear", "anova", "sigmoid"])
-def test_fit_gate_factors_the_training_rows_once(monkeypatch, kernel, factorizations):
+@pytest.mark.parametrize("kernel", [POLYNOMIAL, LINEAR, ANOVA, SIGMOID, RBF],
+                         ids=["polynomial", "linear", "anova", "sigmoid", "rbf"])
+def test_fit_gate_factors_the_training_rows_once(monkeypatch, kernel):
     real = svm.pivoted_cholesky
     calls, depth = [], [0]
 
@@ -47,8 +44,29 @@ def test_fit_gate_factors_the_training_rows_once(monkeypatch, kernel, factorizat
     monkeypatch.setattr(crossval, "_available_cpus", lambda: 1)  # count every fit here
     train_rows, _ = split_cohort(generate_synthetic_cohort(600, 11), 0.5, 11)
     fit_gate(train_rows, kernel, cv_k=3)
-    assert len(calls) == factorizations
-    assert calls[0] == len(train_rows)
+    # sigmoid and RBF give no factor of all rows, and no fold factors its own
+    assert calls == [len(train_rows)]
+
+
+def test_folds_of_a_kernel_without_a_factor_go_to_smo_as_the_final_fit(monkeypatch):
+    # 280 training rows: RBF is of rank above the cap on them, and of rank
+    # within it on each fold's training side of at most 187 rows
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(svm, "_smo", counting("smo", svm._smo))
+    monkeypatch.setattr(svm, "_interior_point", counting("interior", svm._interior_point))
+    monkeypatch.setattr(crossval, "_available_cpus", lambda: 1)  # count every fit here
+    train_rows, _ = split_cohort(generate_synthetic_cohort(560, 3), 0.5, 3)
+    assert len(train_rows) * 2 // 3 + 1 <= LOW_RANK_CAP < len(train_rows)
+    fitted = fit_gate(train_rows, RBF, cv_k=3)
+    assert fitted.factor[0] is None and not fitted.factor[1]
+    assert calls == ["smo"] * (len(crossval.DEFAULT_C_GRID) * 3 + 1)
 
 
 def _rows_with_duplicates(rng, n=260, dims=8):

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dosegate import kernels
 from dosegate.cli import main
 from dosegate.cohort import apply_imputation, fit_imputation, read_cohort, split_cohort
 from dosegate.errors import DomainError
@@ -272,13 +271,12 @@ def test_rbf_matrix_holds_no_second_full_size_array():
     assert peak < 1.1 * result.nbytes
 
 
-# --- per-value term tables for anova dimensions with few distinct values ---
+# --- anova on columns of few distinct values ---
 
 def _coded_rows(rows, seed):
     # columns: a z-scored 0/1 flag, a continuous one, 9 z-scored decade
-    # codes, 0.0 mixed with -0.0 and 0.7, a 0/1 flag; so the first two
-    # dimensions (n_dims=2) put a tabled one before a direct one. Each
-    # code cycles, so that a column of r rows takes min(r, codes) values.
+    # codes, 0.0 mixed with -0.0 and 0.7, a 0/1 flag. Each code cycles, so
+    # that a column of r rows takes min(r, codes) values.
     rng = np.random.default_rng(seed)
 
     def codes(values):
@@ -290,52 +288,36 @@ def _coded_rows(rows, seed):
 
 
 ANOVA_BIT_SPECS = [spec for spec in BIT_SPECS if spec.variant == "anova"]
-CODED_DIMS = 5
 
 
 @pytest.mark.parametrize("spec", ANOVA_BIT_SPECS, ids=KernelSpec.to_text)
-@pytest.mark.parametrize("m, n, tabled", [
-    # each shape with the dimensions it tables, by the three conditions:
-    # m * n reaches a block, at most a block's rows of values, at most m / 2
-    (18, ANOVA_BLOCK_CELLS // 18 + 1, (0, 2, 3, 4)),
-    (18, ANOVA_BLOCK_CELLS // 18, ()),  # one cell short of a block
-    (17, ANOVA_BLOCK_CELLS // 17 + 1, (0, 3, 4)),  # 9 values > 17 // 2
-    (20, ANOVA_BLOCK_CELLS // 9, (0, 2, 3, 4)),  # a block holds 9 rows
-    (20, ANOVA_BLOCK_CELLS // 9 + 1, (0, 3, 4)),  # a block holds 8 rows
-    (2, ANOVA_BLOCK_CELLS, ()),  # a block holds 1 row, m // 2 is 1
-    (4, ANOVA_BLOCK_CELLS // 2, (0, 4)),  # a block holds 2 rows
-    (STEP * 3 + 5, WIDE, (0, 2, 3, 4)),  # four row blocks, the last short
-], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
-def test_tabled_anova_is_bit_identical_to_formula(monkeypatch, spec, m, n, tabled):
-    built = []
-
-    def recording_table(spec, column, b_column, limit):
-        table = original(spec, column, b_column, limit)
-        built.append(table is not None)
-        return table
-
-    original = kernels._anova_table
-    monkeypatch.setattr(kernels, "_anova_table", recording_table)
+@pytest.mark.parametrize("m, n", [
+    # around the row-block edges: a block holds ANOVA_BLOCK_CELLS // n rows
+    (18, ANOVA_BLOCK_CELLS // 18 + 1),  # two blocks, the last of one row
+    (18, ANOVA_BLOCK_CELLS // 18),  # one block of every row
+    (17, ANOVA_BLOCK_CELLS // 17 + 1),  # two blocks, the last of one row
+    (20, ANOVA_BLOCK_CELLS // 9),  # a block holds 9 rows
+    (20, ANOVA_BLOCK_CELLS // 9 + 1),  # a block holds 8 rows
+    (2, ANOVA_BLOCK_CELLS),  # a block holds 1 row
+    (4, ANOVA_BLOCK_CELLS // 2),  # a block holds 2 rows
+    (STEP * 3 + 5, WIDE),  # four row blocks, the last short
+])
+def test_coded_anova_is_bit_identical(spec, m, n):
     a, b = _coded_rows(m, seed=m), _coded_rows(n, seed=n + 1)
     got = kernel_matrix(spec, a, b)
-    want = _formula(spec, a, b)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    dims = spec.n_dims or CODED_DIMS
-    assert [k for k, is_tabled in enumerate(built) if is_tabled] == [k for k in tabled if k < dims]
-    assert len(built) in (0, dims)
+    assert np.array_equal(got.view(np.int64), _formula(spec, a, b).view(np.int64))
 
 
 @pytest.mark.parametrize("spec", ANOVA_BIT_SPECS, ids=KernelSpec.to_text)
-def test_tabled_anova_of_sample_with_itself_is_bit_identical(spec):
+def test_coded_anova_with_itself_is_bit_identical(spec):
     x = _coded_rows(600, seed=3)
     got = kernel_matrix(spec, x, x)
     assert np.array_equal(got.view(np.int64), _formula(spec, x, x).view(np.int64))
     assert np.array_equal(got, got.T)
 
 
-def test_tabled_anova_holds_no_second_full_size_array():
-    # every column a code (11 flags, 9 decades, 3 three-value codes), so
-    # every dimension is tabled
+def test_anova_matrix_holds_no_second_full_size_array():
+    # every column a code (11 flags, 9 decades, 3 three-value codes)
     rng = np.random.default_rng(4)
     counts = [2] * 11 + [9] + [3] * 3
     x = np.column_stack([rng.integers(0, k, size=1000) for k in counts]).astype(float)

@@ -1,14 +1,15 @@
-"""Every public top-level name in the package is read by the package.
+"""Every top-level name in the package is read by the package.
 
 A function, class or constant that only tests reach is either wired into
 the product or deleted, so src/ carries no code the pipeline never runs.
-The check reads the source with ast: a public name defined at the top
-of a module must be loaded in that module or imported from it by
-another one. For the same reason every field of a ``*Config`` dataclass
-is a setting that src/ passes by keyword somewhere; a field that only
-tests set is a module constant instead. And every score goes through
-one kernel-vector product, so no code outside it multiplies the result
-of a ``kernel_matrix(...)`` call by a vector.
+The check reads the source with ast: a name defined at the top of a
+module, private or public (dunders such as ``__version__`` aside), must
+be loaded in that module or imported from it by another one. For the
+same reason every field of a ``*Config`` dataclass is a setting that
+src/ passes by keyword somewhere; a field that only tests set is a
+module constant instead. And every score goes through one kernel-vector
+product, so no code outside it multiplies the result of a
+``kernel_matrix(...)`` call by a vector.
 """
 
 import ast
@@ -34,7 +35,7 @@ def _defined(tree: ast.Module) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
 
 
 def _loaded(tree: ast.Module) -> set:
@@ -71,10 +72,12 @@ def test_every_public_top_level_name_is_read_in_src():
 
 
 def test_the_check_sees_an_unread_name(tmp_path):
-    (tmp_path / "a.py").write_text("USED = 1\nUNUSED = 2\n_PRIVATE = 3\n\n\n"
-                                   "def helper():\n    return USED\n")
-    (tmp_path / "b.py").write_text("from .a import helper\n\n\nclass Orphan:\n    pass\n")
-    assert unread_names(tmp_path) == ["a.UNUSED", "b.Orphan"]
+    (tmp_path / "a.py").write_text("__version__ = '1'\nUSED = 1\nUNUSED = 2\n_PRIVATE = 3\n"
+                                   "_SHARED = 4\n\n\ndef helper():\n    return USED\n\n\n"
+                                   "def _orphan():\n    return _PRIVATE\n")
+    (tmp_path / "b.py").write_text("from .a import _SHARED, helper\n\n\nclass Orphan:\n"
+                                   "    pass\n")
+    assert unread_names(tmp_path) == ["a.UNUSED", "a._orphan", "b.Orphan"]
 
 
 def _config_fields(tree: ast.Module) -> dict:
