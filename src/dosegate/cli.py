@@ -255,8 +255,8 @@ def _parse_c_grid(text: str) -> tuple:
         raise UsageError("the C grid is empty")
     if not all(np.isfinite(c) and c > 0 for c in grid):
         raise UsageError(f"every C value must be finite and > 0, got {text!r}")
-    if len(set(grid)) < len(grid):
-        raise UsageError(f"the C grid repeats a value, got {text!r}")
+    if len({f"{c:g}" for c in grid}) < len(grid):
+        raise UsageError(f"the C grid repeats a value as printed, got {text!r}")
     return grid
 
 

@@ -18,11 +18,10 @@ I + Y^T Y with Y = D^-1/2 W, which numpy computes as a symmetric product
 (BLAS syrk), and solved by np.linalg.solve. The method stops at the
 optimal face rather than at its own tolerance (the crossover of
 Mehrotra & Ye, Math. Programming 1993, and Andersen & Ye, Management
-Science 1996): once an iterate's merit is within KKT_TOLERANCE, each
-iteration snaps it to the bounds it shows active, settles the free
-multipliers on the factor and stops if the KKT conditions then hold at
-IPM_TOLERANCE on the factor's values. train repeats that finish on exact
-kernel values and resumes the method if it misses. The factor depends
+Science 1996): once an iterate's merit is within KKT_TOLERANCE, train
+snaps it to the bounds it shows active, settles the free multipliers on
+their exact kernel values and stops if the KKT conditions then hold at
+IPM_TOLERANCE on exact scores; else the method resumes. The factor depends
 only on the rows, so a caller that fits many subsets of one set of rows
 (cross-validation) factors the set once and gives each fit its rows of
 the factor, or the set's verdict of no factor. A kernel the factor
@@ -274,25 +273,7 @@ def _newton_step(factor: np.ndarray, z: np.ndarray, v: np.ndarray, r_dual: np.nd
     return dv, db, min(1.0, STEP_FRACTION * _step_to_boundary(v, dv))
 
 
-def _factor_finish(factor: np.ndarray, iterate: tuple, z: np.ndarray,
-                   upper: np.ndarray, snap: np.ndarray) -> bool:
-    """Whether the interior-point iterate, snapped and with its free
-    multipliers settled on the factor, meets the KKT conditions at
-    IPM_TOLERANCE on the factor's values K ~ V V^T. The free rows' V V^T
-    and the margins through V cost O((n + m^2) rank) for m free
-    multipliers, where the exact finish computes a kernel column for
-    every multiplier off zero."""
-    alpha = _snap(*iterate, z, upper)
-    free = (alpha > 0.0) & (alpha < upper)
-    rows = factor[free]
-    margins = rows @ (factor.T @ np.where(free, 0.0, alpha * z))
-    alpha = _settle_free(rows @ rows.T, margins, alpha, z, upper)
-    scores = factor @ (factor.T @ (alpha * z))
-    return _kkt(alpha, z, scores, upper, snap)[1] <= IPM_TOLERANCE
-
-
-def _interior_point(factor: np.ndarray, z: np.ndarray, upper: np.ndarray,
-                    snap: np.ndarray):
+def _interior_point(factor: np.ndarray, z: np.ndarray, upper: np.ndarray):
     """Mehrotra predictor-corrector method for the dual with Q = W W^T,
     W = Z V for the kernel factor V and Z = diag(z).
 
@@ -304,10 +285,11 @@ def _interior_point(factor: np.ndarray, z: np.ndarray, upper: np.ndarray,
     I + W^T D^-1 W, so an iteration costs O(n rank^2).
 
     A generator of (iterate (a, s, lam, xi), solved) candidates: each
-    iterate within KKT_TOLERANCE that passes _factor_finish, and last the
-    best iterate, with solved False when the method used up its
-    MAX_PASSES iterations. Its caller takes the first candidate
-    whose finish holds on exact kernel values and resumes it otherwise.
+    iterate whose merit is within KKT_TOLERANCE, and last the best
+    iterate, with solved False when the method used up its MAX_PASSES
+    iterations. Its caller takes the first candidate whose finish holds
+    on exact kernel values and resumes it otherwise; the finish reads
+    copies, so the iterates do not depend on its verdicts.
     It reads the unsigned factor that its caller keeps, and a Newton
     step's n x rank arrays end with _newton_step, so while a candidate
     waits the generator holds no n x rank array of its own.
@@ -343,7 +325,7 @@ def _interior_point(factor: np.ndarray, z: np.ndarray, upper: np.ndarray,
             best, best_merit, stalled = v, merit, 0
         if merit <= IPM_TOLERANCE:
             break
-        if merit <= KKT_TOLERANCE and _factor_finish(factor, (a, s, lam, xi), z, upper, snap):
+        if merit <= KKT_TOLERANCE:
             yield (a, s, lam, xi), True
         dv, db, t = _newton_step(factor, z, v, r_dual, r_eq, r_box, complementarity)
         v = v + t * dv
@@ -670,7 +652,7 @@ def train(x, labels, kernel: KernelSpec = KernelSpec(),
         # the exact finish: snap, settle on the free rows' kernel values
         # and judge on exact scores; a candidate that misses IPM_TOLERANCE
         # resumes the interior point, and its last candidate stands
-        for iterate, solved in _interior_point(factor, z, upper, snap):
+        for iterate, solved in _interior_point(factor, z, upper):
             alpha = _snap(*iterate, z, upper)
             live = np.flatnonzero(alpha)
             if solved:

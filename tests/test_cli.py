@@ -227,7 +227,8 @@ def test_train_cv_accuracy_beats_majority_class(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     *(pytest.param(["train", "--c-grid", grid], id=grid)
-      for grid in ("abc", "0.1,x", "0,1", "-1", "nan", "inf", "1,1", "0.1,1e-1")),
+      for grid in ("abc", "0.1,x", "0,1", "-1", "nan", "inf", "1,1", "0.1,1e-1",
+                   "1.0000001,1.0000002")),
     pytest.param(["train", "--cv-k", "1"], id="cv-k 1"),
     pytest.param(["train", "--train-fraction", "1.5"], id="train-fraction 1.5"),
     pytest.param(["train", "--kernel", "bogus"], id="kernel bogus"),

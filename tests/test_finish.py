@@ -1,7 +1,7 @@
 """The interior point's finish at its optimal face: once an iterate is
-within the KKT tolerance, it is snapped, settled on the factor and kept
-if the KKT conditions hold there, and train keeps it only if they hold
-on exact kernel values too."""
+within the KKT tolerance, train snaps it, settles its free multipliers
+on their kernel values and keeps it if the KKT conditions hold on exact
+kernel values, the one verdict; otherwise the iterations resume."""
 
 import numpy as np
 import pytest
@@ -50,9 +50,10 @@ def fold_fits(tmp_path_factory):
 def test_the_finish_keeps_the_interior_points_answer(monkeypatch, fold_fits):
     finished = [train(x, labels, POLYNOMIAL, config, factor)
                 for x, labels, config, factor in fold_fits]
-    # a finish that never holds leaves the interior point to run to its
-    # own tolerance
-    monkeypatch.setattr(svm, "_factor_finish", lambda *args: False)
+    # train sees only the last candidate, so the interior point runs to
+    # its own tolerance
+    real = svm._interior_point
+    monkeypatch.setattr(svm, "_interior_point", lambda *args: [list(real(*args))[-1]])
     for model, (x, labels, config, factor) in zip(finished, fold_fits):
         full = train(x, labels, POLYNOMIAL, config, factor)
         assert np.array_equal(model.support_vectors, full.support_vectors)
@@ -66,23 +67,19 @@ def test_the_finish_keeps_the_interior_points_answer(monkeypatch, fold_fits):
 def test_a_finish_that_misses_on_exact_values_resumes(monkeypatch, fold_fits):
     x, labels, config, (factor, _) = fold_fits[3]  # the first fold at C=1
     # a factor short of half its columns solves another problem, whose
-    # finish holds on the factor and not on the kernel
+    # candidates miss on the kernel
     truncated = factor[:, :factor.shape[1] // 2]
     events = []
 
     def spy(name, real):
         def recorded(*args):
-            result = real(*args)
-            events.append((name, result if name == "factor" else None))
-            return result
+            events.append(name)
+            return real(*args)
         return recorded
 
-    monkeypatch.setattr(svm, "_factor_finish", spy("factor", svm._factor_finish))
     monkeypatch.setattr(svm, "kernel_matrix", spy("exact", svm.kernel_matrix))
     monkeypatch.setattr(svm, "_newton_step", spy("step", svm._newton_step))
     model = train(x, labels, POLYNOMIAL, config, factor=(truncated, False))
-    first = events.index(("factor", True))
-    # the exact finish of that candidate ran, missed, and the iterations went on
-    assert events[first + 1] == ("exact", None)
-    assert ("step", None) in events[first + 2:]
+    # the first exact finish ran, missed, and the iterations went on
+    assert "step" in events[events.index("exact") + 1:]
     assert model.max_kkt_violation > IPM_TOLERANCE

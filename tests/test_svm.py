@@ -161,6 +161,21 @@ def test_nonconvergence_is_flagged_not_fatal(monkeypatch):
     assert model.max_kkt_violation > 1e-9
 
 
+def test_large_c_census_misses_no_new_draw():
+    # README's C=1e8 limit: 30 rows of 4 repeated integer features, where
+    # a candidate's finish is hardest to judge; the 9 draws that miss stay
+    # the only ones that may
+    misses = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, (30, 4))
+        labels = rng.choice([-1, 1], 30)
+        model = train(x, labels, kernel=POLY21, config=TrainConfig(c_regularization=1e8))
+        if not model.converged:
+            misses.add(seed)
+    assert misses <= {3, 4, 13, 14, 15, 17, 18, 28, 37}
+
+
 def _record_candidates(monkeypatch):
     """The (iterate, solved) candidates that train's interior point
     yields, recorded as they pass."""
