@@ -43,15 +43,14 @@ from .errors import (
     UsageError,
     read_text,
 )
-from .gate import (
-    GATE_MODES,
-    GateConfig,
-    GateLabel,
-    classify_records,
-    evaluate_gate,
-    fit_gate,
+from .gate import GateConfig, GateLabel, classify_records, evaluate_gate, fit_gate
+from .iwpc import (
+    DEFAULT_COEFFICIENTS,
+    coefficients_to_text,
+    load_coefficients,
+    sqrt_weekly_doses,
+    weekly_doses,
 )
-from .iwpc import DEFAULT_COEFFICIENTS, load_coefficients, sqrt_weekly_doses, weekly_doses
 from .kernels import KernelSpec
 from .metrics import fmt_metric
 from .model_io import load_model, save_model
@@ -66,7 +65,6 @@ class _Option(NamedTuple):
     type: type = str
     default: object = None
     help: str | None = None
-    choices: tuple | None = None
 
 
 # every config key, each once
@@ -75,7 +73,7 @@ _OPTIONS = {
     "schema": _Option(("--schema",), help="column-map file (key=value)"),
     "out_dir": _Option(("--out-dir",), help="directory to write the artifacts into"),
     "run_dir": _Option(("--run-dir",), help="run directory written by train"),
-    "coefficients": _Option(("--coefficients",), help="override coefficient file"),
+    "coefficients": _Option(("--coefficients",), help="IWPC coefficient file"),
     "allow_override": _Option(("--allow-coefficient-override",), bool,
                               help="accept --coefficients that deviate from the published"),
     "seed": _Option(("--seed",), int, 0, "random seed"),
@@ -86,10 +84,7 @@ _OPTIONS = {
     "c_grid": _Option(("--c-grid",), str, "0.1,1,10,100", "comma-separated C values"),
     "cv_k": _Option(("--cv-k",), int, 10, "cross-validation folds"),
     "balance_classes": _Option(("--balance", "--no-balance"), bool, True, "class-weighted C"),
-    "gate_mode": _Option(("--gate-mode",), str, "trained", "which gate to apply", GATE_MODES),
 }
-
-_COEFFICIENT_KEYS = ("coefficients", "allow_override")
 
 # subcommand -> (help, the config keys it takes); each runs cmd_<name>
 _COMMANDS = {
@@ -97,11 +92,11 @@ _COMMANDS = {
     "ingest": ("normalize a raw cohort export", ("input", "schema", "out_dir")),
     "train": ("split, impute, label, and fit the gate",
               ("seed", "input", "out_dir", "train_fraction", "threshold", "kernel", "c_grid",
-               "cv_k", "balance_classes", *_COEFFICIENT_KEYS)),
-    "evaluate": ("score the trained gate on the held-out test set",
-                 ("run_dir", "gate_mode", "threshold", *_COEFFICIENT_KEYS)),
-    "gate": ("per-patient gate decisions", ("run_dir", "input", *_COEFFICIENT_KEYS)),
-    "dose": ("dose one patient given as key=value pairs", ("run_dir", *_COEFFICIENT_KEYS)),
+               "cv_k", "balance_classes", "coefficients", "allow_override")),
+    "evaluate": ("score the trained gate and the oracle on the held-out test set",
+                 ("run_dir",)),
+    "gate": ("per-patient gate decisions", ("run_dir", "input")),
+    "dose": ("dose one patient given as key=value pairs", ("run_dir",)),
 }
 
 DOSE_REQUIRED_FIELDS = (
@@ -176,13 +171,6 @@ def _out_dir(config: dict) -> Path:
     return Path(config["out_dir"])
 
 
-def _coefficients(config: dict):
-    if config.get("coefficients"):
-        return load_coefficients(config["coefficients"],
-                                 allow_override=bool(config.get("allow_override")))
-    return DEFAULT_COEFFICIENTS
-
-
 def cmd_synth(config: dict, args) -> int:
     if config["n"] < 1:
         raise UsageError(f"the cohort size must be at least 1, got {config['n']}")
@@ -239,13 +227,6 @@ def _cv_report_lines(selection, cv_k: int) -> list:
     return lines
 
 
-def _gate_config(config: dict) -> GateConfig:
-    threshold = config["threshold"]
-    if not 0.0 < threshold < 1.0:
-        raise UsageError(f"the gate threshold must lie in (0, 1), got {threshold!r}")
-    return GateConfig(threshold=threshold)
-
-
 def _parse_c_grid(text: str) -> tuple:
     try:
         grid = tuple(float(v) for v in text.split(",") if v.strip())
@@ -270,7 +251,9 @@ def _kernel(text: str) -> KernelSpec:
 def cmd_train(config: dict, args) -> int:
     if not config.get("input"):
         raise UsageError("a normalized cohort file is required (--input)")
-    gate_config = _gate_config(config)
+    threshold = config["threshold"]
+    if not 0.0 < threshold < 1.0:
+        raise UsageError(f"the gate threshold must lie in (0, 1), got {threshold!r}")
     kernel = _kernel(config["kernel"])
     grid = _parse_c_grid(str(config["c_grid"]))
     if config["cv_k"] < 2:
@@ -279,12 +262,16 @@ def cmd_train(config: dict, args) -> int:
         raise UsageError(
             f"the train fraction must lie in (0, 1), got {config['train_fraction']!r}")
     out = _out_dir(config)
-    coeffs = _coefficients(config)
+    coeffs = DEFAULT_COEFFICIENTS
+    if config.get("coefficients"):
+        coeffs = load_coefficients(config["coefficients"],
+                                   allow_override=bool(config.get("allow_override")))
     base = TrainConfig(balance_classes=config["balance_classes"], seed=config["seed"])
 
     cohort = read_cohort(config["input"]).cohort
     train_rows, test_rows = split_cohort(cohort, config["train_fraction"], config["seed"])
-    fitted = fit_gate(train_rows, kernel, grid, config["cv_k"], base, gate_config, coeffs)
+    fitted = fit_gate(train_rows, kernel, grid, config["cv_k"], base, GateConfig(threshold),
+                      coeffs)
     model = fitted.model
 
     report_lines = [
@@ -317,6 +304,7 @@ def cmd_train(config: dict, args) -> int:
     save_model(model, out / "model.txt")
     (out / "plan.txt").write_text(plan_to_text(fitted.plan), encoding="ascii")
     (out / "test.tsv").write_text(cohort_to_text(test_rows), encoding="ascii")
+    (out / "coefficients.txt").write_text(coefficients_to_text(coeffs), encoding="ascii")
     (out / "train_report.txt").write_text("".join(f"{ln}\n" for ln in report_lines),
                                           encoding="ascii")
     (out / "config.txt").write_text(_config_text({"command": "train", **config}),
@@ -329,70 +317,85 @@ def cmd_train(config: dict, args) -> int:
     return 0
 
 
-def _evaluation_payload(report, gate_mode: str) -> dict:
-    """evaluation.json's object: the report's fields, with the confusion
+def _evaluation_payload(report) -> dict:
+    """A report's evaluation.json object: its fields, with the confusion
     counts among them."""
     fields = asdict(report)
-    return {"gate_mode": gate_mode, **fields.pop("confusion"), **fields}
+    return {**fields.pop("confusion"), **fields}
 
 
-def _evaluation_text(report, gate_mode: str, model) -> str:
-    lines = [
-        f"gate_mode {gate_mode}",
-        f"model kernel {model.kernel.to_text()}, support_vectors {model.alphas.size}, "
-        f"converged {1 if model.converged else 0}",
+def _mg(value) -> str:
+    return f"{'—':>8}" if value is None else f"{value:8.3f}"
+
+
+def _report_lines(title: str, report) -> list:
+    return [
         "",
+        title,
         "classifier (HighRisk positive)",
         f"  accuracy    {fmt_metric(report.accuracy)}",
         f"  sensitivity {fmt_metric(report.sensitivity)}",
         f"  specificity {fmt_metric(report.specificity)}",
         f"  confusion   tp={report.confusion.tp} fp={report.confusion.fp} "
         f"tn={report.confusion.tn} fn={report.confusion.fn}",
-        "",
         "dose model error (mg/week)      original   shrunken",
-        f"  rmse                          {report.rmse_original:8.3f}   {report.rmse_shrunken:8.3f}",
-        f"  mae                           {report.mae_original:8.3f}   {report.mae_shrunken:8.3f}",
-        "",
+        f"  rmse                          {report.rmse_original:8.3f}   "
+        f"{_mg(report.rmse_shrunken)}",
+        f"  mae                           {report.mae_original:8.3f}   "
+        f"{_mg(report.mae_shrunken)}",
         f"retained fraction of test set {report.shrink_ratio:.4f}",
     ]
-    return "\n".join(lines) + "\n"
 
 
-def _require_run_dir(config: dict) -> Path:
+def _open_run(config: dict) -> tuple:
+    """The run directory and the coefficients `train` labeled with, which
+    it held to the override rule."""
     run_dir = config.get("run_dir")
     if not run_dir:
         raise UsageError("a run directory from `train` is required (--run-dir)")
     path = Path(run_dir)
     if not (path / "model.txt").exists():
         raise DataError(f"{path} does not contain model.txt (run `train` first)")
-    return path
+    return path, load_coefficients(path / "coefficients.txt", allow_override=True)
+
+
+def _run_gate_config(run_dir: Path) -> GateConfig:
+    """The labeling threshold the run's config.txt echoes."""
+    path = run_dir / "config.txt"
+    try:
+        threshold = config_from_text(read_text(path, "run config")).get("threshold")
+    except UsageError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if threshold is None:
+        raise DataError(f"{path} gives no threshold")
+    return GateConfig(threshold=threshold)
 
 
 def cmd_evaluate(config: dict, args) -> int:
-    gate_config = _gate_config(config)
-    gate_mode = config["gate_mode"]
-    if gate_mode not in GATE_MODES:
-        raise UsageError(f"unknown gate mode {gate_mode!r}")
-    run_dir = _require_run_dir(config)
-    coeffs = _coefficients(config)
+    run_dir, coeffs = _open_run(config)
+    gate_config = _run_gate_config(run_dir)
 
     model = load_model(run_dir / "model.txt")
     plan = load_plan(run_dir / "plan.txt")
     test_rows = read_cohort(run_dir / "test.tsv").cohort
-    report, _ = evaluate_gate(model, plan, test_rows, gate_mode, gate_config, coeffs)
+    report, oracle = evaluate_gate(model, plan, test_rows, gate_config, coeffs)
 
-    text = _evaluation_text(report, gate_mode, model)
+    text = "\n".join([
+        f"model kernel {model.kernel.to_text()}, support_vectors {model.alphas.size}, "
+        f"converged {1 if model.converged else 0}",
+        *_report_lines("trained gate", report),
+        *_report_lines("oracle gate (keeps the rows whose true label is Safe)", oracle),
+    ]) + "\n"
+    payload = {**_evaluation_payload(report), "oracle": _evaluation_payload(oracle)}
     (run_dir / "evaluation.txt").write_text(text, encoding="utf-8")
     (run_dir / "evaluation.json").write_text(
-        json.dumps(_evaluation_payload(report, gate_mode), sort_keys=True, indent=2) + "\n",
-        encoding="ascii")
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="ascii")
     sys.stdout.write(text)
     return 0
 
 
 def cmd_gate(config: dict, args) -> int:
-    run_dir = _require_run_dir(config)
-    coeffs = _coefficients(config)
+    run_dir, coeffs = _open_run(config)
     model = load_model(run_dir / "model.txt")
     plan = load_plan(run_dir / "plan.txt")
     source = config.get("input") or run_dir / "test.tsv"
@@ -491,8 +494,7 @@ _PATIENT_FIELDS = {
 
 
 def cmd_dose(config: dict, args) -> int:
-    coeffs = _coefficients(config)
-    run_dir = _require_run_dir(config)
+    run_dir, coeffs = _open_run(config)
     model = load_model(run_dir / "model.txt")
     plan = load_plan(run_dir / "plan.txt")
     patient = apply_imputation(plan, patient_cohort(args.patient))
@@ -513,7 +515,7 @@ def _add_option(parser: argparse.ArgumentParser, key: str, option: _Option):
     if option.type is not bool:
         shown = option.help if option.default is None else (
             f"{option.help} (default: {option.default})")
-        parser.add_argument(*option.flags, dest=key, help=shown, choices=option.choices,
+        parser.add_argument(*option.flags, dest=key, help=shown,
                             type=None if option.type is str else option.type)
         return
     for flag, const in zip(option.flags, (True, False)):

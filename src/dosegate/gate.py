@@ -7,8 +7,8 @@ the therapeutic dose by strictly more than the threshold fraction
 gated workflow is two steps, which the CLI's ``train`` and ``evaluate``
 run as they are: ``fit_gate`` imputes, labels, encodes and fits the
 classifier on the training cohort, and ``evaluate_gate`` evaluates the
-dose model on the full test set and again on the Safe-classified
-remainder.
+dose model on the full test set and again on the rows that the trained
+gate, and the oracle that knows the true labels, keep.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from .kernels import KernelSpec
 from .metrics import EvalReport, confusion, mae, metrics, rmse
 from .records import Cohort
 from .svm import SvmModel, TrainConfig, decision_values, pivoted_cholesky, score_signs, train
-
-# trained: the classifier decides; identity keeps every test row (the
-# control); oracle keeps the rows whose true label is Safe (the upper bound)
-GATE_MODES = ("trained", "identity", "oracle")
-
 
 class GateLabel(IntEnum):
     SAFE_FOR_MODEL = -1
@@ -87,29 +82,19 @@ def classify_records(model: SvmModel, cohort: Cohort) -> tuple[np.ndarray, np.nd
 
 def evaluation_report(truth, predicted, actual_dose, model_dose) -> EvalReport:
     """The gate's classifier metrics (HighRisk positive) and the dose
-    model's error on the whole test set and on the rows the gate keeps.
-    A gate that keeps no row is a DegenerateGateError carrying the
-    whole-set figures."""
+    model's error on the whole test set and on the rows the gate keeps;
+    a gate that keeps no row has no errors on them (None)."""
     cm = confusion(truth, predicted)
-    rmse_original = rmse(actual_dose, model_dose)
-    mae_original = mae(actual_dose, model_dose)
-    kept = np.flatnonzero(predicted == -1)
-    if kept.size == 0:
-        raise DegenerateGateError(
-            "gate classified every test patient HighRisk; nothing to evaluate on "
-            f"(original rmse {rmse_original:.3f})",
-            report={"rmse_original": rmse_original, "mae_original": mae_original,
-                    "confusion": cm},
-        )
     summary = metrics(cm)
+    kept = np.flatnonzero(predicted == -1)
     return EvalReport(
         accuracy=summary.accuracy,
         sensitivity=summary.sensitivity,
         specificity=summary.specificity,
-        rmse_original=rmse_original,
-        rmse_shrunken=rmse(actual_dose[kept], model_dose[kept]),
-        mae_original=mae_original,
-        mae_shrunken=mae(actual_dose[kept], model_dose[kept]),
+        rmse_original=rmse(actual_dose, model_dose),
+        rmse_shrunken=rmse(actual_dose[kept], model_dose[kept]) if kept.size else None,
+        mae_original=mae(actual_dose, model_dose),
+        mae_shrunken=mae(actual_dose[kept], model_dose[kept]) if kept.size else None,
         shrink_ratio=kept.size / len(truth),
         confusion=cm,
     )
@@ -166,26 +151,24 @@ def fit_gate(train_cohort: Cohort, kernel: KernelSpec, c_grid=DEFAULT_C_GRID, cv
                       factor=factor)
 
 
-def evaluate_gate(model: SvmModel | None, plan: ImputationPlan, test_cohort: Cohort,
-                  gate_mode: str = "trained", gate_config: GateConfig = GateConfig(),
+def evaluate_gate(model: SvmModel, plan: ImputationPlan, test_cohort: Cohort,
+                  gate_config: GateConfig = GateConfig(),
                   coeffs: IwpcCoefficients = DEFAULT_COEFFICIENTS
-                  ) -> tuple[EvalReport, CohortLabels]:
+                  ) -> tuple[EvalReport, EvalReport]:
     """The gated evaluation of a test Cohort imputed by the training
-    plan, and the test rows' true labels.
-
-    ``gate_mode`` is one of GATE_MODES; only "trained" reads the model.
-    """
-    if gate_mode not in GATE_MODES:
-        raise DomainError(f"gate_mode must be one of {GATE_MODES}")
+    plan: by the trained gate, and by the oracle, which keeps the rows
+    whose true label is Safe (the upper bound). A trained gate that keeps
+    no row is a DegenerateGateError carrying the whole-set figures."""
     imputed = apply_imputation(plan, test_cohort)
     labels = label_cohort(imputed, coeffs, gate_config)
-    truth = labels.labels
-    if gate_mode == "trained":
-        _, predicted = classify_records(model, imputed)
-    elif gate_mode == "oracle":
-        predicted = truth.copy()
-    else:
-        predicted = np.full(truth.shape, -1, dtype=int)
-    report = evaluation_report(truth, predicted, test_cohort["therapeutic_dose_mg_week"],
-                               labels.doses)
-    return report, labels
+    truth, actual = labels.labels, test_cohort["therapeutic_dose_mg_week"]
+    _, predicted = classify_records(model, imputed)
+    report = evaluation_report(truth, predicted, actual, labels.doses)
+    if report.rmse_shrunken is None:
+        raise DegenerateGateError(
+            "gate classified every test patient HighRisk; nothing to evaluate on "
+            f"(original rmse {report.rmse_original:.3f})",
+            report={"rmse_original": report.rmse_original,
+                    "mae_original": report.mae_original, "confusion": report.confusion},
+        )
+    return report, evaluation_report(truth, truth, actual, labels.doses)

@@ -9,6 +9,7 @@ model this package claims to apply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -97,8 +98,15 @@ def predict_weekly_dose(patient: Cohort,
     return float(weekly_doses(patient, coeffs)[0])
 
 
+def coefficients_to_text(coeffs: IwpcCoefficients) -> str:
+    """Every coefficient as a key=value line that load_coefficients reads
+    back bit for bit."""
+    return "".join(f"{f.name}={getattr(coeffs, f.name)!r}\n" for f in fields(coeffs))
+
+
 def load_coefficients(path, allow_override: bool = False) -> IwpcCoefficients:
-    """Read key=value coefficients; deviations require allow_override."""
+    """Read key=value coefficients; deviations require allow_override,
+    and a value that is not finite is a SchemaError."""
     values = {}
     names = {f.name for f in fields(IwpcCoefficients)}
     for raw_line in read_text(path, "coefficient file").splitlines():
@@ -115,6 +123,8 @@ def load_coefficients(path, allow_override: bool = False) -> IwpcCoefficients:
             values[key] = float(value.strip())
         except ValueError:
             raise SchemaError(f"bad coefficient line: {raw_line!r}") from None
+        if not math.isfinite(values[key]):
+            raise SchemaError(f"coefficient {key!r} is not finite: {raw_line!r}")
     coeffs = IwpcCoefficients(**values)
     if coeffs != DEFAULT_COEFFICIENTS and not allow_override:
         raise DomainError(

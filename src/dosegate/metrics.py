@@ -42,22 +42,26 @@ class MetricSummary:
 @dataclass(frozen=True)
 class EvalReport:
     """Gated-evaluation outcome: classifier quality plus dose errors
-    on the full test set and on the Safe-classified (shrunken) subset."""
+    on the full test set and on the Safe-classified (shrunken) subset.
+    An empty subset has no shrunken errors (None)."""
 
     accuracy: float | None
     sensitivity: float | None
     specificity: float | None
     rmse_original: float
-    rmse_shrunken: float
+    rmse_shrunken: float | None
     mae_original: float
-    mae_shrunken: float
+    mae_shrunken: float | None
     shrink_ratio: float
     confusion: ConfusionMatrix | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.shrink_ratio <= 1.0:
-            raise DomainError("shrink_ratio must lie in (0, 1]; an empty "
-                              "shrunken set is an error, not a report")
+        if not 0.0 <= self.shrink_ratio <= 1.0:
+            raise DomainError("shrink_ratio must lie in [0, 1]")
+        empty = self.shrink_ratio == 0.0
+        if (self.rmse_shrunken is None) != empty or (self.mae_shrunken is None) != empty:
+            raise DomainError("the shrunken errors are None exactly when "
+                              "the shrunken set is empty")
 
 
 def _label_signs(labels) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from dosegate import svm
-from dosegate.kernels import ANOVA_BLOCK_CELLS
+from dosegate.kernels import ANOVA_BLOCK_CELLS, KernelSpec
 from dosegate.records import BINARY_COVARIATES, CANONICAL_COLUMNS, Cohort, Race
 
 # the identity column map that ships with the package
@@ -39,6 +39,24 @@ def make_patient(**fields):
 def stack(cohorts):
     """One Cohort of the rows of ``cohorts``, in order."""
     return Cohort(np.hstack([cohort.columns for cohort in cohorts]))
+
+
+def constant_gate(bias: float) -> svm.SvmModel:
+    """A model with no support vectors, so every decision value is
+    ``bias``: -1 keeps every patient, +1 keeps none."""
+    return svm.SvmModel(
+        kernel=KernelSpec(variant="linear"),
+        support_vectors=np.zeros((0, 2)),
+        alphas=np.zeros(0),
+        sv_labels=np.zeros(0),
+        bias=bias,
+        feature_names=("age_decade", "height_cm"),
+        scaler_means=np.zeros(2),
+        scaler_scales=np.ones(2),
+        converged=True,
+        max_kkt_violation=0.0,
+        dual_objective=0.0,
+    )
 
 
 def separable_blobs(rng, n_per_class=15, gap=4.0, dims=2):

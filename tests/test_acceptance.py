@@ -18,7 +18,7 @@ import pytest
 
 from dosegate.cli import main
 from dosegate.cohort import apply_imputation, fit_imputation, split_cohort
-from dosegate.gate import GateConfig, evaluate_gate, fit_gate, label_cohort
+from dosegate.gate import GateConfig, evaluate_gate, evaluation_report, fit_gate, label_cohort
 from dosegate.iwpc import predict_weekly_dose, sqrt_weekly_doses
 from dosegate.kernels import KernelSpec, kernel_matrix
 from dosegate.metrics import confusion, mae, metrics, rmse
@@ -234,17 +234,19 @@ def test_oracle_gate_monotonicity_and_identity_control():
         cohort = generate_synthetic_cohort(500, seed=seed)
         train_recs, test_recs = split_cohort(cohort, 0.5, seed=seed)
 
-        plan = fit_imputation(train_recs)
-        oracle, test_labels = evaluate_gate(None, plan, test_recs, gate_mode="oracle")
+        imputed = apply_imputation(fit_imputation(train_recs), test_recs)
+        labels = label_cohort(imputed)
+        truth, therapeutic = labels.labels, test_recs["therapeutic_dose_mg_week"]
+        oracle = evaluation_report(truth, truth, therapeutic, labels.doses)
         assert oracle.rmse_shrunken <= oracle.rmse_original
-        kept = np.flatnonzero(test_labels.labels < 0)
-        imputed = apply_imputation(plan, test_recs)
+        kept = np.flatnonzero(truth < 0)
         for i in kept:
-            actual = test_recs["therapeutic_dose_mg_week"][i]
+            actual = therapeutic[i]
             rel = abs(predict_weekly_dose(imputed.take([i])) - actual) / actual
             assert rel <= threshold
 
-        identity, _ = evaluate_gate(None, plan, test_recs, gate_mode="identity")
+        identity = evaluation_report(truth, np.full(truth.shape, -1), therapeutic,
+                                     labels.doses)
         assert identity.rmse_shrunken == identity.rmse_original
         assert identity.mae_shrunken == identity.mae_original
         assert identity.shrink_ratio == 1.0
@@ -260,7 +262,7 @@ def test_trained_gate_improves_rmse_across_seeded_runs():
         cohort = generate_synthetic_cohort(500, seed=seed)
         train_recs, test_recs = split_cohort(cohort, 0.5, seed=seed)
         fitted = fit_gate(train_recs, POLY, c_grid=(1.0,), train_config=TrainConfig(seed=seed))
-        report, _ = evaluate_gate(fitted.model, fitted.plan, test_recs, gate_mode="trained")
+        report, _ = evaluate_gate(fitted.model, fitted.plan, test_recs)
         if report.rmse_shrunken < report.rmse_original:
             wins += 1
     assert wins >= 45
@@ -299,7 +301,7 @@ def test_best_effort_real_cohort_reproduction():
 
     train_recs, test_recs = split_cohort(cohort, 0.5, seed=0)
     fitted = fit_gate(train_recs, POLY, c_grid=(1.0,), train_config=TrainConfig(seed=0))
-    report, _ = evaluate_gate(fitted.model, fitted.plan, test_recs, gate_mode="trained")
+    report, _ = evaluate_gate(fitted.model, fitted.plan, test_recs)
     rmse_gain = (report.rmse_original - report.rmse_shrunken) / report.rmse_original
     mae_gain = (report.mae_original - report.mae_shrunken) / report.mae_original
     assert 0.05 <= rmse_gain <= 0.25
@@ -319,7 +321,7 @@ def test_train_and_evaluate_artifacts_are_byte_identical(tmp_path):
         assert main(["evaluate", "--run-dir", str(run)]) == 0
 
     artifacts = sorted(p.name for p in (tmp_path / "first").iterdir())
-    assert artifacts == ["config.txt", "evaluation.json", "evaluation.txt",
+    assert artifacts == ["coefficients.txt", "config.txt", "evaluation.json", "evaluation.txt",
                          "model.txt", "plan.txt", "test.tsv", "train_report.txt"]
     for name in artifacts:
         first = (tmp_path / "first" / name).read_bytes()

@@ -17,21 +17,29 @@ import pytest
 
 from dosegate.cli import DOSE_REQUIRED_FIELDS, main
 from dosegate.cohort import (
+    apply_imputation,
     cohort_to_text,
     fit_imputation,
+    load_plan,
     plan_to_text,
     read_cohort,
     split_cohort,
 )
-from dosegate.gate import evaluate_gate, fit_gate
-from dosegate.iwpc import predict_weekly_dose, weekly_doses
+from dosegate.gate import GateConfig, evaluate_gate, fit_gate
+from dosegate.iwpc import (
+    DEFAULT_COEFFICIENTS,
+    IwpcCoefficients,
+    coefficients_to_text,
+    load_coefficients,
+    predict_weekly_dose,
+    sqrt_weekly_doses,
+    weekly_doses,
+)
 from dosegate.kernels import KernelSpec
-from dosegate.model_io import save_model
-from dosegate.svm import SvmModel, TrainConfig
+from dosegate.model_io import load_model, save_model
+from dosegate.svm import TrainConfig
 
-import numpy as np
-
-from helpers import CANONICAL_SCHEMA_FILE, make_patient, stack
+from helpers import CANONICAL_SCHEMA_FILE, constant_gate, make_patient, stack
 
 
 @pytest.fixture(scope="module")
@@ -52,23 +60,12 @@ def run_dir(pipeline):
 
 def _stub_model_files(tmp_path, bias):
     """A run directory of a zero-support-vector model (decision value ==
-    bias) plus a plan."""
-    model = SvmModel(
-        kernel=KernelSpec(variant="linear"),
-        support_vectors=np.zeros((0, 2)),
-        alphas=np.zeros(0),
-        sv_labels=np.zeros(0),
-        bias=bias,
-        feature_names=("age_decade", "height_cm"),
-        scaler_means=np.zeros(2),
-        scaler_scales=np.ones(2),
-        converged=True,
-        max_kkt_violation=0.0,
-        dual_objective=0.0,
-    )
-    save_model(model, tmp_path / "model.txt")
+    bias), a plan and the published coefficients."""
+    save_model(constant_gate(bias), tmp_path / "model.txt")
     plan = fit_imputation(stack([make_patient(), make_patient(height_cm=180.0)]))
     (tmp_path / "plan.txt").write_text(plan_to_text(plan), encoding="ascii")
+    (tmp_path / "coefficients.txt").write_text(coefficients_to_text(DEFAULT_COEFFICIENTS),
+                                               encoding="ascii")
     return str(tmp_path)
 
 
@@ -171,6 +168,10 @@ def test_ingest_counts_exclusions_and_reruns_identically(tmp_path):
 def test_train_writes_expected_artifacts(run_dir):
     for name in ("model.txt", "plan.txt", "test.tsv", "train_report.txt", "config.txt"):
         assert (run_dir / name).exists()
+    assert (run_dir / "coefficients.txt").read_text() == (
+        "intercept=4.0376\nage_per_decade=-0.2546\nheight_per_cm=0.0118\n"
+        "weight_per_kg=0.0134\nasian=-0.6752\nblack=0.406\nrace_missing=0.0443\n"
+        "enzyme=1.2799\namiodarone=-0.5695\n")
     report = (run_dir / "train_report.txt").read_text()
     assert "train_rows 130" in report
     assert "test_rows 130" in report
@@ -186,7 +187,8 @@ def test_train_is_deterministic(tmp_path):
         assert main(["train", "--input", str(src / "cohort.tsv"),
                      "--out-dir", str(tmp_path / out), "--seed", "11",
                      "--c-grid", "1"]) == 0
-    for name in ("model.txt", "plan.txt", "test.tsv", "train_report.txt", "config.txt"):
+    for name in ("model.txt", "plan.txt", "test.tsv", "coefficients.txt", "train_report.txt",
+                 "config.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -258,37 +260,125 @@ def test_cv_k_above_training_rows_is_data_error(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_coefficient_override_flag_takes_effect(pipeline, run_dir, tmp_path, capsys):
+def test_coefficient_override_flag_takes_effect(pipeline, tmp_path, capsys):
+    # only train reads --coefficients; a deviating file needs the flag, and
+    # the run keeps the values it labeled with
     coefficients = tmp_path / "coefficients.txt"
     coefficients.write_text("intercept=4.5\n", encoding="ascii")
-    custom = ["--coefficients", str(coefficients)]
-    assert main(["evaluate", "--run-dir", str(run_dir), *custom]) == 2
+    train = ["train", "--input", str(pipeline / "synth" / "cohort.tsv"), "--c-grid", "1",
+             "--coefficients", str(coefficients)]
+    assert main([*train, "--out-dir", str(tmp_path / "refused")]) == 2
     assert "override" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
 
-    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
-    published = json.loads((run_dir / "evaluation.json").read_text())
-    assert main(["evaluate", "--run-dir", str(run_dir), *custom,
-                 "--allow-coefficient-override"]) == 0
-    overridden = json.loads((run_dir / "evaluation.json").read_text())
-    assert overridden["rmse_original"] != published["rmse_original"]
+    out = tmp_path / "run"
+    assert main([*train, "--out-dir", str(out), "--allow-coefficient-override"]) == 0
+    assert "allow_override=true" in (out / "config.txt").read_text()
+    assert load_coefficients(out / "coefficients.txt", allow_override=True) == (
+        IwpcCoefficients(intercept=4.5))
 
-    assert main(["gate", "--run-dir", str(run_dir), "--jsonl", *custom,
-                 "--allow-coefficient-override"]) == 0
-    assert main(["dose", "--run-dir", str(run_dir), *custom,
-                 "--allow-coefficient-override", "age_decade=5", "height_cm=170",
-                 "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0"]) == 0
+
+def _evaluation_json(report) -> dict:
+    cm = report.confusion
+    return {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn,
+            **{key: getattr(report, key) for key in (
+                "accuracy", "sensitivity", "specificity", "rmse_original", "rmse_shrunken",
+                "mae_original", "mae_shrunken", "shrink_ratio")}}
+
+
+def test_read_side_uses_the_runs_threshold_and_coefficients(pipeline, tmp_path, capsys):
+    coeffs = IwpcCoefficients(intercept=4.2, enzyme=1.0)
+    coefficients = tmp_path / "coefficients.txt"
+    coefficients.write_text(coefficients_to_text(coeffs), encoding="ascii")
+    run = tmp_path / "run"
+    assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
+                 "--out-dir", str(run), "--seed", "5", "--c-grid", "1", "--threshold", "0.3",
+                 "--coefficients", str(coefficients), "--allow-coefficient-override"]) == 0
+    model, plan = load_model(run / "model.txt"), load_plan(run / "plan.txt")
+    test_rows = read_cohort(run / "test.tsv").cohort
+    report, oracle = evaluate_gate(model, plan, test_rows, GateConfig(threshold=0.3), coeffs)
+    assert report != evaluate_gate(model, plan, test_rows)[0]
+
+    assert main(["evaluate", "--run-dir", str(run)]) == 0
+    assert json.loads((run / "evaluation.json").read_text()) == {
+        **_evaluation_json(report), "oracle": _evaluation_json(oracle)}
+    capsys.readouterr()
+
+    assert main(["gate", "--run-dir", str(run), "--jsonl"]) == 0
+    doses = weekly_doses(apply_imputation(plan, test_rows), coeffs)
+    assert [json.loads(line)["predicted_dose_mg_week"]
+            for line in capsys.readouterr().out.splitlines()] == [
+        round(dose, 6) for dose in doses.tolist()]
+
+    fields = dict(age_decade=5, height_cm=170.0, weight_kg=80.0, race=1, enzyme=1,
+                  amiodarone=0)
+    assert main(["dose", "--run-dir", str(run),
+                 *(f"{key}={value}" for key, value in fields.items())]) == 0
+    root = float(sqrt_weekly_doses(make_patient(**fields), coeffs)[0])
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"sqrt_dose {root:.4f}", f"dose_mg_week {root * root:.3f}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--threshold", "0.2"],
+    ["evaluate", "--gate-mode", "oracle"],
+    *([command, "--coefficients", "coefficients.txt"] for command in ("evaluate", "gate", "dose")),
+    *([command, "--allow-coefficient-override"] for command in ("evaluate", "gate", "dose")),
+], ids=" ".join)
+def test_read_side_takes_no_labeling_option(run_dir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--run-dir", str(run_dir)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e400", "-inf", "nan"])
+def test_train_rejects_a_coefficient_that_is_not_finite(pipeline, tmp_path, capsys, value):
+    coefficients = tmp_path / "coefficients.txt"
+    coefficients.write_text(f"intercept={value}\n", encoding="ascii")
     out = tmp_path / "run"
     assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
-                 "--out-dir", str(out), "--c-grid", "1", *custom,
-                 "--allow-coefficient-override"]) == 0
-    assert "allow_override=true" in (out / "config.txt").read_text()
+                 "--out-dir", str(out), "--c-grid", "1", "--coefficients", str(coefficients),
+                 "--allow-coefficient-override"]) == 2
+    assert capsys.readouterr().err == (
+        f"dosegate train: data error: coefficient 'intercept' is not finite: "
+        f"'intercept={value}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "gate", "dose"])
+def test_run_without_coefficients_is_data_error(run_dir, tmp_path, capsys, command):
+    run = _copy_run(run_dir, tmp_path)
+    (run / "coefficients.txt").unlink()
+    patient = ["age_decade=5", "height_cm=170", "weight_kg=80", "race=1", "enzyme=0",
+               "amiodarone=0"] if command == "dose" else []
+    assert main([command, "--run-dir", str(run), *patient]) == 2
+    assert capsys.readouterr().err == (
+        f"dosegate {command}: data error: coefficient file not found: "
+        f"{run / 'coefficients.txt'}\n")
+
+
+@pytest.mark.parametrize("config, message", [
+    (None, "run config not found: {path}"),
+    ("command=train\nseed=5\n", "{path} gives no threshold"),
+    ("threshold=abc\n", "{path}: bad config value: 'threshold=abc'"),
+    ("threshold=1.5\n", "gate threshold must lie in (0, 1)"),
+], ids=["missing", "no threshold", "unreadable threshold", "threshold out of range"])
+def test_evaluate_reads_the_threshold_from_the_run(run_dir, tmp_path, capsys, config,
+                                                     message):
+    run = _copy_run(run_dir, tmp_path)
+    path = run / "config.txt"
+    if config is None:
+        path.unlink()
+    else:
+        path.write_text(config, encoding="ascii")
+    assert main(["evaluate", "--run-dir", str(run)]) == 2
+    assert capsys.readouterr().err == (
+        f"dosegate evaluate: data error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("threshold", ["1.5", "0", "-0.2", "nan"])
-def test_threshold_outside_unit_interval_is_usage_error(pipeline, run_dir, tmp_path,
-                                                         capsys, threshold):
-    assert main(["evaluate", "--run-dir", str(run_dir), "--threshold", threshold]) == 1
-    assert "usage error" in capsys.readouterr().err
+def test_threshold_outside_unit_interval_is_usage_error(pipeline, tmp_path, capsys, threshold):
     assert main(["train", "--input", str(pipeline / "synth" / "cohort.tsv"),
                  "--out-dir", str(tmp_path / "run"), "--c-grid", "1",
                  "--threshold", threshold]) == 1
@@ -327,16 +417,10 @@ def test_cli_evaluation_equals_library_pipeline(pipeline, run_dir, tmp_path):
     fitted = fit_gate(train_rows, KernelSpec(), (1.0,), 10, TrainConfig(seed=5))
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
-    for mode in ("trained", "identity", "oracle"):
-        assert main(["evaluate", "--run-dir", str(run), "--gate-mode", mode]) == 0
-        report, _ = evaluate_gate(fitted.model, fitted.plan, test_rows, mode)
-        cm = report.confusion
-        assert json.loads((run / "evaluation.json").read_text()) == {
-            "gate_mode": mode, "tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn,
-            **{key: getattr(report, key) for key in (
-                "accuracy", "sensitivity", "specificity", "rmse_original", "rmse_shrunken",
-                "mae_original", "mae_shrunken", "shrink_ratio")},
-        }
+    assert main(["evaluate", "--run-dir", str(run)]) == 0
+    report, oracle = evaluate_gate(fitted.model, fitted.plan, test_rows)
+    assert json.loads((run / "evaluation.json").read_text()) == {
+        **_evaluation_json(report), "oracle": _evaluation_json(oracle)}
 
 
 def test_evaluate_requires_model(tmp_path, capsys):
@@ -349,41 +433,55 @@ def test_evaluate_requires_model(tmp_path, capsys):
 def test_evaluate_trained_improves_rmse(run_dir, capsys):
     assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
     out = capsys.readouterr().out
-    assert "gate_mode trained" in out
+    assert "\ntrained gate\n" in out
     payload = json.loads((run_dir / "evaluation.json").read_text())
     assert payload["rmse_shrunken"] < payload["rmse_original"]
     assert 0.0 < payload["shrink_ratio"] < 1.0
     assert (run_dir / "evaluation.txt").exists()
 
 
-def test_evaluate_identity_keeps_every_row(run_dir):
-    assert main(["evaluate", "--run-dir", str(run_dir),
-                 "--gate-mode", "identity"]) == 0
-    payload = json.loads((run_dir / "evaluation.json").read_text())
-    assert payload["rmse_shrunken"] == payload["rmse_original"]
-    assert payload["mae_shrunken"] == payload["mae_original"]
-    assert payload["shrink_ratio"] == 1.0
-    assert payload["tp"] == 0 and payload["fp"] == 0
-
-
 def test_evaluate_oracle_never_hurts(run_dir):
-    assert main(["evaluate", "--run-dir", str(run_dir),
-                 "--gate-mode", "oracle"]) == 0
-    payload = json.loads((run_dir / "evaluation.json").read_text())
-    assert payload["rmse_shrunken"] <= payload["rmse_original"]
-    assert payload["accuracy"] == 1.0
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
+    oracle = json.loads((run_dir / "evaluation.json").read_text())["oracle"]
+    assert oracle["rmse_shrunken"] <= oracle["rmse_original"]
+    assert oracle["accuracy"] == 1.0
 
 
-@pytest.mark.parametrize("mode", ["trained", "identity", "oracle"])
-def test_evaluation_text_names_the_model(run_dir, mode, capsys):
-    assert main(["evaluate", "--run-dir", str(run_dir), "--gate-mode", mode]) == 0
+def test_evaluate_oracle_that_keeps_nothing_renders_dashes(run_dir, tmp_path, capsys):
+    # under this intercept every predicted dose is far above its
+    # therapeutic dose, so no test row is truly Safe
+    run = _copy_run(run_dir, tmp_path)
+    (run / "coefficients.txt").write_text(
+        coefficients_to_text(IwpcCoefficients(intercept=20.0)), encoding="ascii")
+    assert main(["evaluate", "--run-dir", str(run)]) == 0
+    payload = json.loads((run / "evaluation.json").read_text())
+    assert payload["shrink_ratio"] > 0.0
+    assert {key: payload["oracle"][key] for key in (
+        "rmse_shrunken", "mae_shrunken", "shrink_ratio", "tn", "fp")} == {
+        "rmse_shrunken": None, "mae_shrunken": None, "shrink_ratio": 0.0, "tn": 0, "fp": 0}
+    oracle_text = capsys.readouterr().out.split("\noracle gate")[1]
+    assert [line.split()[-1] for line in oracle_text.splitlines()
+            if line.startswith(("  rmse", "  mae"))] == ["—", "—"]
+
+
+@pytest.mark.parametrize("gate", ["trained", "oracle"])
+def test_evaluation_text_names_the_model(run_dir, gate, capsys):
+    # the text names the model, then gives each gate's figures as the
+    # JSON holds them
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
     model = dict(line.split(" ", 1) for line in
                  (run_dir / "model.txt").read_text().splitlines()[1:10])
     expected = (f"model kernel {model['kernel']}, support_vectors "
                 f"{model['support_vectors']}, converged {model['converged']}")
-    assert (run_dir / "evaluation.txt").read_text().splitlines()[:2] == [
-        f"gate_mode {mode}", expected]
-    assert capsys.readouterr().out == (run_dir / "evaluation.txt").read_text()
+    text = (run_dir / "evaluation.txt").read_text()
+    assert text.splitlines()[0] == expected
+    assert capsys.readouterr().out == text
+    payload = json.loads((run_dir / "evaluation.json").read_text())
+    figures = payload["oracle"] if gate == "oracle" else payload
+    section = text.split(f"\n{gate} gate")[1].split("\n\n")[0]
+    assert f"tp={figures['tp']} fp={figures['fp']} tn={figures['tn']} fn={figures['fn']}" in (
+        section)
+    assert f"retained fraction of test set {figures['shrink_ratio']:.4f}" in section
 
 
 def test_gate_tsv_output(run_dir, capsys):
@@ -590,10 +688,9 @@ def test_repeated_config_key_is_usage_error(tmp_path, capsys):
 
 
 def test_repeated_coefficient_is_data_error(run_dir, tmp_path, capsys):
-    coefficients = tmp_path / "coefficients.txt"
-    coefficients.write_text("intercept=4.5\nintercept=9.9\n", encoding="ascii")
-    assert main(["dose", "--run-dir", str(run_dir), "--coefficients", str(coefficients),
-                 "--allow-coefficient-override", "age_decade=5", "height_cm=170",
+    run = _copy_run(run_dir, tmp_path)
+    (run / "coefficients.txt").write_text("intercept=4.5\nintercept=9.9\n", encoding="ascii")
+    assert main(["dose", "--run-dir", str(run), "age_decade=5", "height_cm=170",
                  "weight_kg=80", "race=1", "enzyme=0", "amiodarone=0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

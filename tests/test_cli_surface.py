@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dosegate.cli import build_parser, main
+from dosegate.cli import _OPTIONS, build_parser, main
 
 from helpers import CANONICAL_SCHEMA_FILE
 
@@ -20,12 +20,6 @@ _RUN_DIR = (("--run-dir",), "run_dir", None, None, None, None, None, "_StoreActi
 _INPUT = (("--input",), "input", None, None, None, None, None, "_StoreAction")
 _OUT_DIR = (("--out-dir",), "out_dir", None, None, None, None, None, "_StoreAction")
 _SEED = (("--seed",), "seed", None, None, None, None, "int", "_StoreAction")
-_THRESHOLD = (("--threshold",), "threshold", None, None, None, None, "float", "_StoreAction")
-_COEFFICIENTS = (
-    (("--coefficients",), "coefficients", None, None, None, None, None, "_StoreAction"),
-    (("--allow-coefficient-override",), "allow_override", None, None, True, 0, None,
-     "_StoreConstAction"),
-)
 
 SURFACE = {
     "synth": (
@@ -42,30 +36,26 @@ SURFACE = {
         _SEED, _INPUT, _OUT_DIR,
         (("--train-fraction",), "train_fraction", None, None, None, None, "float",
          "_StoreAction"),
-        _THRESHOLD,
+        (("--threshold",), "threshold", None, None, None, None, "float", "_StoreAction"),
         (("--kernel",), "kernel", None, None, None, None, None, "_StoreAction"),
         (("--c-grid",), "c_grid", None, None, None, None, None, "_StoreAction"),
         (("--cv-k",), "cv_k", None, None, None, None, "int", "_StoreAction"),
         (("--balance",), "balance_classes", None, None, True, 0, None, "_StoreConstAction"),
         (("--no-balance",), "balance_classes", None, None, False, 0, None,
          "_StoreConstAction"),
-        *_COEFFICIENTS,
+        (("--coefficients",), "coefficients", None, None, None, None, None, "_StoreAction"),
+        (("--allow-coefficient-override",), "allow_override", None, None, True, 0, None,
+         "_StoreConstAction"),
     ),
     "evaluate": (
         _RUN_DIR,
-        (("--gate-mode",), "gate_mode", None, ("trained", "identity", "oracle"), None, None,
-         None, "_StoreAction"),
-        _THRESHOLD,
-        *_COEFFICIENTS,
     ),
     "gate": (
         _RUN_DIR, _INPUT,
         (("--jsonl",), "jsonl", False, None, True, 0, None, "_StoreTrueAction"),
-        *_COEFFICIENTS,
     ),
     "dose": (
         _RUN_DIR,
-        *_COEFFICIENTS,
         ((), "patient", None, None, None, "*", None, "_StoreAction"),
     ),
 }
@@ -99,6 +89,13 @@ def test_subcommand_options_are_pinned(command):
     config = [a for a in sub._actions if a.dest == "config"]
     assert [(tuple(a.option_strings), a.default, type(a).__name__) for a in config] == [
         (("--config",), None, "_StoreAction")]
+
+
+def test_every_config_key_is_some_commands_option():
+    # a key that no command takes would still be read from any --config
+    # file and silently dropped
+    dests = {a.dest for sub in _subparsers(build_parser()).values() for a in sub._actions}
+    assert dests - {"help", "config", "jsonl", "patient"} == set(_OPTIONS)
 
 
 @pytest.mark.parametrize("argv", [[], *([name] for name in sorted(SURFACE))],
@@ -136,10 +133,10 @@ def test_ingest_config_text(workdir):
 
 
 def test_train_config_text(workdir):
-    # command= is ignored, and gate_mode and n belong to other commands
+    # command= is ignored, and run_dir and n belong to other commands
     Path("train.cfg").write_text(
         "command=synth\nbalance_classes=true\nkernel=linear\ncv_k=3\nseed=9\n"
-        "gate_mode=oracle\nn=5\n", encoding="ascii")
+        "run_dir=x\nn=5\n", encoding="ascii")
     assert main(["train", "--config", "train.cfg", "--input", "synth/cohort.tsv",
                  "--out-dir", "o", "--seed", "2", "--c-grid", "1", "--threshold", "0.2",
                  "--no-balance"]) == 0
@@ -154,7 +151,8 @@ def test_train_config_text(workdir):
      ("cohort.tsv", "exclusions.txt", "removed_variables.txt", "config.txt")),
     ("train", ["--input", "synth/cohort.tsv", "--seed", "6", "--c-grid", "1",
                "--kernel", "linear", "--train-fraction", "0.6", "--no-balance"],
-     ("model.txt", "plan.txt", "test.tsv", "train_report.txt", "config.txt")),
+     ("model.txt", "plan.txt", "test.tsv", "coefficients.txt", "train_report.txt",
+      "config.txt")),
 ])
 def test_echoed_config_round_trips(workdir, command, argv, artifacts):
     shutil.copy(CANONICAL_SCHEMA_FILE, "schema.txt")

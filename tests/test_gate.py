@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_patient, solver_limits, stack
+from helpers import constant_gate, make_patient, solver_limits, stack
 
 from dosegate.cohort import apply_imputation, fit_imputation
 from dosegate.errors import DegenerateGateError, DomainError, NonPhysicalDoseError, SchemaError
@@ -127,9 +127,9 @@ def _split_synthetic(n=260, seed=5):
 
 
 def test_identity_gate_preserves_metrics():
+    # a gate that keeps every row
     train_recs, test_recs = _split_synthetic()
-    report, _ = evaluate_gate(None, fit_imputation(train_recs), test_recs,
-                              gate_mode="identity")
+    report, _ = evaluate_gate(constant_gate(-1.0), fit_imputation(train_recs), test_recs)
     assert report.shrink_ratio == 1.0
     assert report.rmse_shrunken == report.rmse_original
     assert report.mae_shrunken == report.mae_original
@@ -137,7 +137,7 @@ def test_identity_gate_preserves_metrics():
 
 def test_oracle_gate_bounds_and_threshold():
     train_recs, test_recs = _split_synthetic(seed=6)
-    r, _ = evaluate_gate(None, fit_imputation(train_recs), test_recs, gate_mode="oracle")
+    _, r = evaluate_gate(constant_gate(-1.0), fit_imputation(train_recs), test_recs)
     assert r.rmse_shrunken <= r.rmse_original
     assert r.mae_shrunken <= r.mae_original
     assert r.accuracy == 1.0
@@ -157,13 +157,21 @@ def test_trained_gate_returns_model_and_plan():
 
 
 def test_degenerate_gate_carries_original_metrics():
+    train_recs, test_recs = _split_synthetic(seed=8)
+    with pytest.raises(DegenerateGateError) as info:
+        evaluate_gate(constant_gate(1.0), fit_imputation(train_recs), test_recs)
+    assert info.value.report is not None
+    assert info.value.report["rmse_original"] > 0
+
+
+def test_oracle_that_keeps_nothing_has_no_shrunken_errors():
     # every test dose is wildly wrong, so the oracle keeps nothing
     train_recs, _ = _split_synthetic(seed=8)
     bad_test = stack([make_patient(therapeutic_dose_mg_week=500.0 + i) for i in range(30)])
-    with pytest.raises(DegenerateGateError) as info:
-        evaluate_gate(None, fit_imputation(train_recs), bad_test, gate_mode="oracle")
-    assert info.value.report is not None
-    assert info.value.report["rmse_original"] > 0
+    report, oracle = evaluate_gate(constant_gate(-1.0), fit_imputation(train_recs), bad_test)
+    assert (oracle.shrink_ratio, oracle.rmse_shrunken, oracle.mae_shrunken) == (0.0, None, None)
+    assert (oracle.rmse_original, oracle.mae_original) == (
+        report.rmse_original, report.mae_original)
 
 
 def test_classify_records_matches_decision_sign():

@@ -1,10 +1,12 @@
 """Property tests for the text readers: model, cohort, plan, schema,
-config, kernel spec and the `dose` command's patient pairs.
+config, coefficients, kernel spec and the `dose` command's patient pairs.
 
 Arbitrary or damaged text fails only with the package's own errors
 (which the CLI maps to exit codes), and write -> read round-trips
-bit for bit for models, plans and cohorts.
+bit for bit for models, plans, cohorts and coefficients.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from dosegate.cohort import (
     schema_from_text,
 )
 from dosegate.errors import DosegateError, EmptyCohortError, SchemaError
+from dosegate.iwpc import IwpcCoefficients, coefficients_to_text, load_coefficients
 from dosegate.kernels import KernelSpec
 from dosegate.model_io import model_from_text, model_to_text
 from dosegate.records import BINARY_COVARIATES, Cohort
@@ -372,6 +375,39 @@ def test_arbitrary_config_text_raises_only_package_errors(text):
         config_from_text(text)
     except DosegateError:
         pass
+
+
+COEFFICIENT_NAMES = tuple(f.name for f in fields(IwpcCoefficients))
+COEFFICIENT_KEYS = st.sampled_from([*COEFFICIENT_NAMES, "", " ", "#", "Intercept", "x=y"])
+COEFFICIENT_VALUES = st.sampled_from([
+    "", " ", "=", "4.0376", "-0.0", "1e400", "-1e400", "inf", "nan", "NaN", "abc", "1_0",
+    "\x00", "١", "\r",
+])
+coefficient_lines = (st.builds("{}={}".format, COEFFICIENT_KEYS, COEFFICIENT_VALUES)
+                     | st.lists(COEFFICIENT_KEYS | COEFFICIENT_VALUES, max_size=4).map("".join))
+
+
+@PROPERTY
+@given(st.lists(coefficient_lines, max_size=6).map("\n".join) | st.text(), st.booleans())
+def test_arbitrary_coefficient_text_raises_only_package_errors(tmp_path_factory, text,
+                                                               allow_override):
+    path = tmp_path_factory.mktemp("coefficients") / "coefficients.txt"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        coeffs = load_coefficients(path, allow_override=allow_override)
+    except DosegateError:
+        return
+    assert all(np.isfinite(getattr(coeffs, name)) for name in COEFFICIENT_NAMES)
+
+
+@PROPERTY
+@given(st.builds(IwpcCoefficients, **{name: finite for name in COEFFICIENT_NAMES}))
+def test_coefficient_text_round_trips_bit_exactly(tmp_path_factory, coeffs):
+    path = tmp_path_factory.mktemp("coefficients") / "coefficients.txt"
+    path.write_text(coefficients_to_text(coeffs), encoding="ascii")
+    back = load_coefficients(path, allow_override=True)
+    assert [np.float64(getattr(back, name)).tobytes() for name in COEFFICIENT_NAMES] == [
+        np.float64(getattr(coeffs, name)).tobytes() for name in COEFFICIENT_NAMES]
 
 
 KERNEL_TOKENS = st.sampled_from([
